@@ -23,6 +23,7 @@ from .core import (
     DimensionTooSmall,
     EmptyList,
     IndexOutOfRange,
+    InvalidParameter,
     NoConvergence,
     NonPositive,
     NonSquare,

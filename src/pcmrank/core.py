@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -83,6 +84,36 @@ class UnequalRowProducts(PcmError, ValueError):
     """Rows expected to share a product do not."""
 
 
+class InvalidParameter(PcmError, ValueError):
+    """A setting or argument lies outside its documented range."""
+
+
+# ---------------------------------------------------------------------------
+# upper-triangle helpers
+
+
+@lru_cache(maxsize=128)
+def triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n-by-n
+    matrix, as ``np.triu_indices(n, k=1)``; cached and read-only."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
+def reciprocal_fill(g: np.ndarray) -> np.ndarray:
+    """New array holding the strict upper triangle of ``g`` (a matrix or a
+    stack of matrices, shape (..., n, n)), its exact float reciprocals
+    below the diagonal and ones on it.  Nothing is validated."""
+    iu, ju = triu_indices(g.shape[-1])
+    up = g[..., iu, ju]
+    a = np.ones(g.shape)
+    a[..., iu, ju] = up
+    a[..., ju, iu] = 1.0 / up
+    return a
+
+
 # ---------------------------------------------------------------------------
 # pairwise comparison matrix
 
@@ -112,7 +143,7 @@ class PCM:
             raise NonPositive("entries must be finite and strictly positive")
         if np.any(np.diagonal(a) != 1.0):
             raise ReciprocityViolation("diagonal entries must equal 1 exactly")
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = triu_indices(n)
         up, lo = a[iu, ju], a[ju, iu]
         if not np.all((lo == 1.0 / up) | (up == 1.0 / lo)):
             raise ReciprocityViolation(
@@ -139,14 +170,10 @@ class PCM:
         n = g.shape[0]
         if n < 2:
             raise TooSmall("need at least two alternatives")
-        iu, ju = np.triu_indices(n, k=1)
-        up = g[iu, ju]
+        up = g[triu_indices(n)]
         if not np.all(np.isfinite(up)) or np.any(up <= 0.0):
             raise NonPositive("entries must be finite and strictly positive")
-        a = np.ones((n, n))
-        a[iu, ju] = up
-        a[ju, iu] = 1.0 / up
-        return cls(a)
+        return cls(reciprocal_fill(g))
 
     @classmethod
     def ones(cls, n: int) -> "PCM":
@@ -177,8 +204,8 @@ def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PC
     after which the lower triangle is replaced with exact reciprocals and
     the diagonal forced to 1.
     """
-    if reciprocity_tol <= 0.0:
-        raise ValueError("reciprocity_tol must be positive")
+    if not reciprocity_tol > 0.0:
+        raise InvalidParameter("reciprocity_tol must be positive")
     rows = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     n = len(rows)
     if n < 2:
@@ -209,7 +236,10 @@ def _parse_entry(field: str) -> float:
             raise NonPositive(f"bad rational literal {field!r}") from None
         if p <= 0 or q <= 0:
             raise NonPositive(f"rational literal {field!r} must have p, q > 0")
-        return p / q  # int division is correctly rounded
+        try:
+            return p / q  # int division is correctly rounded
+        except OverflowError:
+            raise NonPositive(f"rational literal {field!r} overflows a float") from None
     try:
         value = float(field)
     except ValueError:
@@ -227,8 +257,8 @@ def pcm_to_csv(a: PCM) -> str:
 def is_consistent(a: PCM, tol: float) -> bool:
     """Multiplicative transitivity: |a_ik - a_ij * a_jk| <= tol * a_ik for
     every triple (i, j, k)."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise InvalidParameter("tol must be positive")
     e = a.entries
     chained = np.einsum("ij,jk->ijk", e, e)  # chained[i, j, k] = a_ij * a_jk
     target = e[:, None, :]
@@ -319,8 +349,8 @@ def ranking_from_weights(w: WeightVector, tie_tol: float = DEFAULT_TIE_TOL) -> R
     labelling so the result stays a weak order even across chains of
     near-ties.
     """
-    if tie_tol < 0.0:
-        raise ValueError("tie_tol must be non-negative")
+    if not tie_tol >= 0.0:
+        raise InvalidParameter(f"tie_tol must be a non-negative number, got {tie_tol!r}")
     v = w.w
     n = len(v)
     parent = list(range(n))
@@ -378,7 +408,7 @@ class Permutation:
         if m.ndim != 1 or len(m) < 1:
             raise NonSquare("permutation must be a non-empty vector")
         if sorted(int(x) for x in m) != list(range(len(m))):
-            raise ValueError(f"{m.tolist()} is not a permutation of 0..{len(m) - 1}")
+            raise InvalidParameter(f"{m.tolist()} is not a permutation of 0..{len(m) - 1}")
         m.flags.writeable = False
         object.__setattr__(self, "map", m)
 
@@ -409,7 +439,7 @@ class RationalExponent:
 
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
-            raise ValueError(f"exponent {self.p}/{self.q} must have p, q >= 1")
+            raise InvalidParameter(f"exponent {self.p}/{self.q} must have p, q >= 1")
         g = gcd(self.p, self.q)
         object.__setattr__(self, "p", self.p // g)
         object.__setattr__(self, "q", self.q // g)
@@ -422,7 +452,7 @@ class RationalExponent:
             p = int(num.strip())
             q = int(den.strip()) if den else 1
         except ValueError:
-            raise ValueError(f"bad exponent {text!r}") from None
+            raise InvalidParameter(f"bad exponent {text!r}") from None
         return cls(p, q)
 
     @property

@@ -12,6 +12,7 @@ from .core import (
     DEFAULT_TIE_TOL,
     PCM,
     DimensionMismatch,
+    InvalidParameter,
     NoConvergence,
     NoWeightForm,
     NonPositive,
@@ -53,9 +54,9 @@ class EmOptions:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.convergence_tol <= 0.0:
-            raise ValueError("convergence_tol must be positive")
+            raise InvalidParameter("max_iterations must be at least 1")
+        if not self.convergence_tol > 0.0:
+            raise InvalidParameter("convergence_tol must be positive")
 
 
 def rgm_weights(a: PCM) -> WeightVector:
@@ -64,8 +65,7 @@ def rgm_weights(a: PCM) -> WeightVector:
     Means are taken in log space; this is the closed-form minimizer of the
     log least squares objective (see ``rgm_objective``).
     """
-    g = np.exp(np.mean(np.log(a.entries), axis=1))
-    return WeightVector.from_scores(g)
+    return WeightVector.from_scores(closed_form_scores(MethodId.RGM, a.entries))
 
 
 def rgm_objective(a: PCM, w: WeightVector) -> float:
@@ -114,23 +114,33 @@ def em_weights(
 def method_scores(m: MethodId, a: PCM, em: EmOptions = EmOptions()) -> np.ndarray:
     """Raw per-alternative scores before normalization (larger is better).
 
-    RGM: row geometric means.  EM: the Perron vector.  ROW_ARITHMETIC_MEAN:
-    row sums.  FIRST_COLUMN: the first column.  FAVOURABLE_PRODUCT: the
-    product of the row entries >= 1 (the diagonal 1 always qualifies, so
-    the score is well defined).  FLAT and INDEX_ORDER rank without scores.
+    EM: the Perron vector; the closed-form methods: see
+    ``closed_form_scores``.  FLAT and INDEX_ORDER rank without scores.
     """
-    e = a.entries
-    if m is MethodId.RGM:
-        return np.exp(np.mean(np.log(e), axis=1))
     if m is MethodId.EM:
         w, _ = em_weights(a, em)
         return w.w
+    return closed_form_scores(m, a.entries)
+
+
+def closed_form_scores(m: MethodId, e: np.ndarray) -> np.ndarray:
+    """Scores of a closed-form method on the entries ``e`` of one matrix
+    (n, n) or of a stack of matrices (..., n, n), one row of n scores per
+    matrix.  Each matrix's scores carry the same bits either way.
+
+    RGM: row geometric means.  ROW_ARITHMETIC_MEAN: row sums.
+    FIRST_COLUMN: the first column.  FAVOURABLE_PRODUCT: the product of the
+    row entries >= 1 (the diagonal 1 always qualifies, so the score is well
+    defined).
+    """
+    if m is MethodId.RGM:
+        return np.exp(np.mean(np.log(e), axis=-1))
     if m is MethodId.ROW_ARITHMETIC_MEAN:
-        return e.sum(axis=1)
+        return e.sum(axis=-1)
     if m is MethodId.FIRST_COLUMN:
-        return e[:, 0].copy()
+        return e[..., :, 0].copy()
     if m is MethodId.FAVOURABLE_PRODUCT:
-        return np.where(e >= 1.0, e, 1.0).prod(axis=1)
+        return np.where(e >= 1.0, e, 1.0).prod(axis=-1)
     raise NoWeightForm(f"method {m.value} does not define scores")
 
 

@@ -252,3 +252,37 @@ class TestTieTolEnv:
         monkeypatch.setenv("PCMRANK_TIE_TOL", "soft")
         code, _, err = run(capsys, "rank", "--method", "rgm", "--input", consistent)
         assert code == 2 and "PCMRANK_TIE_TOL" in err
+
+
+BIG = "1" + "0" * 399
+
+
+class TestErrorContract:
+    """Bad settings and inputs exit 2 with one ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["falsify", "--method", "rgm", "--axiom", "INV", "--trials", "0", "--seed", "1"],
+        ["falsify", "--method", "rgm", "--axiom", "INV", "--trials", "5", "--seed", "1",
+         "--n-max", "100"],
+        ["falsify", "--method", "rgm", "--axiom", "INV", "--trials", "5", "--seed", "1",
+         "--tie-tol", "-1"],
+        ["rank", "--method", "rgm", "--input", "{kendall}", "--tie-tol", "nan"],
+        ["weights", "--method", "em", "--input", "{kendall}", "--em-max-iterations", "0"],
+        ["check", "--method", "em", "--axiom", "RSI", "--input", "{kendall}", "--kappa", "abc"],
+        ["check", "--method", "rgm", "--axiom", "ANO", "--input", "{consistent}",
+         "--perm", "1,1,2"],
+        ["check", "--method", "rgm", "--axiom", "IIC", "--input", "{iic4}", "--cell", "3,4",
+         "--value", "1", "--pair", "1,2"],
+        ["rank", "--method", "rgm", "--input", "{consistent}", "--reciprocity-tol", "0"],
+        ["rank", "--method", "rgm", "--input", "{huge}"],
+    ], ids=["trials-0", "n-max-100", "tie-tol-negative", "tie-tol-nan", "em-iterations-0",
+            "kappa-abc", "perm-repeats", "iic-unchanged-value", "reciprocity-tol-0",
+            "400-digit-rational"])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, kendall, consistent, iic4, argv):
+        huge = tmp_path / "huge.csv"
+        huge.write_text(f"1,{BIG}/3\n3/{BIG},1\n")
+        files = {"kendall": kendall, "consistent": consistent, "iic4": iic4, "huge": str(huge)}
+        code, out, err = run(capsys, *[arg.format(**files) for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -20,6 +20,7 @@ from pcmrank import (
     ranking_from_weights,
     ranking_json_dict,
 )
+from pcmrank.core import reciprocal_fill, triu_indices
 
 LOG9 = np.log(9.0)
 
@@ -116,6 +117,20 @@ class TestPcmType:
 
     def test_ones(self):
         assert np.all(PCM.ones(4).entries == 1.0)
+
+    def test_triu_indices_cached_and_read_only(self):
+        iu, ju = triu_indices(6)
+        assert triu_indices(6)[0] is iu
+        assert np.array_equal(iu, np.triu_indices(6, k=1)[0])
+        assert np.array_equal(ju, np.triu_indices(6, k=1)[1])
+        with pytest.raises(ValueError):
+            iu[0] = 5
+
+    def test_reciprocal_fill_stacks_match_from_upper(self):
+        grids = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, (4, 5, 5)))
+        filled = reciprocal_fill(grids)
+        for g, f in zip(grids, filled):
+            assert np.array_equal(f, PCM.from_upper(g).entries)
 
 
 class TestConsistency:
