@@ -34,7 +34,7 @@ from .core import (
     reciprocal_fill,
 )
 from .transforms import aggregate, opposite, permute, power
-from .weighting import EmOptions, MethodId, closed_form_scores, method_rank
+from .weighting import EmOptions, MethodId, closed_form_scores, em_weight_stack, method_rank
 
 
 class AxiomId(Enum):
@@ -94,8 +94,12 @@ class SearchConfig:
         lo, hi = self.n_range
         if not (2 <= lo <= hi <= 64):
             raise InvalidParameter(f"n_range {self.n_range} must sit inside [2, 64]")
-        if self.entry_log_range[0] > self.entry_log_range[1]:
-            raise InvalidParameter("entry_log_range must be a non-empty interval")
+        elo, ehi = self.entry_log_range
+        # a one-point range would leave the IIC draw no value to change to
+        if not (-math.inf < elo < ehi < math.inf):
+            raise InvalidParameter(
+                f"entry_log_range {self.entry_log_range} must be finite with lo < hi"
+            )
         klo, khi = self.k_range
         if not (2 <= klo <= khi):
             raise InvalidParameter(f"k_range {self.k_range} must start at 2 or more")
@@ -373,18 +377,7 @@ def _run_check(
 def replay(witness: Witness, em: EmOptions = EmOptions()) -> AxiomVerdict:
     """Re-run the check a witness came from; a genuine witness must come
     back with holds == False."""
-    return replay_inputs(witness.method, witness.axiom, witness.matrices, witness.auxiliary, em)
-
-
-def replay_inputs(
-    method: MethodId,
-    axiom: AxiomId,
-    matrices: Sequence[PCM],
-    aux: dict,
-    em: EmOptions = EmOptions(),
-) -> AxiomVerdict:
-    """Run the check for ``axiom`` from its raw inputs (see Witness)."""
-    return _run_check(method, axiom, matrices, aux, em)
+    return _run_check(witness.method, witness.axiom, witness.matrices, witness.auxiliary, em)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -439,7 +432,11 @@ def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[
     if axiom is AxiomId.RES:
         i, j = (int(x) for x in rng.permutation(n)[:2])
         span = max(cfg.entry_log_range[1], math.log(3.0))
-        factor = math.exp(rng.uniform(0.1, span))
+        log_factor = rng.uniform(0.1, span)
+        try:
+            factor = math.exp(log_factor)
+        except OverflowError:
+            raise NonPositive(f"increase factor exp({log_factor:g}) overflows a float") from None
         return [a], {"pair": [i, j], "increase": float(_entry(a, i, j) * factor)}
     return [a], {}
 
@@ -470,10 +467,15 @@ def falsify(
 
     Each trial's random stream is derived from (seed, trial index) alone,
     so results are reproducible and independent of evaluation order.  For
-    the closed-form score methods, trials are drawn in chunks and judged
-    as stacks (see ``_flag_trials``); the first flagged trial is run again
-    through the scalar check, which alone decides the verdict and builds
-    the witness.  EM, FLAT and INDEX_ORDER run trial by trial.
+    the score methods (RGM, EM and the closed-form foils), trials are
+    drawn in chunks and judged as stacks (see ``_flag_trials``); the first
+    flagged trial is run again through the scalar check, which alone
+    decides the verdict and builds the witness.  FLAT and INDEX_ORDER run
+    trial by trial.
+
+    A trial whose EM power iteration exhausts ``em.max_iterations``
+    aborts the search with NoConvergence, as the trial-by-trial loop
+    does; the trial is not skipped.
     """
     if method not in _STACKED_METHODS:
         return _falsify_scalar(method, axiom, cfg, tie_tol, em)
@@ -481,7 +483,8 @@ def falsify(
     cap = max(1, _CHUNK_MATRICES // per_trial)
     start, size = 0, 1
     while start < cfg.trials:
-        flags = _flag_trials(method, axiom, cfg, range(start, min(start + size, cfg.trials)), tie_tol)
+        trials = range(start, min(start + size, cfg.trials))
+        flags = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
         for trial in np.flatnonzero(flags):
             rng = _trial_rng(cfg.seed, start + int(trial))
             verdict = _run_trial(method, axiom, cfg, rng, tie_tol, em)
@@ -505,10 +508,11 @@ def _falsify_scalar(
     return None
 
 
-# --- batched search for the closed-form score methods ----------------------
+# --- batched search for the score methods ----------------------------------
 
 _STACKED_METHODS = (
     MethodId.RGM,
+    MethodId.EM,
     MethodId.ROW_ARITHMETIC_MEAN,
     MethodId.FIRST_COLUMN,
     MethodId.FAVOURABLE_PRODUCT,
@@ -519,6 +523,12 @@ _STACKED_METHODS = (
 #: beside their transformed images in a stack of twice that
 _CHUNK_MATRICES = 256
 
+#: a stacked EM iteration stops after this many steps (or fewer, within
+#: ``EmOptions.max_iterations``); a matrix still unconverged then flags its
+#: trial for the scalar re-run, so a rare slow matrix cannot hold a whole
+#: chunk for the full budget
+_EM_STACK_ITERATIONS = 256
+
 
 def _flag_trials(
     method: MethodId,
@@ -526,14 +536,17 @@ def _flag_trials(
     cfg: SearchConfig,
     trials: range,
     tie_tol: float,
+    em: EmOptions = EmOptions(),
 ) -> np.ndarray:
     """Flag each trial whose scalar check would report a violation or
     reject an input (a non-finite or non-positive entry, score or weight,
-    or a bad tie tolerance).
+    a bad tie tolerance, or an EM iteration that does not converge).
 
     Trials are drawn in order from their own streams, grouped by shape and
     judged a stack at a time, so each needs no PCM, Ranking or check call.
-    Flags may over-report a rejection, never under-report a violation.
+    Flags may over-report a rejection, never under-report a violation:
+    a matrix whose EM needs more than ``_EM_STACK_ITERATIONS`` steps flags
+    its trial even when the scalar check goes on to converge.
     A trial whose draw raises ends the flags, flagged: its scalar re-run
     raises the same error.
     """
@@ -549,23 +562,30 @@ def _flag_trials(
     flags = np.ones(min(len(draws) + 1, len(trials)), dtype=bool)
     with np.errstate(all="ignore"):  # rejected inputs are flagged, not warned about
         for idx in by_shape.values():
-            flags[idx] = _stack_flags(method, axiom, [draws[t] for t in idx], tie_tol)
+            flags[idx] = _stack_flags(method, axiom, [draws[t] for t in idx], tie_tol, em)
     return flags
 
 
-def _relations(method: MethodId, e: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _relations(
+    method: MethodId, e: np.ndarray, tie_tol: float, em: EmOptions = EmOptions()
+) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise view of ``method``'s ranking of every matrix in the stack
     ``e`` (..., n, n): ``R[..., i, j] = sign(gmax_i - gmax_j)`` is +1, 0 or
     -1 as i ranks strictly above, tied with or strictly below j, where
     gmax is the largest weight in an alternative's tie group.  Also
     returns a mask of the rankings the scalar path would compute without
-    raising.
+    raising; for EM it also clears where the iteration has not converged
+    within ``_EM_STACK_ITERATIONS`` steps.
 
     The arithmetic repeats ``method_rank`` operation for operation, so the
     weights carry the same bits and the tie test decides the same way;
     the union-find closure becomes repeated squaring of the tie relation.
     """
-    s = closed_form_scores(method, e)
+    if method is MethodId.EM:
+        capped = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
+        s = em_weight_stack(e, capped)  # NaN rows where unconverged
+    else:
+        s = closed_form_scores(method, e)
     w = s / s.sum(axis=-1, keepdims=True)
     # w > 0 throughout only if every score and their sum are finite and
     # positive; the weights then sum to 1 within n ulps, far inside SUM_TOL
@@ -589,7 +609,9 @@ def _relations(method: MethodId, e: np.ndarray, tie_tol: float) -> tuple[np.ndar
     return np.sign(gmax[..., :, None] - gmax[..., None, :]), ok
 
 
-def _stack_flags(method: MethodId, axiom: AxiomId, draws: list, tie_tol: float) -> np.ndarray:
+def _stack_flags(
+    method: MethodId, axiom: AxiomId, draws: list, tie_tol: float, em: EmOptions
+) -> np.ndarray:
     """``_flag_trials`` for trials with the same number and size of
     matrices: each trial's drawn matrices and its transformed matrix are
     ranked as one stack, and the axiom's verdict compares their relation
@@ -603,8 +625,8 @@ def _stack_flags(method: MethodId, axiom: AxiomId, draws: list, tie_tol: float) 
     if axiom is AxiomId.INV:
         # the opposite matrix as a transposed view, laid out like the
         # scalar path's, so that its reductions add in the same order
-        base, ok = _relations(method, a, tie_tol)
-        image, ok_image = _relations(method, a.transpose(0, 2, 1), tie_tol)
+        base, ok = _relations(method, a, tie_tol, em)
+        image, ok_image = _relations(method, a.transpose(0, 2, 1), tie_tol, em)
         return (image != -base).any(axis=(1, 2)) | ~(ok & ok_image)
     if axiom is AxiomId.AI:
         image = reciprocal_fill(np.exp(np.mean(np.log(stack), axis=1)))
@@ -626,7 +648,7 @@ def _stack_flags(method: MethodId, axiom: AxiomId, draws: list, tie_tol: float) 
         image = a.copy()
         image[b, k, l] = value
         image[b, l, k] = 1.0 / value
-    rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol)
+    rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol, em)
     rejected = ~ok.all(axis=1)
     before, after = rel[:, 0], rel[:, -1]
     if axiom is AxiomId.AI:

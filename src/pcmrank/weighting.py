@@ -99,16 +99,52 @@ def em_weights(
         if w.shape != (a.n,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise NonPositive("start vector must be positive with length n")
         w = w / w.sum()
+    # each step is v = m @ w, v /= v.sum(), max|v - w|, written into two
+    # reused buffers: the same operations in the same order, so the same bits
+    v, step = np.empty(a.n), np.empty(a.n)
     for _ in range(opts.max_iterations):
-        v = m @ w
-        v /= v.sum()
-        if np.max(np.abs(v - w)) <= opts.convergence_tol:
+        np.matmul(m, w, out=v)
+        v /= np.add.reduce(v)
+        np.absolute(np.subtract(v, w, out=step), out=step)
+        if np.maximum.reduce(step) <= opts.convergence_tol:
             lambda_max = float(np.mean((m @ v) / v))
             return WeightVector(v), lambda_max
-        w = v
+        w, v = v, w
     raise NoConvergence(
         f"no convergence to {opts.convergence_tol:g} in {opts.max_iterations} iterations"
     )
+
+
+def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
+    """``em_weights`` for every matrix of the stack ``e`` (..., n, n): one
+    row of n weights per matrix, or a row of NaN for a matrix that has not
+    converged within ``opts.max_iterations`` steps.
+
+    All matrices iterate together from the uniform vector, one stacked
+    step at a time; a matrix leaves the stack at the step it converges.
+    Each row carries the bits ``em_weights`` gives that matrix when the
+    matrix has the same memory layout here as there (C order for built
+    matrices, Fortran order for the transposed ones of ``opposite``),
+    since the layout picks the order of the products' sums.  Nothing is
+    validated.
+    """
+    n = e.shape[-1]
+    m = e.reshape(-1, n, n)  # a view for C-ordered or transposed stacks
+    out = np.full(m.shape[:-1], np.nan)
+    live = np.arange(len(m))
+    w = np.full(out.shape, 1.0 / n)
+    for _ in range(opts.max_iterations):
+        v = np.matmul(m, w[..., None])[..., 0]
+        v /= np.add.reduce(v, axis=-1, keepdims=True)
+        done = np.maximum.reduce(np.absolute(v - w), axis=-1) <= opts.convergence_tol
+        if done.any():
+            out[live[done]] = v[done]
+            # boolean indexing keeps each matrix's layout, and so its bits
+            live, m, v = live[~done], m[~done], v[~done]
+            if not len(live):
+                break
+        w = v
+    return out.reshape(e.shape[:-1])
 
 
 def method_scores(m: MethodId, a: PCM, em: EmOptions = EmOptions()) -> np.ndarray:

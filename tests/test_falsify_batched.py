@@ -1,9 +1,11 @@
 """Differential tests of the batched falsifier against the scalar trial loop.
 
-``falsify`` judges the trials of the closed-form methods as stacks and
-re-runs only the first flagged trial through the scalar check; these tests
-pin that its flags, witnesses and errors are the scalar loop's.
+``falsify`` judges the trials of the score methods as stacks and re-runs
+only the first flagged trial through the scalar check; these tests pin that
+its flags, witnesses and errors are the scalar loop's.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from pcmrank import (
     AxiomId,
     InvalidParameter,
     MethodId,
+    NoConvergence,
     NonPositive,
     PairRelation,
+    PcmError,
     SearchConfig,
     falsify,
     method_rank,
@@ -25,8 +29,9 @@ from pcmrank import (
     pair_relation,
     witness_json_dict,
 )
+from pcmrank import axioms
 from pcmrank.axioms import _falsify_scalar, _flag_trials, _relations, _run_trial, _trial_rng
-from pcmrank.weighting import EmOptions, closed_form_scores
+from pcmrank.weighting import EmOptions, closed_form_scores, em_weight_stack, em_weights
 
 CLOSED_FORM = [
     MethodId.RGM,
@@ -34,21 +39,28 @@ CLOSED_FORM = [
     MethodId.FIRST_COLUMN,
     MethodId.FAVOURABLE_PRODUCT,
 ]
+STACKED = CLOSED_FORM + [MethodId.EM]
 TIE_TOLS = [1e-9, 0.05, 0.3]
 SIGN = {PairRelation.STRICTLY_ABOVE: 1, PairRelation.TIED: 0, PairRelation.STRICTLY_BELOW: -1}
 
 
 def scalar_verdicts(method, axiom, cfg, tie_tol):
-    return np.array([
-        not _run_trial(method, axiom, cfg, _trial_rng(cfg.seed, t), tie_tol, EmOptions()).holds
-        for t in range(cfg.trials)
-    ])
+    """Per trial: does the scalar check fail, or abort without converging?"""
+
+    def flagged(t):
+        try:
+            rng = _trial_rng(cfg.seed, t)
+            return not _run_trial(method, axiom, cfg, rng, tie_tol, EmOptions()).holds
+        except NoConvergence:
+            return True
+
+    return np.array([flagged(t) for t in range(cfg.trials)])
 
 
-def outcome(search, method, axiom, cfg, tie_tol):
+def outcome(search, method, axiom, cfg, tie_tol, em=EmOptions()):
     """The witness as JSON, or the type and text of the error raised."""
     try:
-        witness = search(method, axiom, cfg, tie_tol, EmOptions())
+        witness = search(method, axiom, cfg, tie_tol, em)
     except Exception as exc:  # the two searches must fail alike
         return type(exc).__name__, str(exc)
     return None if witness is None else witness_json_dict(witness)
@@ -71,12 +83,47 @@ def test_stacked_scores_carry_the_scalar_bits(method):
                 assert np.array_equal(scores[b], method_scores(method, one(stack[b])))
 
 
+def test_stacked_em_weights_carry_the_scalar_bits():
+    rng = np.random.default_rng(6)
+    for n in (2, 3, 6, 9, 16, 64):
+        stack = random_stack(rng, 8, n)
+        # C-ordered matrices, a stack of pairs of them, and transposed
+        # views as INV's opposite images, which PCM keeps in Fortran order
+        views = (
+            (stack, PCM),
+            (stack.reshape(4, 2, n, n), PCM),
+            (stack.transpose(0, 2, 1), lambda e: opposite(PCM(e))),
+        )
+        for view, one in views:
+            weights = em_weight_stack(view).reshape(len(stack), n)
+            for b in range(len(stack)):
+                assert np.array_equal(weights[b], em_weights(one(stack[b]))[0].w), (n, b)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 12, 40])
+def test_stacked_em_leaves_unconverged_rows_nan(budget):
+    rng = np.random.default_rng(8)
+    stack = np.concatenate([random_stack(rng, 20, 5, span=1.0), np.ones((1, 5, 5))])
+    opts = EmOptions(max_iterations=budget)
+    weights = em_weight_stack(stack, opts)
+    converged = 0
+    for b in range(len(stack)):
+        try:
+            w, _ = em_weights(PCM(stack[b]), opts)
+        except NoConvergence:
+            assert np.isnan(weights[b]).all()
+        else:
+            assert np.array_equal(weights[b], w.w)
+            converged += 1
+    assert converged >= 1  # the all-ones matrix converges at once
+
+
 @pytest.mark.parametrize("tie_tol", TIE_TOLS + [0.0])
 def test_relations_match_pair_relations(tie_tol):
     rng = np.random.default_rng(9)
     for n in (2, 4, 7, 12):
         stack = random_stack(rng, 30, n, span=0.4)
-        for method in CLOSED_FORM:
+        for method in STACKED:
             rel, ok = _relations(method, stack, tie_tol)
             assert ok.all()
             for b in range(len(stack)):
@@ -87,7 +134,7 @@ def test_relations_match_pair_relations(tie_tol):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("method", CLOSED_FORM, ids=lambda m: m.value)
+@pytest.mark.parametrize("method", STACKED, ids=lambda m: m.value)
 def test_rejected_entries_clear_the_mask(method):
     stack = np.ones((3, 4, 4))
     stack[0, 2, 3], stack[0, 3, 2] = np.inf, 0.0  # overflow away from column 1
@@ -119,6 +166,21 @@ def test_flags_equal_scalar_verdicts(method, axiom):
         assert np.array_equal(flags, scalar_verdicts(method, axiom, cfg, tie_tol)), tie_tol
 
 
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_em_flags_equal_scalar_verdicts(axiom, monkeypatch):
+    cfg = SearchConfig(seed=42, trials=200)
+    for tie_tol in (1e-9, 0.3):
+        verdicts = scalar_verdicts(MethodId.EM, axiom, cfg, tie_tol)
+        capped = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
+        with monkeypatch.context() as patch:
+            # iterating as long as the scalar check does, the flags are exact
+            patch.setattr(axioms, "_EM_STACK_ITERATIONS", EmOptions().max_iterations)
+            exact = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
+        assert np.array_equal(exact, verdicts), tie_tol
+        # the iteration cap only adds flags, for matrices slower than the cap
+        assert np.all(capped >= exact), tie_tol
+
+
 @pytest.mark.parametrize("method, axiom", [
     (MethodId.RGM, AxiomId.INV),
     (MethodId.ROW_ARITHMETIC_MEAN, AxiomId.AI),
@@ -132,7 +194,7 @@ def test_flags_equal_scalar_verdicts_up_to_sixteen_alternatives(method, axiom):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    method=st.sampled_from(CLOSED_FORM),
+    method=st.sampled_from(STACKED),
     axiom=st.sampled_from(list(AxiomId)),
     seed=st.integers(0, 2**32 - 1),
     trials=st.integers(1, 40),
@@ -143,6 +205,8 @@ def test_flags_equal_scalar_verdicts_up_to_sixteen_alternatives(method, axiom):
 @example(method=MethodId.FIRST_COLUMN, axiom=AxiomId.ANO, seed=2, trials=3, tie_tol=0.05)
 @example(method=MethodId.FAVOURABLE_PRODUCT, axiom=AxiomId.RES, seed=3, trials=12, tie_tol=0.3)
 @example(method=MethodId.RGM, axiom=AxiomId.IIC, seed=4, trials=13, tie_tol=0.3)
+@example(method=MethodId.EM, axiom=AxiomId.INV, seed=5, trials=9, tie_tol=1e-9)
+@example(method=MethodId.EM, axiom=AxiomId.AI, seed=6, trials=40, tie_tol=0.05)
 def test_witness_equals_scalar_loop(method, axiom, seed, trials, tie_tol):
     cfg = SearchConfig(seed=seed, trials=trials)
     assert outcome(falsify, method, axiom, cfg, tie_tol) == outcome(
@@ -171,3 +235,39 @@ def test_bad_tie_tolerance_raises_as_on_the_scalar_path(method, tie_tol):
     batched = outcome(falsify, method, AxiomId.INV, cfg, tie_tol)
     assert batched == outcome(_falsify_scalar, method, AxiomId.INV, cfg, tie_tol)
     assert batched[0] == InvalidParameter.__name__
+
+
+def test_em_no_convergence_aborts_both_paths_at_the_same_trial():
+    cfg = SearchConfig(seed=2, trials=100)
+    batched = outcome(falsify, MethodId.EM, AxiomId.RSI, cfg, 1e-9)
+    assert batched == outcome(_falsify_scalar, MethodId.EM, AxiomId.RSI, cfg, 1e-9)
+    assert batched == ("NoConvergence", "no convergence to 1e-12 in 10000 iterations")
+
+
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_starved_em_ends_both_paths_alike(axiom):
+    # a budget under the stack's cap: unconverged matrices flag their trial
+    # and the scalar re-run raises, or decides, as the trial loop does
+    starved = EmOptions(max_iterations=5)
+    for seed in (0, 42):
+        cfg = SearchConfig(seed=seed, trials=20)
+        assert outcome(falsify, MethodId.EM, axiom, cfg, 1e-9, starved) == outcome(
+            _falsify_scalar, MethodId.EM, axiom, cfg, 1e-9, starved
+        )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", [MethodId.RGM, MethodId.EM], ids=lambda m: m.value)
+def test_overflowing_res_increase_raises_a_pcm_error(method):
+    cfg = SearchConfig(seed=42, trials=5, entry_log_range=(-800.0, 800.0))
+    for search in (falsify, _falsify_scalar):
+        with pytest.raises(PcmError):
+            search(method, AxiomId.RES, cfg, 1e-9, EmOptions())
+
+
+@pytest.mark.parametrize("log_range", [
+    (0.5, 0.5), (1.0, -1.0), (-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0),
+])
+def test_search_config_rejects_degenerate_entry_log_ranges(log_range):
+    with pytest.raises(InvalidParameter):
+        SearchConfig(seed=0, trials=5, entry_log_range=log_range)
