@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,12 +26,12 @@ from .core import (
     NonPositive,
     NotAnIncrease,
     OverlappingIndices,
-    PairRelation,
     PcmError,
     Permutation,
     RationalExponent,
-    pair_relation,
     reciprocal_fill,
+    relation,
+    tie_group_max,
 )
 from .transforms import aggregate, opposite, permute, power
 from .weighting import EmOptions, MethodId, closed_form_scores, em_weight_stack, method_rank
@@ -105,24 +105,6 @@ class SearchConfig:
             raise InvalidParameter(f"k_range {self.k_range} must start at 2 or more")
 
 
-_REL_TEXT = {
-    PairRelation.STRICTLY_ABOVE: "strictly above",
-    PairRelation.TIED: "tied with",
-    PairRelation.STRICTLY_BELOW: "strictly below",
-}
-
-
-def _fail(
-    axiom: AxiomId,
-    method: MethodId,
-    matrices: Sequence[PCM],
-    auxiliary: dict,
-    narrative: str,
-) -> AxiomVerdict:
-    witness = Witness(axiom, method, tuple(matrices), auxiliary, narrative)
-    return AxiomVerdict(holds=False, witness=witness)
-
-
 def check_ano(
     method: MethodId,
     a: PCM,
@@ -134,27 +116,9 @@ def check_ano(
     relabelled matrix, for every pair."""
     if sigma.n != a.n:
         raise DimensionMismatch(f"permutation on {sigma.n} labels, matrix has {a.n}")
-    base = method_rank(method, a, tie_tol, em)
-    image = method_rank(method, permute(a, sigma), tie_tol, em)
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            rel = pair_relation(base, i, j)
-            rel_img = pair_relation(image, int(sigma.map[i]), int(sigma.map[j]))
-            if rel is not rel_img:
-                aux = {
-                    "permutation": [int(x) for x in sigma.map],
-                    "pair": [i, j],
-                    "tie_tol": tie_tol,
-                }
-                narrative = (
-                    f"{method.value} breaks anonymity: alternative {i + 1} is "
-                    f"{_REL_TEXT[rel]} {j + 1}, but after relabelling by "
-                    f"{[int(x) + 1 for x in sigma.map]} alternative "
-                    f"{int(sigma.map[i]) + 1} is {_REL_TEXT[rel_img]} "
-                    f"{int(sigma.map[j]) + 1}"
-                )
-                return _fail(AxiomId.ANO, method, [a], aux, narrative)
-    return AxiomVerdict(holds=True)
+    ranks = [method_rank(method, m, tie_tol, em) for m in (a, permute(a, sigma))]
+    inputs = {"permutation": [int(x) for x in sigma.map]}
+    return _judge(AxiomId.ANO, method, [a], ranks, inputs, tie_tol)
 
 
 def check_ai(
@@ -172,34 +136,8 @@ def check_ai(
         if m.n != n:
             raise DimensionMismatch(f"mixed sizes {n} and {m.n}")
     ranks = [method_rank(method, m, tie_tol, em) for m in matrices]
-    agg_rank = method_rank(method, aggregate(list(matrices)), tie_tol, em)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rels = [pair_relation(r, i, j) for r in ranks]
-            if any(rel is PairRelation.STRICTLY_BELOW for rel in rels):
-                continue  # not unanimous for i over j
-            strict = any(rel is PairRelation.STRICTLY_ABOVE for rel in rels)
-            agg_rel = pair_relation(agg_rank, i, j)
-            weak_broken = agg_rel is PairRelation.STRICTLY_BELOW
-            strict_broken = strict and agg_rel is not PairRelation.STRICTLY_ABOVE
-            if weak_broken or strict_broken:
-                aux = {"pair": [i, j], "tie_tol": tie_tol}
-                clause = (
-                    "is strictly below in the aggregate"
-                    if weak_broken
-                    else "fails to stay strictly above in the aggregate"
-                )
-                narrative = (
-                    f"{method.value} breaks aggregation invariance: alternative "
-                    f"{i + 1} is ranked at least as high as {j + 1} in all "
-                    f"{len(matrices)} matrices"
-                    + (" (strictly in at least one)" if strict else "")
-                    + f", yet {clause}"
-                )
-                return _fail(AxiomId.AI, method, matrices, aux, narrative)
-    return AxiomVerdict(holds=True)
+    ranks.append(method_rank(method, aggregate(list(matrices)), tie_tol, em))
+    return _judge(AxiomId.AI, method, matrices, ranks, {}, tie_tol)
 
 
 def check_inv(
@@ -210,21 +148,8 @@ def check_inv(
 ) -> AxiomVerdict:
     """Inversion: the ranking on the opposite (transposed) matrix must be
     the exact reverse, pair by pair."""
-    base = method_rank(method, a, tie_tol, em)
-    rev = method_rank(method, opposite(a), tie_tol, em)
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            rel = pair_relation(base, i, j)
-            rel_op = pair_relation(rev, i, j)
-            if rel_op is not rel.reverse():
-                aux = {"pair": [i, j], "tie_tol": tie_tol}
-                narrative = (
-                    f"{method.value} breaks inversion: alternative {i + 1} is "
-                    f"{_REL_TEXT[rel]} {j + 1}, but on the opposite matrix it is "
-                    f"{_REL_TEXT[rel_op]} instead of {_REL_TEXT[rel.reverse()]}"
-                )
-                return _fail(AxiomId.INV, method, [a], aux, narrative)
-    return AxiomVerdict(holds=True)
+    ranks = [method_rank(method, m, tie_tol, em) for m in (a, opposite(a))]
+    return _judge(AxiomId.INV, method, [a], ranks, {}, tie_tol)
 
 
 def check_rsi(
@@ -237,20 +162,8 @@ def check_rsi(
     """Rational scale invariance: raising every entry to kappa must leave
     every pairwise relation unchanged."""
     base = method_rank(method, a, tie_tol, em)
-    powered = method_rank(method, power(a, kappa), tie_tol, em)
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            rel = pair_relation(base, i, j)
-            rel_pow = pair_relation(powered, i, j)
-            if rel is not rel_pow:
-                aux = {"kappa": str(kappa), "pair": [i, j], "tie_tol": tie_tol}
-                narrative = (
-                    f"{method.value} breaks scale invariance at exponent {kappa}: "
-                    f"alternative {i + 1} is {_REL_TEXT[rel]} {j + 1} before but "
-                    f"{_REL_TEXT[rel_pow]} after"
-                )
-                return _fail(AxiomId.RSI, method, [a], aux, narrative)
-    return AxiomVerdict(holds=True)
+    image = method_rank(method, power(a, kappa), tie_tol, em)
+    return _judge(AxiomId.RSI, method, [a], [base, image], {"kappa": str(kappa)}, tie_tol)
 
 
 def check_iic(
@@ -279,24 +192,9 @@ def check_iic(
         raise NonPositive("replacement value must be positive")
     if new_value == a.entries[k, l]:
         raise InvalidParameter("replacement value must differ from the current entry")
-    modified = a.with_entry(k, l, new_value)
-    rel = pair_relation(method_rank(method, a, tie_tol, em), i, j)
-    rel_mod = pair_relation(method_rank(method, modified, tie_tol, em), i, j)
-    if rel is not rel_mod:
-        aux = {
-            "cell": [k, l],
-            "value": float(new_value),
-            "pair": [i, j],
-            "tie_tol": tie_tol,
-        }
-        narrative = (
-            f"{method.value} breaks independence of irrelevant comparisons: "
-            f"rewriting the comparison of alternatives {k + 1} and {l + 1} to "
-            f"{new_value:g} turns alternative {i + 1} from {_REL_TEXT[rel]} "
-            f"{j + 1} into {_REL_TEXT[rel_mod]}"
-        )
-        return _fail(AxiomId.IIC, method, [a], aux, narrative)
-    return AxiomVerdict(holds=True)
+    ranks = [method_rank(method, m, tie_tol, em) for m in (a, a.with_entry(k, l, new_value))]
+    inputs = {"cell": [k, l], "value": float(new_value), "pair": [i, j]}
+    return _judge(AxiomId.IIC, method, [a], ranks, inputs, tie_tol)
 
 
 def check_res(
@@ -309,7 +207,7 @@ def check_res(
 ) -> AxiomVerdict:
     """Responsiveness: if i is ranked at least as high as j, improving
     a_ij must leave i strictly above j.  Vacuously holds when i starts
-    strictly below j."""
+    strictly below j, and then the improved matrix is not ranked."""
     i, j = pair
     if i == j or not (0 <= i < a.n and 0 <= j < a.n):
         raise IndexOutOfRange(f"pair {pair} invalid for n={a.n}")
@@ -318,21 +216,178 @@ def check_res(
             f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = "
             f"{a.entries[i, j]!r}"
         )
-    rel = pair_relation(method_rank(method, a, tie_tol, em), i, j)
-    if rel is PairRelation.STRICTLY_BELOW:
+    base = method_rank(method, a, tie_tol, em)
+    if base.rank[i] > base.rank[j]:
         return AxiomVerdict(holds=True)
-    improved = a.with_entry(i, j, increased_value)
-    rel_after = pair_relation(method_rank(method, improved, tie_tol, em), i, j)
-    if rel_after is not PairRelation.STRICTLY_ABOVE:
-        aux = {"pair": [i, j], "increase": float(increased_value), "tie_tol": tie_tol}
-        narrative = (
-            f"{method.value} breaks responsiveness: alternative {i + 1} is "
-            f"{_REL_TEXT[rel]} {j + 1}, yet raising their comparison to "
-            f"{increased_value:g} leaves it {_REL_TEXT[rel_after]} instead of "
-            f"strictly above"
-        )
-        return _fail(AxiomId.RES, method, [a], aux, narrative)
-    return AxiomVerdict(holds=True)
+    image = method_rank(method, a.with_entry(i, j, increased_value), tie_tol, em)
+    inputs = {"pair": [i, j], "increase": float(increased_value)}
+    return _judge(AxiomId.RES, method, [a], [base, image], inputs, tie_tol)
+
+
+# ---------------------------------------------------------------------------
+# the axioms as data: one verdict rule over relation arrays for every caller
+
+_REL_TEXT = {1: "strictly above", 0: "tied with", -1: "strictly below"}
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One axiom, shared by its check, replay, shrinking and the stacked
+    search.
+
+    ``broken(before, after, x)`` marks the pairs (i, j) that break the
+    axiom, (trials, n, n), from the relation arrays of each trial's
+    matrices, ``before`` (trials, matrices, n, n), and of its transformed
+    matrix, ``after`` (trials, n, n), and from ``x``, the trials' inputs
+    as arrays (see ``_input_arrays``).  A witness reports the first
+    marked pair in row-major order, which has i < j wherever the mask is
+    symmetric.  ``narrative`` tells that pair's story, ``args`` turns a
+    witness back into the check's arguments, ``pinned`` names the indices
+    shrinking keeps and ``min_n`` is the fewest alternatives the check
+    accepts.
+    """
+
+    broken: Callable
+    narrative: Callable
+    args: Callable
+    pinned: Callable = lambda aux: set(aux["pair"])
+    min_n: int = 2
+
+
+def _input_arrays(inputs: list) -> dict:
+    """Each input but the exponent, stacked over the trials into one array."""
+    return {k: np.array([x[k] for x in inputs]) for k in inputs[0] if k != "kappa"}
+
+
+def _one_pair(after: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Mask of the one pair each trial watches."""
+    mask = np.zeros(after.shape, dtype=bool)
+    mask[np.arange(len(pair)), pair[:, 0], pair[:, 1]] = True
+    return mask
+
+
+def _ano_broken(before: np.ndarray, after: np.ndarray, x: dict) -> np.ndarray:
+    sigma = x["permutation"]
+    b = np.arange(len(sigma))[:, None, None]
+    return before[:, 0] != after[b, sigma[:, :, None], sigma[:, None, :]]
+
+
+def _ai_broken(before: np.ndarray, after: np.ndarray, x: dict) -> np.ndarray:
+    strict = (before > 0).any(axis=1)
+    return (before >= 0).all(axis=1) & ((after < 0) | (strict & (after == 0)))
+
+
+def _ano_narrative(method, rel, i, j, x) -> str:
+    sigma = x["permutation"]
+    return (
+        f"{method.value} breaks anonymity: alternative {i + 1} is "
+        f"{_REL_TEXT[rel[0, i, j]]} {j + 1}, but after relabelling by "
+        f"{[s + 1 for s in sigma]} alternative {sigma[i] + 1} is "
+        f"{_REL_TEXT[rel[-1, sigma[i], sigma[j]]]} {sigma[j] + 1}"
+    )
+
+
+def _ai_narrative(method, rel, i, j, x) -> str:
+    clause = (
+        "is strictly below in the aggregate"
+        if rel[-1, i, j] < 0
+        else "fails to stay strictly above in the aggregate"
+    )
+    return (
+        f"{method.value} breaks aggregation invariance: alternative {i + 1} is "
+        f"ranked at least as high as {j + 1} in all {len(rel) - 1} matrices"
+        + (" (strictly in at least one)" if (rel[:-1, i, j] > 0).any() else "")
+        + f", yet {clause}"
+    )
+
+
+def _inv_narrative(method, rel, i, j, x) -> str:
+    return (
+        f"{method.value} breaks inversion: alternative {i + 1} is "
+        f"{_REL_TEXT[rel[0, i, j]]} {j + 1}, but on the opposite matrix it is "
+        f"{_REL_TEXT[rel[-1, i, j]]} instead of {_REL_TEXT[-rel[0, i, j]]}"
+    )
+
+
+def _rsi_narrative(method, rel, i, j, x) -> str:
+    return (
+        f"{method.value} breaks scale invariance at exponent {x['kappa']}: "
+        f"alternative {i + 1} is {_REL_TEXT[rel[0, i, j]]} {j + 1} before but "
+        f"{_REL_TEXT[rel[-1, i, j]]} after"
+    )
+
+
+def _iic_narrative(method, rel, i, j, x) -> str:
+    k, l = x["cell"]
+    return (
+        f"{method.value} breaks independence of irrelevant comparisons: "
+        f"rewriting the comparison of alternatives {k + 1} and {l + 1} to "
+        f"{x['value']:g} turns alternative {i + 1} from {_REL_TEXT[rel[0, i, j]]} "
+        f"{j + 1} into {_REL_TEXT[rel[-1, i, j]]}"
+    )
+
+
+def _res_narrative(method, rel, i, j, x) -> str:
+    return (
+        f"{method.value} breaks responsiveness: alternative {i + 1} is "
+        f"{_REL_TEXT[rel[0, i, j]]} {j + 1}, yet raising their comparison to "
+        f"{x['increase']:g} leaves it {_REL_TEXT[rel[-1, i, j]]} instead of "
+        f"strictly above"
+    )
+
+
+_SPECS = {
+    AxiomId.ANO: _Spec(
+        _ano_broken,
+        _ano_narrative,
+        lambda m, x: (m[0], Permutation(x["permutation"])),
+        lambda x: set(x["pair"]) | {t for t, s in enumerate(x["permutation"]) if s != t},
+    ),
+    AxiomId.AI: _Spec(_ai_broken, _ai_narrative, lambda m, x: (m,)),
+    AxiomId.INV: _Spec(
+        lambda before, after, x: after != -before[:, 0], _inv_narrative, lambda m, x: (m[0],)
+    ),
+    AxiomId.RSI: _Spec(
+        lambda before, after, x: after != before[:, 0],
+        _rsi_narrative,
+        lambda m, x: (m[0], RationalExponent.parse(x["kappa"])),
+    ),
+    AxiomId.IIC: _Spec(
+        lambda before, after, x: (after != before[:, 0]) & _one_pair(after, x["pair"]),
+        _iic_narrative,
+        lambda m, x: (m[0], tuple(x["cell"]), x["value"], tuple(x["pair"])),
+        lambda x: set(x["pair"]) | set(x["cell"]),
+        min_n=4,
+    ),
+    # RES holds where i starts strictly below j or ends strictly above
+    AxiomId.RES: _Spec(
+        lambda before, after, x: (before[:, 0] >= 0) & (after <= 0) & _one_pair(after, x["pair"]),
+        _res_narrative,
+        lambda m, x: (m[0], tuple(x["pair"]), x["increase"]),
+    ),
+}
+
+
+def _judge(
+    axiom: AxiomId,
+    method: MethodId,
+    matrices: Sequence[PCM],
+    ranks: list,
+    inputs: dict,
+    tie_tol: float,
+) -> AxiomVerdict:
+    """Verdict of one check from its rankings (the matrices', then the
+    transformed matrix's) and its inputs, as ``_draw`` records them."""
+    rel = relation(np.array([r.rank for r in ranks]))
+    broken = _SPECS[axiom].broken(rel[None, :-1], rel[None, -1], _input_arrays([inputs]))[0]
+    first = int(broken.argmax())  # row-major, so the first broken pair if any
+    if not broken.flat[first]:
+        return AxiomVerdict(holds=True)
+    i, j = divmod(first, len(broken))
+    aux = {**inputs, "pair": [i, j], "tie_tol": tie_tol}
+    narrative = _SPECS[axiom].narrative(method, rel, i, j, inputs)
+    witness = Witness(axiom, method, tuple(matrices), aux, narrative)
+    return AxiomVerdict(holds=False, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +401,9 @@ def _run_check(
     aux: dict,
     em: EmOptions = EmOptions(),
 ) -> AxiomVerdict:
-    tie_tol = aux["tie_tol"]
-    if axiom is AxiomId.ANO:
-        return check_ano(method, matrices[0], Permutation(aux["permutation"]), tie_tol, em)
-    if axiom is AxiomId.AI:
-        return check_ai(method, matrices, tie_tol, em)
-    if axiom is AxiomId.INV:
-        return check_inv(method, matrices[0], tie_tol, em)
-    if axiom is AxiomId.RSI:
-        return check_rsi(
-            method, matrices[0], RationalExponent.parse(aux["kappa"]), tie_tol, em
-        )
-    if axiom is AxiomId.IIC:
-        return check_iic(
-            method,
-            matrices[0],
-            tuple(aux["cell"]),
-            aux["value"],
-            tuple(aux["pair"]),
-            tie_tol,
-            em,
-        )
-    if axiom is AxiomId.RES:
-        return check_res(
-            method, matrices[0], tuple(aux["pair"]), aux["increase"], tie_tol, em
-        )
-    raise ValueError(f"unknown axiom {axiom!r}")
+    # the check is looked up by name when called, so a rebound one is used
+    check = globals()[f"check_{axiom.value.lower()}"]
+    return check(method, *_SPECS[axiom].args(matrices, aux), aux["tie_tol"], em)
 
 
 def replay(witness: Witness, em: EmOptions = EmOptions()) -> AxiomVerdict:
@@ -405,8 +437,8 @@ def _draw_kappa(rng: np.random.Generator) -> RationalExponent:
 def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[list, dict]:
     """One trial's inputs, in stream order: the matrices as grids for
     ``PCM.from_upper`` (not yet validated) and the check's auxiliary
-    values as a Witness records them, less the tie tolerance.  Both the
-    scalar and the batched search draw through here."""
+    values as a Witness records them, less the tie tolerance.  The
+    stacked search and the re-run of a flagged trial draw through here."""
     n_lo, n_hi = cfg.n_range
     if axiom is AxiomId.IIC:
         n_lo = max(n_lo, 4)  # the axiom is vacuous below four alternatives
@@ -441,19 +473,6 @@ def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[
     return [a], {}
 
 
-def _run_trial(
-    method: MethodId,
-    axiom: AxiomId,
-    cfg: SearchConfig,
-    rng: np.random.Generator,
-    tie_tol: float,
-    em: EmOptions,
-) -> AxiomVerdict:
-    grids, aux = _draw(axiom, cfg, rng)
-    aux["tie_tol"] = tie_tol
-    return _run_check(method, axiom, [PCM.from_upper(g) for g in grids], aux, em)
-
-
 def falsify(
     method: MethodId,
     axiom: AxiomId,
@@ -466,19 +485,15 @@ def falsify(
     None when every trial passes.
 
     Each trial's random stream is derived from (seed, trial index) alone,
-    so results are reproducible and independent of evaluation order.  For
-    the score methods (RGM, EM and the closed-form foils), trials are
-    drawn in chunks and judged as stacks (see ``_flag_trials``); the first
-    flagged trial is run again through the scalar check, which alone
-    decides the verdict and builds the witness.  FLAT and INDEX_ORDER run
-    trial by trial.
+    so results are reproducible and independent of evaluation order.
+    Trials are drawn in chunks and judged as stacks (see ``_flag_trials``);
+    the first flagged trial is run again through its check, which alone
+    decides the verdict and builds the witness.
 
     A trial whose EM power iteration exhausts ``em.max_iterations``
-    aborts the search with NoConvergence, as the trial-by-trial loop
-    does; the trial is not skipped.
+    aborts the search with NoConvergence, as a trial-by-trial loop
+    would; the trial is not skipped.
     """
-    if method not in _STACKED_METHODS:
-        return _falsify_scalar(method, axiom, cfg, tie_tol, em)
     per_trial = cfg.k_range[1] if axiom is AxiomId.AI else 1
     cap = max(1, _CHUNK_MATRICES // per_trial)
     start, size = 0, 1
@@ -486,37 +501,16 @@ def falsify(
         trials = range(start, min(start + size, cfg.trials))
         flags = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
         for trial in np.flatnonzero(flags):
-            rng = _trial_rng(cfg.seed, start + int(trial))
-            verdict = _run_trial(method, axiom, cfg, rng, tie_tol, em)
+            grids, aux = _draw(axiom, cfg, _trial_rng(cfg.seed, start + int(trial)))
+            matrices = [PCM.from_upper(g) for g in grids]
+            verdict = _run_check(method, axiom, matrices, {**aux, "tie_tol": tie_tol}, em)
             if not verdict.holds:
                 return _shrink(verdict.witness, em)
         start, size = start + len(flags), min(2 * size, cap)
     return None
 
 
-def _falsify_scalar(
-    method: MethodId,
-    axiom: AxiomId,
-    cfg: SearchConfig,
-    tie_tol: float,
-    em: EmOptions,
-) -> Optional[Witness]:
-    for trial in range(cfg.trials):
-        verdict = _run_trial(method, axiom, cfg, _trial_rng(cfg.seed, trial), tie_tol, em)
-        if not verdict.holds:
-            return _shrink(verdict.witness, em)
-    return None
-
-
-# --- batched search for the score methods ----------------------------------
-
-_STACKED_METHODS = (
-    MethodId.RGM,
-    MethodId.EM,
-    MethodId.ROW_ARITHMETIC_MEAN,
-    MethodId.FIRST_COLUMN,
-    MethodId.FAVOURABLE_PRODUCT,
-)
+# --- batched search ----------------------------------------------------------
 
 #: chunks start at one trial, since many searches fail on their first, and
 #: double up to this many drawn matrices: 8 MB of draws at n = 64, ranked
@@ -569,18 +563,20 @@ def _flag_trials(
 def _relations(
     method: MethodId, e: np.ndarray, tie_tol: float, em: EmOptions = EmOptions()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise view of ``method``'s ranking of every matrix in the stack
-    ``e`` (..., n, n): ``R[..., i, j] = sign(gmax_i - gmax_j)`` is +1, 0 or
-    -1 as i ranks strictly above, tied with or strictly below j, where
-    gmax is the largest weight in an alternative's tie group.  Also
-    returns a mask of the rankings the scalar path would compute without
-    raising; for EM it also clears where the iteration has not converged
-    within ``_EM_STACK_ITERATIONS`` steps.
+    """Relation arrays (see ``core.relation``) of ``method``'s ranking of
+    every matrix in the stack ``e`` (..., n, n), and a mask of the rankings
+    the scalar path would compute without raising; for EM it also clears
+    where the iteration has not converged within ``_EM_STACK_ITERATIONS``
+    steps.
 
     The arithmetic repeats ``method_rank`` operation for operation, so the
-    weights carry the same bits and the tie test decides the same way;
-    the union-find closure becomes repeated squaring of the tie relation.
+    weights carry the same bits and the tie closure decides the same way.
     """
+    ok = ((e > 0.0) & (e < np.inf)).all(axis=(-2, -1)) & (tie_tol >= 0.0)
+    if method is MethodId.FLAT:
+        return np.zeros(e.shape), ok
+    if method is MethodId.INDEX_ORDER:
+        return np.broadcast_to(relation(np.arange(e.shape[-1])), e.shape), ok
     if method is MethodId.EM:
         capped = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
         s = em_weight_stack(e, capped)  # NaN rows where unconverged
@@ -589,24 +585,8 @@ def _relations(
     w = s / s.sum(axis=-1, keepdims=True)
     # w > 0 throughout only if every score and their sum are finite and
     # positive; the weights then sum to 1 within n ulps, far inside SUM_TOL
-    ok = (
-        ((e > 0.0) & (e < np.inf)).all(axis=(-2, -1))
-        & (w > 0.0).all(axis=-1)
-        & (tie_tol >= 0.0)
-    )
-    wi, wj = w[..., :, None], w[..., None, :]
-    n = e.shape[-1]
-    tied = (np.abs(wi - wj) <= tie_tol * np.maximum(wi, wj)) | np.eye(n, dtype=bool)
-    links = np.count_nonzero(tied)
-    while links > tied.size // n:  # some tie off the diagonal
-        # float matmul, as numpy's boolean one is far slower
-        tied |= np.matmul(tied, tied, dtype=np.float32) > 0.0
-        grown = np.count_nonzero(tied)
-        if grown == links:
-            break
-        links = grown
-    gmax = np.where(tied, wj, -np.inf).max(axis=-1)
-    return np.sign(gmax[..., :, None] - gmax[..., None, :]), ok
+    ok &= (w > 0.0).all(axis=-1)
+    return relation(-tie_group_max(w, tie_tol)), ok
 
 
 def _stack_flags(
@@ -614,78 +594,45 @@ def _stack_flags(
 ) -> np.ndarray:
     """``_flag_trials`` for trials with the same number and size of
     matrices: each trial's drawn matrices and its transformed matrix are
-    ranked as one stack, and the axiom's verdict compares their relation
+    ranked as one stack, and the axiom's rule judges their relation
     arrays.  For every grid ``PCM.from_upper`` accepts, the draw rules out
     the checks' own argument errors (an unchanged IIC value, a RES value
     that is no increase)."""
     stack = reciprocal_fill(np.array([grids for grids, _ in draws]))  # (trials, matrices, n, n)
-    aux = [x for _, x in draws]
+    x = _input_arrays([aux for _, aux in draws])
     b = np.arange(len(draws))
     a = stack[:, 0]
     if axiom is AxiomId.INV:
         # the opposite matrix as a transposed view, laid out like the
         # scalar path's, so that its reductions add in the same order
-        base, ok = _relations(method, a, tie_tol, em)
-        image, ok_image = _relations(method, a.transpose(0, 2, 1), tie_tol, em)
-        return (image != -base).any(axis=(1, 2)) | ~(ok & ok_image)
-    if axiom is AxiomId.AI:
-        image = reciprocal_fill(np.exp(np.mean(np.log(stack), axis=1)))
-    elif axiom is AxiomId.ANO:
-        sigma = np.array([x["permutation"] for x in aux])
-        inv = np.argsort(sigma, axis=1)
-        image = a[b[:, None, None], inv[:, :, None], inv[:, None, :]]
-    elif axiom is AxiomId.RSI:
-        kappa = np.array([RationalExponent.parse(x["kappa"]).value for x in aux])
-        image = reciprocal_fill(np.exp(kappa[:, None, None] * np.log(a)))
-    else:  # IIC and RES rewrite one cell and watch one pair
-        i, j = np.array([x["pair"] for x in aux]).T
-        if axiom is AxiomId.IIC:
-            k, l = np.array([x["cell"] for x in aux]).T
-            value = np.array([x["value"] for x in aux])
-        else:
-            k, l = i, j
-            value = np.array([x["increase"] for x in aux])
-        image = a.copy()
-        image[b, k, l] = value
-        image[b, l, k] = 1.0 / value
-    rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol, em)
-    rejected = ~ok.all(axis=1)
-    before, after = rel[:, 0], rel[:, -1]
-    if axiom is AxiomId.AI:
-        each = rel[:, :-1]
-        unanimous = np.all(each >= 0, axis=1)
-        strict = np.any(each > 0, axis=1)
-        broken = unanimous & ((after < 0) | (strict & (after == 0)))
-    elif axiom is AxiomId.ANO:
-        broken = before != after[b[:, None, None], sigma[:, :, None], sigma[:, None, :]]
-    elif axiom is AxiomId.RSI:
-        broken = before != after
-    elif axiom is AxiomId.IIC:
-        return (before[b, i, j] != after[b, i, j]) | rejected
-    else:  # RES holds when i starts strictly below j or ends strictly above
-        return ~((before[b, i, j] < 0) | (after[b, i, j] > 0)) | rejected
-    return broken.any(axis=(1, 2)) | rejected
+        before, ok = _relations(method, a, tie_tol, em)
+        after, ok_after = _relations(method, a.transpose(0, 2, 1), tie_tol, em)
+        before, ok = before[:, None], ok & ok_after
+    else:
+        if axiom is AxiomId.AI:
+            image = reciprocal_fill(np.exp(np.mean(np.log(stack), axis=1)))
+        elif axiom is AxiomId.ANO:
+            inv = np.argsort(x["permutation"], axis=1)
+            image = a[b[:, None, None], inv[:, :, None], inv[:, None, :]]
+        elif axiom is AxiomId.RSI:
+            kappa = np.array([RationalExponent.parse(aux["kappa"]).value for _, aux in draws])
+            image = reciprocal_fill(np.exp(kappa[:, None, None] * np.log(a)))
+        else:  # IIC and RES rewrite one cell
+            at, to = ("cell", "value") if axiom is AxiomId.IIC else ("pair", "increase")
+            (k, l), value = x[at].T, x[to]
+            image = a.copy()
+            image[b, k, l] = value
+            image[b, l, k] = 1.0 / value
+        rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol, em)
+        before, after, ok = rel[:, :-1], rel[:, -1], ok.all(axis=1)
+    return _SPECS[axiom].broken(before, after, x).any(axis=(1, 2)) | ~ok
 
 
 # --- greedy witness shrinking ----------------------------------------------
 
-_MIN_N = {axiom: 2 for axiom in AxiomId}
-_MIN_N[AxiomId.IIC] = 4
-
-
 def _round_to_one_significant(x: float) -> float:
     exponent = math.floor(math.log10(abs(x)))
     return round(x, -exponent)
-
-
-def _pinned(axiom: AxiomId, aux: dict) -> set[int]:
-    pinned = set(aux.get("pair", ()))
-    if axiom is AxiomId.IIC:
-        pinned |= set(aux["cell"])
-    if axiom is AxiomId.ANO:
-        sigma = aux["permutation"]
-        pinned |= {t for t, image in enumerate(sigma) if image != t}
-    return pinned
 
 
 def _delete_index(matrices: tuple[PCM, ...], aux: dict, idx: int):
@@ -728,9 +675,9 @@ def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
     while changed:
         changed = False
         n = matrices[0].n
-        if n <= _MIN_N[axiom]:
+        if n <= _SPECS[axiom].min_n:
             break
-        pinned = _pinned(axiom, aux)
+        pinned = _SPECS[axiom].pinned(aux)
         for idx in range(n - 1, -1, -1):
             if idx in pinned:
                 continue

@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .axioms import (
     AxiomId,
     SearchConfig,
@@ -51,8 +53,15 @@ ALL_METHOD_TOKENS = WEIGHT_METHOD_TOKENS + ("flat", "index")
 AXIOM_TOKENS = tuple(a.value for a in AxiomId)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, like any other error."""
+
+    def error(self, message):
+        raise PcmError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcmrank",
         description="Weights, rankings and axiom audits for pairwise comparison matrices.",
     )
@@ -163,7 +172,7 @@ def _em_opts(args) -> EmOptions:
 def _load(path: str, reciprocity_tol: float) -> PCM:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PcmError(f"cannot read {path}: {exc}") from None
     a = pcm_parse(text, reciprocity_tol)
     if a.n > MAX_CLI_N:
@@ -219,7 +228,10 @@ def _cmd_aggregate(args) -> int:
     mats = [_load(path, args.reciprocity_tol) for path in args.input]
     csv = pcm_to_csv(aggregate(mats))
     if args.output:
-        Path(args.output).write_text(csv)
+        try:
+            Path(args.output).write_text(csv)
+        except OSError as exc:
+            raise PcmError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(csv)
     return 0
@@ -365,13 +377,13 @@ def _cmd_proof_chain(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse printed usage already
+        args = _build_parser().parse_args(argv)
+        # an overflow is reported once, as the rejected value it leads to
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except SystemExit as exc:  # argparse printed the help already
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except PcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

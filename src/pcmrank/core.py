@@ -102,6 +102,13 @@ def triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+@lru_cache(maxsize=128)
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n, dtype=bool)
+    eye.flags.writeable = False
+    return eye
+
+
 def reciprocal_fill(g: np.ndarray) -> np.ndarray:
     """New array holding the strict upper triangle of ``g`` (a matrix or a
     stack of matrices, shape (..., n, n)), its exact float reciprocals
@@ -310,7 +317,7 @@ class Ranking:
         r = np.array(self.rank, dtype=int)
         if r.ndim != 1 or len(r) < 1:
             raise NonSquare("ranks must form a non-empty vector")
-        labels = set(int(x) for x in r)
+        labels = set(r.tolist())
         if labels != set(range(max(labels) + 1)):
             raise ValueError(f"rank labels {sorted(labels)} are not dense from 0")
         r.flags.writeable = False
@@ -341,40 +348,54 @@ class PairRelation(Enum):
         return PairRelation.TIED
 
 
+def check_tie_tol(tie_tol: float) -> None:
+    """Reject a tie tolerance that is negative or NaN."""
+    if not tie_tol >= 0.0:
+        raise InvalidParameter(f"tie_tol must be a non-negative number, got {tie_tol!r}")
+
+
+def tie_group_max(w: np.ndarray, tie_tol: float) -> np.ndarray:
+    """The largest weight in each alternative's tie group, for weights
+    ``w`` of shape (..., n).
+
+    i and j tie when |w_i - w_j| <= tie_tol * max(w_i, w_j), and the
+    relation is closed transitively, so a chain of near-ties forms one
+    group.  Distinct groups have distinct maxima.  Nothing is validated.
+    """
+    n = w.shape[-1]
+    wi, wj = w[..., :, None], w[..., None, :]
+    tied = (np.abs(wi - wj) <= tie_tol * np.maximum(wi, wj)) | _eye(n)
+    links = np.count_nonzero(tied)
+    while links > tied.size // n:  # some tie off the diagonal
+        # each squaring doubles the length of the chains it closes; a float
+        # matmul, as numpy's boolean one is far slower
+        tied |= np.matmul(tied, tied, dtype=np.float32) > 0.0
+        grown = np.count_nonzero(tied)
+        if grown == links:
+            break
+        links = grown
+    return np.maximum.reduce(np.where(tied, wj, -np.inf), axis=-1)
+
+
+def relation(rank: np.ndarray) -> np.ndarray:
+    """Pairwise view of rank keys ``rank`` (..., n), smaller first:
+    ``R[..., i, j] = sign(rank_j - rank_i)`` is +1, 0 or -1 as i ranks
+    strictly above, tied with or strictly below j."""
+    return np.sign(rank[..., None, :] - rank[..., :, None])
+
+
 def ranking_from_weights(w: WeightVector, tie_tol: float = DEFAULT_TIE_TOL) -> Ranking:
     """Dense ranks from weights, larger weight first.
 
-    i and j share a label when |w_i - w_j| <= tie_tol * max(w_i, w_j); the
-    near-equality relation is closed transitively (union-find) before
-    labelling so the result stays a weak order even across chains of
-    near-ties.
+    i and j share a label when |w_i - w_j| <= tie_tol * max(w_i, w_j),
+    closed transitively (see ``tie_group_max``) so the result stays a weak
+    order even across chains of near-ties; a group's label is the dense
+    rank of its largest weight.
     """
-    if not tie_tol >= 0.0:
-        raise InvalidParameter(f"tie_tol must be a non-negative number, got {tie_tol!r}")
-    v = w.w
-    n = len(v)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(v[i] - v[j]) <= tie_tol * max(v[i], v[j]):
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    ordered = sorted(groups.values(), key=lambda g: -max(v[i] for i in g))
-    labels = np.empty(n, dtype=int)
-    for label, members in enumerate(ordered):
-        for i in members:
-            labels[i] = label
-    return Ranking(labels)
+    check_tie_tol(tie_tol)
+    gmax = tie_group_max(w.w, tie_tol).tolist()
+    label = {m: k for k, m in enumerate(sorted(set(gmax), reverse=True))}
+    return Ranking([label[m] for m in gmax])
 
 
 def pair_relation(r: Ranking, i: int, j: int) -> PairRelation:
@@ -443,6 +464,10 @@ class RationalExponent:
         g = gcd(self.p, self.q)
         object.__setattr__(self, "p", self.p // g)
         object.__setattr__(self, "q", self.q // g)
+        try:
+            self.value  # p / q must be a float
+        except OverflowError:
+            raise InvalidParameter("exponent is too large for a float") from None
 
     @classmethod
     def parse(cls, text: str) -> "RationalExponent":

@@ -22,6 +22,7 @@ from .core import (
     PCM,
     DimensionTooSmall,
     IndexOutOfRange,
+    NonPositive,
     PairRelation,
     PcmError,
     Permutation,
@@ -30,7 +31,7 @@ from .core import (
     pair_relation,
 )
 from .transforms import aggregate, opposite, permute, power
-from .weighting import MethodId, method_rank
+from .weighting import MethodId, closed_form_scores, method_rank
 
 ROW_PRODUCT_TOL = 1e-9  # on log row products; looser than the identity tol
 CHAIN_TOL = 1e-12
@@ -59,13 +60,20 @@ def _log_row_sums(a: PCM) -> np.ndarray:
     return np.log(a.entries).sum(axis=1)
 
 
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise NonPositive(f"exp({x:g}) overflows a float") from None
+
+
 def equalize_pair(a: PCM, i: int, j: int) -> PCM:
     """Rescale the single comparison (i, j) so rows i and j end up with
     equal products: a_ij is multiplied by sqrt(rowprod_j / rowprod_i)."""
     if i == j or not (0 <= i < a.n and 0 <= j < a.n):
         raise IndexOutOfRange(f"pair ({i}, {j}) invalid for n={a.n}")
     log_rows = _log_row_sums(a)
-    correction = math.exp((log_rows[j] - log_rows[i]) / 2.0)
+    correction = _exp((log_rows[j] - log_rows[i]) / 2.0)
     return a.with_entry(i, j, float(a.entries[i, j] * correction))
 
 
@@ -99,8 +107,8 @@ def build_proof_chain(a: PCM) -> ProofChain:
     c = aggregate([permute(b, _cycle_tail(n, m)) for m in range(n - 2)])
 
     d_grid = np.ones((n, n))
-    d_grid[0, 2:] = math.exp(-log_rows[0] / (n - 2))
-    d_grid[1, 2:] = math.exp(-log_rows[1] / (n - 2))
+    d_grid[0, 2:] = _exp(-log_rows[0] / (n - 2))
+    d_grid[1, 2:] = _exp(-log_rows[1] / (n - 2))
     d = PCM.from_upper(d_grid)
 
     e = aggregate([c, d])
@@ -130,7 +138,7 @@ def _validate_chain(chain: ProofChain) -> None:
         ("e row 1 tail", _close(e[0, 2:], (1.0 / alpha) ** (1.0 / (n - 2)))),
         ("e row 2 tail", _close(e[1, 2:], alpha ** (1.0 / (n - 2)))),
         ("e inner block is flat", np.all(e[2:, 2:] == 1.0)),
-        ("e rows have unit geometric mean", bool(np.all(np.abs(np.exp(np.log(e).mean(axis=1)) - 1.0) <= CHAIN_TOL))),
+        ("e rows have unit geometric mean", bool(np.all(np.abs(closed_form_scores(MethodId.RGM, e) - 1.0) <= CHAIN_TOL))),
     ]
     broken = [name for name, ok in checks if not ok]
     if broken:
@@ -160,7 +168,7 @@ def verify_proof_identities(chain: ProofChain, tol: float = CHAIN_TOL) -> dict:
         out["swap_power_aggregate"] = _close(lhs.entries, rhs.entries, tol)
     else:
         out["swap_power_aggregate"] = None
-    row_geomeans = np.exp(np.log(e.entries).mean(axis=1))
+    row_geomeans = closed_form_scores(MethodId.RGM, e.entries)
     out["unit_row_geomeans"] = bool(np.all(np.abs(row_geomeans - 1.0) <= tol))
     out["alpha_sqrt"] = _close(e.entries[0, 1], math.sqrt(chain.a.entries[0, 1]), tol)
     return out

@@ -61,7 +61,7 @@ CASE_IDS = (
 
 def _pair_scores(method: MethodId, matrices, pair) -> list[list[float]]:
     i, j = pair
-    return [[float(method_scores(method, m)[i]), float(method_scores(method, m)[j])] for m in matrices]
+    return [[float(s[i]), float(s[j])] for s in (method_scores(method, m) for m in matrices)]
 
 
 def _ai_case(case_id: str, method: MethodId, m1: PCM, m2: PCM) -> dict:

@@ -18,6 +18,7 @@ from .core import (
     NonPositive,
     Ranking,
     WeightVector,
+    check_tie_tol,
     ranking_from_weights,
 )
 
@@ -195,7 +196,9 @@ def method_rank(
 
     FLAT ties everything; INDEX_ORDER ranks alternatives by their index
     regardless of the matrix; every other method ranks by its weights.
+    The tie tolerance is checked for every method.
     """
+    check_tie_tol(tie_tol)
     if m is MethodId.FLAT:
         return Ranking(np.zeros(a.n, dtype=int))
     if m is MethodId.INDEX_ORDER:

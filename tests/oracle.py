@@ -1,0 +1,243 @@
+"""Reference implementations kept beside the tests: the axiom checks as
+pair-by-pair loops over ``method_rank`` and ``pair_relation``, and the
+union-find tie closure of ``ranking_from_weights``.
+
+These are the rules as first written, one pair at a time.  The package
+judges every axiom over relation arrays instead; the tests hold it to
+these loops for verdicts, witness pairs, narratives and errors.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pcmrank import (
+    AxiomId,
+    AxiomVerdict,
+    DimensionMismatch,
+    DimensionTooSmall,
+    IndexOutOfRange,
+    InvalidParameter,
+    NonPositive,
+    NotAnIncrease,
+    OverlappingIndices,
+    PairRelation,
+    Permutation,
+    Ranking,
+    RationalExponent,
+    Witness,
+    aggregate,
+    method_rank,
+    opposite,
+    pair_relation,
+    permute,
+    power,
+)
+
+_REL_TEXT = {
+    PairRelation.STRICTLY_ABOVE: "strictly above",
+    PairRelation.TIED: "tied with",
+    PairRelation.STRICTLY_BELOW: "strictly below",
+}
+
+
+def _fail(axiom, method, matrices, auxiliary, narrative):
+    return AxiomVerdict(False, Witness(axiom, method, tuple(matrices), auxiliary, narrative))
+
+
+def check_ano(method, a, sigma, tie_tol, em):
+    if sigma.n != a.n:
+        raise DimensionMismatch(f"permutation on {sigma.n} labels, matrix has {a.n}")
+    base = method_rank(method, a, tie_tol, em)
+    image = method_rank(method, permute(a, sigma), tie_tol, em)
+    for i in range(a.n):
+        for j in range(i + 1, a.n):
+            rel = pair_relation(base, i, j)
+            rel_img = pair_relation(image, int(sigma.map[i]), int(sigma.map[j]))
+            if rel is not rel_img:
+                aux = {"permutation": [int(x) for x in sigma.map], "pair": [i, j],
+                       "tie_tol": tie_tol}
+                narrative = (
+                    f"{method.value} breaks anonymity: alternative {i + 1} is "
+                    f"{_REL_TEXT[rel]} {j + 1}, but after relabelling by "
+                    f"{[int(x) + 1 for x in sigma.map]} alternative "
+                    f"{int(sigma.map[i]) + 1} is {_REL_TEXT[rel_img]} "
+                    f"{int(sigma.map[j]) + 1}"
+                )
+                return _fail(AxiomId.ANO, method, [a], aux, narrative)
+    return AxiomVerdict(holds=True)
+
+
+def check_ai(method, matrices, tie_tol, em):
+    if len(matrices) < 2:
+        raise InvalidParameter("aggregation invariance needs at least two matrices")
+    n = matrices[0].n
+    for m in matrices[1:]:
+        if m.n != n:
+            raise DimensionMismatch(f"mixed sizes {n} and {m.n}")
+    ranks = [method_rank(method, m, tie_tol, em) for m in matrices]
+    agg_rank = method_rank(method, aggregate(list(matrices)), tie_tol, em)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            rels = [pair_relation(r, i, j) for r in ranks]
+            if any(rel is PairRelation.STRICTLY_BELOW for rel in rels):
+                continue
+            strict = any(rel is PairRelation.STRICTLY_ABOVE for rel in rels)
+            agg_rel = pair_relation(agg_rank, i, j)
+            weak_broken = agg_rel is PairRelation.STRICTLY_BELOW
+            strict_broken = strict and agg_rel is not PairRelation.STRICTLY_ABOVE
+            if weak_broken or strict_broken:
+                clause = (
+                    "is strictly below in the aggregate"
+                    if weak_broken
+                    else "fails to stay strictly above in the aggregate"
+                )
+                narrative = (
+                    f"{method.value} breaks aggregation invariance: alternative "
+                    f"{i + 1} is ranked at least as high as {j + 1} in all "
+                    f"{len(matrices)} matrices"
+                    + (" (strictly in at least one)" if strict else "")
+                    + f", yet {clause}"
+                )
+                aux = {"pair": [i, j], "tie_tol": tie_tol}
+                return _fail(AxiomId.AI, method, matrices, aux, narrative)
+    return AxiomVerdict(holds=True)
+
+
+def check_inv(method, a, tie_tol, em):
+    base = method_rank(method, a, tie_tol, em)
+    rev = method_rank(method, opposite(a), tie_tol, em)
+    for i in range(a.n):
+        for j in range(i + 1, a.n):
+            rel = pair_relation(base, i, j)
+            rel_op = pair_relation(rev, i, j)
+            if rel_op is not rel.reverse():
+                narrative = (
+                    f"{method.value} breaks inversion: alternative {i + 1} is "
+                    f"{_REL_TEXT[rel]} {j + 1}, but on the opposite matrix it is "
+                    f"{_REL_TEXT[rel_op]} instead of {_REL_TEXT[rel.reverse()]}"
+                )
+                aux = {"pair": [i, j], "tie_tol": tie_tol}
+                return _fail(AxiomId.INV, method, [a], aux, narrative)
+    return AxiomVerdict(holds=True)
+
+
+def check_rsi(method, a, kappa, tie_tol, em):
+    base = method_rank(method, a, tie_tol, em)
+    powered = method_rank(method, power(a, kappa), tie_tol, em)
+    for i in range(a.n):
+        for j in range(i + 1, a.n):
+            rel = pair_relation(base, i, j)
+            rel_pow = pair_relation(powered, i, j)
+            if rel is not rel_pow:
+                aux = {"kappa": str(kappa), "pair": [i, j], "tie_tol": tie_tol}
+                narrative = (
+                    f"{method.value} breaks scale invariance at exponent {kappa}: "
+                    f"alternative {i + 1} is {_REL_TEXT[rel]} {j + 1} before but "
+                    f"{_REL_TEXT[rel_pow]} after"
+                )
+                return _fail(AxiomId.RSI, method, [a], aux, narrative)
+    return AxiomVerdict(holds=True)
+
+
+def check_iic(method, a, cell, new_value, pair, tie_tol, em):
+    k, l = cell
+    i, j = pair
+    if a.n < 4:
+        raise DimensionTooSmall("needs at least 4 alternatives")
+    for idx in (k, l, i, j):
+        if not 0 <= idx < a.n:
+            raise IndexOutOfRange(f"index {idx} invalid for n={a.n}")
+    if k == l or i == j:
+        raise IndexOutOfRange("cell and pair must each name two alternatives")
+    if {k, l} & {i, j}:
+        raise OverlappingIndices(f"cell {cell} overlaps pair {pair}")
+    if not np.isfinite(new_value) or new_value <= 0.0:
+        raise NonPositive("replacement value must be positive")
+    if new_value == a.entries[k, l]:
+        raise InvalidParameter("replacement value must differ from the current entry")
+    modified = a.with_entry(k, l, new_value)
+    rel = pair_relation(method_rank(method, a, tie_tol, em), i, j)
+    rel_mod = pair_relation(method_rank(method, modified, tie_tol, em), i, j)
+    if rel is not rel_mod:
+        aux = {"cell": [k, l], "value": float(new_value), "pair": [i, j], "tie_tol": tie_tol}
+        narrative = (
+            f"{method.value} breaks independence of irrelevant comparisons: "
+            f"rewriting the comparison of alternatives {k + 1} and {l + 1} to "
+            f"{new_value:g} turns alternative {i + 1} from {_REL_TEXT[rel]} "
+            f"{j + 1} into {_REL_TEXT[rel_mod]}"
+        )
+        return _fail(AxiomId.IIC, method, [a], aux, narrative)
+    return AxiomVerdict(holds=True)
+
+
+def check_res(method, a, pair, increased_value, tie_tol, em):
+    i, j = pair
+    if i == j or not (0 <= i < a.n and 0 <= j < a.n):
+        raise IndexOutOfRange(f"pair {pair} invalid for n={a.n}")
+    if not increased_value > a.entries[i, j]:
+        raise NotAnIncrease(
+            f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = {a.entries[i, j]!r}"
+        )
+    rel = pair_relation(method_rank(method, a, tie_tol, em), i, j)
+    if rel is PairRelation.STRICTLY_BELOW:
+        return AxiomVerdict(holds=True)
+    improved = a.with_entry(i, j, increased_value)
+    rel_after = pair_relation(method_rank(method, improved, tie_tol, em), i, j)
+    if rel_after is not PairRelation.STRICTLY_ABOVE:
+        aux = {"pair": [i, j], "increase": float(increased_value), "tie_tol": tie_tol}
+        narrative = (
+            f"{method.value} breaks responsiveness: alternative {i + 1} is "
+            f"{_REL_TEXT[rel]} {j + 1}, yet raising their comparison to "
+            f"{increased_value:g} leaves it {_REL_TEXT[rel_after]} instead of "
+            f"strictly above"
+        )
+        return _fail(AxiomId.RES, method, [a], aux, narrative)
+    return AxiomVerdict(holds=True)
+
+
+def run_check(method, axiom, matrices, aux, em):
+    """The reference check of ``axiom`` on a witness's inputs."""
+    tie_tol = aux["tie_tol"]
+    a = matrices[0]
+    if axiom is AxiomId.ANO:
+        return check_ano(method, a, Permutation(aux["permutation"]), tie_tol, em)
+    if axiom is AxiomId.AI:
+        return check_ai(method, matrices, tie_tol, em)
+    if axiom is AxiomId.INV:
+        return check_inv(method, a, tie_tol, em)
+    if axiom is AxiomId.RSI:
+        return check_rsi(method, a, RationalExponent.parse(aux["kappa"]), tie_tol, em)
+    if axiom is AxiomId.IIC:
+        cell, pair = tuple(aux["cell"]), tuple(aux["pair"])
+        return check_iic(method, a, cell, aux["value"], pair, tie_tol, em)
+    return check_res(method, a, tuple(aux["pair"]), aux["increase"], tie_tol, em)
+
+
+def ranking_union_find(w: np.ndarray, tie_tol: float) -> Ranking:
+    """Dense ranks, larger weight first, with i and j tied when
+    |w_i - w_j| <= tie_tol * max(w_i, w_j), closed transitively by
+    union-find; groups are ordered by their largest weight."""
+    n = len(w)
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(w[i] - w[j]) <= tie_tol * max(w[i], w[j]):
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    ordered = sorted(groups.values(), key=lambda g: -max(w[i] for i in g))
+    labels = np.empty(n, dtype=int)
+    for label, members in enumerate(ordered):
+        labels[members] = label
+    return Ranking(labels)

@@ -275,13 +275,49 @@ class TestErrorContract:
          "--value", "1", "--pair", "1,2"],
         ["rank", "--method", "rgm", "--input", "{consistent}", "--reciprocity-tol", "0"],
         ["rank", "--method", "rgm", "--input", "{huge}"],
+        ["rank", "--method", "flat", "--input", "{consistent}", "--tie-tol", "-1"],
+        ["rank", "--method", "index", "--input", "{consistent}", "--tie-tol", "nan"],
+        ["check", "--method", "flat", "--axiom", "INV", "--input", "{consistent}",
+         "--tie-tol", "-1"],
+        ["check", "--method", "index", "--axiom", "INV", "--input", "{consistent}",
+         "--tie-tol", "nan"],
+        ["falsify", "--method", "index", "--axiom", "ANO", "--trials", "5", "--seed", "0",
+         "--tie-tol", "-1"],
+        ["falsify", "--method", "flat", "--axiom", "RES", "--trials", "5", "--seed", "0",
+         "--tie-tol", "nan"],
+        ["lemmas", "--method", "flat", "--trials", "5", "--seed", "0", "--tie-tol", "-1"],
+        ["lemmas", "--method", "index", "--trials", "5", "--seed", "0", "--tie-tol", "nan"],
+        ["PCMRANK_TIE_TOL=-1", "rank", "--method", "flat", "--input", "{consistent}"],
+        ["PCMRANK_TIE_TOL=-1", "falsify", "--method", "index", "--axiom", "INV",
+         "--trials", "5", "--seed", "0"],
+        ["aggregate", "--input", "{consistent}", "-o", "{tmp}/missing/out.csv"],
+        ["aggregate", "--input", "{consistent}", "-o", "{tmp}"],
+        ["falsify", "--method", "rgm", "--axiom", "INV", "--trials", "abc", "--seed", "1"],
+        ["check", "--method", "rgm", "--axiom", "RSI", "--input", "{kendall}",
+         "--kappa", f"{BIG}/1"],
+        ["proof-chain", "--equalize", "--input", "{lopsided}"],
     ], ids=["trials-0", "n-max-100", "tie-tol-negative", "tie-tol-nan", "em-iterations-0",
             "kappa-abc", "perm-repeats", "iic-unchanged-value", "reciprocity-tol-0",
-            "400-digit-rational"])
-    def test_exits_2_with_one_error_line(self, capsys, tmp_path, kendall, consistent, iic4, argv):
+            "400-digit-rational", "rank-flat-tie-tol-negative", "rank-index-tie-tol-nan",
+            "check-flat-tie-tol-negative", "check-index-tie-tol-nan",
+            "falsify-index-tie-tol-negative", "falsify-flat-tie-tol-nan",
+            "lemmas-flat-tie-tol-negative", "lemmas-index-tie-tol-nan",
+            "env-tie-tol-negative-flat", "env-tie-tol-negative-index",
+            "aggregate-output-in-missing-dir", "aggregate-output-is-a-dir",
+            "trials-not-a-number", "kappa-too-large", "equalize-overflows"])
+    def test_exits_2_with_one_error_line(self, capsys, monkeypatch, tmp_path, kendall,
+                                         consistent, iic4, argv):
         huge = tmp_path / "huge.csv"
         huge.write_text(f"1,{BIG}/3\n3/{BIG},1\n")
-        files = {"kendall": kendall, "consistent": consistent, "iic4": iic4, "huge": str(huge)}
+        # rows 1 and 2 differ by a factor 1e1200, whose square root overflows
+        lopsided = tmp_path / "lopsided.csv"
+        lopsided.write_text("1,1e-300,1e-300\n1e300,1,1e300\n1e300,1e-300,1\n")
+        files = {"kendall": kendall, "consistent": consistent, "iic4": iic4, "huge": str(huge),
+                 "lopsided": str(lopsided), "tmp": str(tmp_path)}
+        while "=" in argv[0]:  # leading NAME=VALUE items set the environment
+            name, _, value = argv[0].partition("=")
+            monkeypatch.setenv(name, value)
+            argv = argv[1:]
         code, out, err = run(capsys, *[arg.format(**files) for arg in argv])
         assert code == 2
         assert out == ""

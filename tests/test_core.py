@@ -4,6 +4,7 @@ import pytest
 from pcmrank import (
     PCM,
     IndexOutOfRange,
+    InvalidParameter,
     NonPositive,
     NonSquare,
     PairRelation,
@@ -296,3 +297,8 @@ class TestRationalExponent:
 
     def test_value(self):
         assert RationalExponent(1, 2).value == 0.5
+
+    def test_rejects_a_value_beyond_float_range(self):
+        with pytest.raises(InvalidParameter):
+            RationalExponent(10**400, 1)
+        assert RationalExponent(10**400, 10**400 - 1).value == 1.0

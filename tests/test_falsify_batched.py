@@ -1,8 +1,9 @@
-"""Differential tests of the batched falsifier against the scalar trial loop.
+"""Differential tests of the batched falsifier against a trial-by-trial loop.
 
-``falsify`` judges the trials of the score methods as stacks and re-runs
-only the first flagged trial through the scalar check; these tests pin that
-its flags, witnesses and errors are the scalar loop's.
+``falsify`` judges the trials as stacks and re-runs only the first flagged
+trial through its check; these tests pin that its flags equal the
+reference pair-loop verdicts of ``oracle`` and that its witnesses and
+errors are those of a loop that checks every trial in order.
 """
 
 import math
@@ -30,8 +31,10 @@ from pcmrank import (
     witness_json_dict,
 )
 from pcmrank import axioms
-from pcmrank.axioms import _falsify_scalar, _flag_trials, _relations, _run_trial, _trial_rng
+from pcmrank.axioms import _draw, _flag_trials, _relations, _run_check, _shrink, _trial_rng
 from pcmrank.weighting import EmOptions, closed_form_scores, em_weight_stack, em_weights
+
+import oracle
 
 CLOSED_FORM = [
     MethodId.RGM,
@@ -40,21 +43,38 @@ CLOSED_FORM = [
     MethodId.FAVOURABLE_PRODUCT,
 ]
 STACKED = CLOSED_FORM + [MethodId.EM]
+RANK_ONLY = [MethodId.FLAT, MethodId.INDEX_ORDER]
 TIE_TOLS = [1e-9, 0.05, 0.3]
 SIGN = {PairRelation.STRICTLY_ABOVE: 1, PairRelation.TIED: 0, PairRelation.STRICTLY_BELOW: -1}
 
 
+def trial_inputs(axiom, cfg, trial, tie_tol):
+    grids, aux = _draw(axiom, cfg, _trial_rng(cfg.seed, trial))
+    return [PCM.from_upper(g) for g in grids], {**aux, "tie_tol": tie_tol}
+
+
 def scalar_verdicts(method, axiom, cfg, tie_tol):
-    """Per trial: does the scalar check fail, or abort without converging?"""
+    """Per trial: does the reference check fail, or abort without converging?"""
 
     def flagged(t):
         try:
-            rng = _trial_rng(cfg.seed, t)
-            return not _run_trial(method, axiom, cfg, rng, tie_tol, EmOptions()).holds
+            matrices, aux = trial_inputs(axiom, cfg, t, tie_tol)
+            return not oracle.run_check(method, axiom, matrices, aux, EmOptions()).holds
         except NoConvergence:
             return True
 
     return np.array([flagged(t) for t in range(cfg.trials)])
+
+
+def scalar_search(method, axiom, cfg, tie_tol, em=EmOptions()):
+    """The search as a loop: every trial in order through its check, and
+    the first violation shrunk."""
+    for trial in range(cfg.trials):
+        matrices, aux = trial_inputs(axiom, cfg, trial, tie_tol)
+        verdict = _run_check(method, axiom, matrices, aux, em)
+        if not verdict.holds:
+            return _shrink(verdict.witness, em)
+    return None
 
 
 def outcome(search, method, axiom, cfg, tie_tol, em=EmOptions()):
@@ -123,7 +143,7 @@ def test_relations_match_pair_relations(tie_tol):
     rng = np.random.default_rng(9)
     for n in (2, 4, 7, 12):
         stack = random_stack(rng, 30, n, span=0.4)
-        for method in STACKED:
+        for method in MethodId:
             rel, ok = _relations(method, stack, tie_tol)
             assert ok.all()
             for b in range(len(stack)):
@@ -134,7 +154,7 @@ def test_relations_match_pair_relations(tie_tol):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("method", STACKED, ids=lambda m: m.value)
+@pytest.mark.parametrize("method", STACKED + RANK_ONLY, ids=lambda m: m.value)
 def test_rejected_entries_clear_the_mask(method):
     stack = np.ones((3, 4, 4))
     stack[0, 2, 3], stack[0, 3, 2] = np.inf, 0.0  # overflow away from column 1
@@ -158,7 +178,7 @@ def test_tie_chain_needs_four_squarings():
 
 
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
-@pytest.mark.parametrize("method", CLOSED_FORM, ids=lambda m: m.value)
+@pytest.mark.parametrize("method", CLOSED_FORM + RANK_ONLY, ids=lambda m: m.value)
 def test_flags_equal_scalar_verdicts(method, axiom):
     cfg = SearchConfig(seed=42, trials=400)
     for tie_tol in TIE_TOLS:
@@ -194,7 +214,7 @@ def test_flags_equal_scalar_verdicts_up_to_sixteen_alternatives(method, axiom):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    method=st.sampled_from(STACKED),
+    method=st.sampled_from(list(MethodId)),
     axiom=st.sampled_from(list(AxiomId)),
     seed=st.integers(0, 2**32 - 1),
     trials=st.integers(1, 40),
@@ -207,40 +227,42 @@ def test_flags_equal_scalar_verdicts_up_to_sixteen_alternatives(method, axiom):
 @example(method=MethodId.RGM, axiom=AxiomId.IIC, seed=4, trials=13, tie_tol=0.3)
 @example(method=MethodId.EM, axiom=AxiomId.INV, seed=5, trials=9, tie_tol=1e-9)
 @example(method=MethodId.EM, axiom=AxiomId.AI, seed=6, trials=40, tie_tol=0.05)
+@example(method=MethodId.FLAT, axiom=AxiomId.RES, seed=7, trials=5, tie_tol=1e-9)
+@example(method=MethodId.INDEX_ORDER, axiom=AxiomId.ANO, seed=8, trials=20, tie_tol=0.3)
 def test_witness_equals_scalar_loop(method, axiom, seed, trials, tie_tol):
     cfg = SearchConfig(seed=seed, trials=trials)
     assert outcome(falsify, method, axiom, cfg, tie_tol) == outcome(
-        _falsify_scalar, method, axiom, cfg, tie_tol
+        scalar_search, method, axiom, cfg, tie_tol
     )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("log_range", [(-800.0, 800.0), (-720.0, 720.0), (-300.0, 300.0)])
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
-@pytest.mark.parametrize("method", CLOSED_FORM, ids=lambda m: m.value)
+@pytest.mark.parametrize("method", CLOSED_FORM + RANK_ONLY, ids=lambda m: m.value)
 def test_rejected_inputs_raise_at_the_same_trial(method, axiom, log_range):
     # overflowing entries, scores and exponents: each budget must end the
     # same way, so the error comes from the same trial on both paths
     for trials in (1, 2, 5, 12, 40):
         cfg = SearchConfig(seed=42, trials=trials, entry_log_range=log_range)
         assert outcome(falsify, method, axiom, cfg, 1e-9) == outcome(
-            _falsify_scalar, method, axiom, cfg, 1e-9
+            scalar_search, method, axiom, cfg, 1e-9
         )
 
 
 @pytest.mark.parametrize("tie_tol", [-1.0, float("nan")])
-@pytest.mark.parametrize("method", CLOSED_FORM, ids=lambda m: m.value)
+@pytest.mark.parametrize("method", CLOSED_FORM + RANK_ONLY, ids=lambda m: m.value)
 def test_bad_tie_tolerance_raises_as_on_the_scalar_path(method, tie_tol):
     cfg = SearchConfig(seed=42, trials=20)
     batched = outcome(falsify, method, AxiomId.INV, cfg, tie_tol)
-    assert batched == outcome(_falsify_scalar, method, AxiomId.INV, cfg, tie_tol)
+    assert batched == outcome(scalar_search, method, AxiomId.INV, cfg, tie_tol)
     assert batched[0] == InvalidParameter.__name__
 
 
 def test_em_no_convergence_aborts_both_paths_at_the_same_trial():
     cfg = SearchConfig(seed=2, trials=100)
     batched = outcome(falsify, MethodId.EM, AxiomId.RSI, cfg, 1e-9)
-    assert batched == outcome(_falsify_scalar, MethodId.EM, AxiomId.RSI, cfg, 1e-9)
+    assert batched == outcome(scalar_search, MethodId.EM, AxiomId.RSI, cfg, 1e-9)
     assert batched == ("NoConvergence", "no convergence to 1e-12 in 10000 iterations")
 
 
@@ -252,7 +274,7 @@ def test_starved_em_ends_both_paths_alike(axiom):
     for seed in (0, 42):
         cfg = SearchConfig(seed=seed, trials=20)
         assert outcome(falsify, MethodId.EM, axiom, cfg, 1e-9, starved) == outcome(
-            _falsify_scalar, MethodId.EM, axiom, cfg, 1e-9, starved
+            scalar_search, MethodId.EM, axiom, cfg, 1e-9, starved
         )
 
 
@@ -260,7 +282,7 @@ def test_starved_em_ends_both_paths_alike(axiom):
 @pytest.mark.parametrize("method", [MethodId.RGM, MethodId.EM], ids=lambda m: m.value)
 def test_overflowing_res_increase_raises_a_pcm_error(method):
     cfg = SearchConfig(seed=42, trials=5, entry_log_range=(-800.0, 800.0))
-    for search in (falsify, _falsify_scalar):
+    for search in (falsify, scalar_search):
         with pytest.raises(PcmError):
             search(method, AxiomId.RES, cfg, 1e-9, EmOptions())
 
