@@ -29,11 +29,14 @@ from .core import (
     PcmError,
     Permutation,
     RationalExponent,
+    check_tie_tol,
     reciprocal_fill,
     relation,
+    rewrite_entry,
     tie_group_max,
 )
 from .transforms import aggregate, opposite, permute, power
+from .transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
 from .weighting import EmOptions, MethodId, closed_form_scores, em_weight_stack, method_rank
 
 
@@ -116,9 +119,8 @@ def check_ano(
     relabelled matrix, for every pair."""
     if sigma.n != a.n:
         raise DimensionMismatch(f"permutation on {sigma.n} labels, matrix has {a.n}")
-    ranks = [method_rank(method, m, tie_tol, em) for m in (a, permute(a, sigma))]
     inputs = {"permutation": [int(x) for x in sigma.map]}
-    return _judge(AxiomId.ANO, method, [a], ranks, inputs, tie_tol)
+    return _judge(AxiomId.ANO, method, [a], lambda: permute(a, sigma), inputs, tie_tol, em)
 
 
 def check_ai(
@@ -135,9 +137,7 @@ def check_ai(
     for m in matrices[1:]:
         if m.n != n:
             raise DimensionMismatch(f"mixed sizes {n} and {m.n}")
-    ranks = [method_rank(method, m, tie_tol, em) for m in matrices]
-    ranks.append(method_rank(method, aggregate(list(matrices)), tie_tol, em))
-    return _judge(AxiomId.AI, method, matrices, ranks, {}, tie_tol)
+    return _judge(AxiomId.AI, method, matrices, lambda: aggregate(list(matrices)), {}, tie_tol, em)
 
 
 def check_inv(
@@ -148,8 +148,7 @@ def check_inv(
 ) -> AxiomVerdict:
     """Inversion: the ranking on the opposite (transposed) matrix must be
     the exact reverse, pair by pair."""
-    ranks = [method_rank(method, m, tie_tol, em) for m in (a, opposite(a))]
-    return _judge(AxiomId.INV, method, [a], ranks, {}, tie_tol)
+    return _judge(AxiomId.INV, method, [a], lambda: opposite(a), {}, tie_tol, em)
 
 
 def check_rsi(
@@ -161,9 +160,8 @@ def check_rsi(
 ) -> AxiomVerdict:
     """Rational scale invariance: raising every entry to kappa must leave
     every pairwise relation unchanged."""
-    base = method_rank(method, a, tie_tol, em)
-    image = method_rank(method, power(a, kappa), tie_tol, em)
-    return _judge(AxiomId.RSI, method, [a], [base, image], {"kappa": str(kappa)}, tie_tol)
+    inputs = {"kappa": str(kappa)}
+    return _judge(AxiomId.RSI, method, [a], lambda: power(a, kappa), inputs, tie_tol, em)
 
 
 def check_iic(
@@ -192,9 +190,10 @@ def check_iic(
         raise NonPositive("replacement value must be positive")
     if new_value == a.entries[k, l]:
         raise InvalidParameter("replacement value must differ from the current entry")
-    ranks = [method_rank(method, m, tie_tol, em) for m in (a, a.with_entry(k, l, new_value))]
     inputs = {"cell": [k, l], "value": float(new_value), "pair": [i, j]}
-    return _judge(AxiomId.IIC, method, [a], ranks, inputs, tie_tol)
+    return _judge(
+        AxiomId.IIC, method, [a], lambda: a.with_entry(k, l, new_value), inputs, tie_tol, em
+    )
 
 
 def check_res(
@@ -207,7 +206,7 @@ def check_res(
 ) -> AxiomVerdict:
     """Responsiveness: if i is ranked at least as high as j, improving
     a_ij must leave i strictly above j.  Vacuously holds when i starts
-    strictly below j, and then the improved matrix is not ranked."""
+    strictly below j, and then no error of the improved matrix is raised."""
     i, j = pair
     if i == j or not (0 <= i < a.n and 0 <= j < a.n):
         raise IndexOutOfRange(f"pair {pair} invalid for n={a.n}")
@@ -216,12 +215,10 @@ def check_res(
             f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = "
             f"{a.entries[i, j]!r}"
         )
-    base = method_rank(method, a, tie_tol, em)
-    if base.rank[i] > base.rank[j]:
-        return AxiomVerdict(holds=True)
-    image = method_rank(method, a.with_entry(i, j, increased_value), tie_tol, em)
     inputs = {"pair": [i, j], "increase": float(increased_value)}
-    return _judge(AxiomId.RES, method, [a], [base, image], inputs, tie_tol)
+    return _judge(
+        AxiomId.RES, method, [a], lambda: a.with_entry(i, j, increased_value), inputs, tie_tol, em
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,28 +232,33 @@ class _Spec:
     """One axiom, shared by its check, replay, shrinking and the stacked
     search.
 
-    ``broken(before, after, x)`` marks the pairs (i, j) that break the
-    axiom, (trials, n, n), from the relation arrays of each trial's
-    matrices, ``before`` (trials, matrices, n, n), and of its transformed
-    matrix, ``after`` (trials, n, n), and from ``x``, the trials' inputs
-    as arrays (see ``_input_arrays``).  A witness reports the first
-    marked pair in row-major order, which has i < j wherever the mask is
-    symmetric.  ``narrative`` tells that pair's story, ``args`` turns a
-    witness back into the check's arguments, ``pinned`` names the indices
-    shrinking keeps and ``min_n`` is the fewest alternatives the check
-    accepts.
+    ``image(e, x)`` is each trial's transformed matrix (trials, n, n),
+    from its matrices ``e`` (trials, matrices, n, n) and ``x``, the trials'
+    inputs as arrays (see ``_input_arrays``); a check builds it through
+    the validating ``PCM`` function instead.  ``broken(before, after, x)``
+    marks the pairs (i, j) that break the axiom, (trials, n, n), from the
+    relation arrays of the matrices, ``before`` (trials, matrices, n, n),
+    and of the transformed matrix, ``after`` (trials, n, n).  A witness
+    reports the first marked pair in row-major order, which has i < j
+    wherever the mask is symmetric.  ``narrative`` tells that pair's story,
+    ``args`` turns a witness back into the check's arguments, ``pinned``
+    names the indices shrinking keeps, ``min_n`` is the fewest alternatives
+    the check accepts and ``vacuous(before, x)`` marks the trials whose
+    check holds without ranking the transformed matrix.
     """
 
+    image: Callable
     broken: Callable
     narrative: Callable
     args: Callable
     pinned: Callable = lambda aux: set(aux["pair"])
     min_n: int = 2
+    vacuous: Callable = lambda before, x: np.zeros(len(before), dtype=bool)
 
 
 def _input_arrays(inputs: list) -> dict:
-    """Each input but the exponent, stacked over the trials into one array."""
-    return {k: np.array([x[k] for x in inputs]) for k in inputs[0] if k != "kappa"}
+    """Each input, stacked over the trials into one array."""
+    return {k: np.array([x[k] for x in inputs]) for k in inputs[0]}
 
 
 def _one_pair(after: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -338,21 +340,29 @@ def _res_narrative(method, rel, i, j, x) -> str:
 
 _SPECS = {
     AxiomId.ANO: _Spec(
+        lambda e, x: permute_entries(e[:, 0], x["permutation"]),
         _ano_broken,
         _ano_narrative,
         lambda m, x: (m[0], Permutation(x["permutation"])),
         lambda x: set(x["pair"]) | {t for t, s in enumerate(x["permutation"]) if s != t},
     ),
-    AxiomId.AI: _Spec(_ai_broken, _ai_narrative, lambda m, x: (m,)),
+    AxiomId.AI: _Spec(
+        lambda e, x: aggregate_entries(e), _ai_broken, _ai_narrative, lambda m, x: (m,)
+    ),
     AxiomId.INV: _Spec(
-        lambda before, after, x: after != -before[:, 0], _inv_narrative, lambda m, x: (m[0],)
+        lambda e, x: opposite_entries(e[:, 0]),
+        lambda before, after, x: after != -before[:, 0],
+        _inv_narrative,
+        lambda m, x: (m[0],),
     ),
     AxiomId.RSI: _Spec(
+        lambda e, x: power_entries(e[:, 0], [RationalExponent.parse(k).value for k in x["kappa"]]),
         lambda before, after, x: after != before[:, 0],
         _rsi_narrative,
         lambda m, x: (m[0], RationalExponent.parse(x["kappa"])),
     ),
     AxiomId.IIC: _Spec(
+        lambda e, x: rewrite_entry(e[:, 0], *x["cell"].T, x["value"]),
         lambda before, after, x: (after != before[:, 0]) & _one_pair(after, x["pair"]),
         _iic_narrative,
         lambda m, x: (m[0], tuple(x["cell"]), x["value"], tuple(x["pair"])),
@@ -361,31 +371,67 @@ _SPECS = {
     ),
     # RES holds where i starts strictly below j or ends strictly above
     AxiomId.RES: _Spec(
+        lambda e, x: rewrite_entry(e[:, 0], *x["pair"].T, x["increase"]),
         lambda before, after, x: (before[:, 0] >= 0) & (after <= 0) & _one_pair(after, x["pair"]),
         _res_narrative,
         lambda m, x: (m[0], tuple(x["pair"]), x["increase"]),
+        vacuous=lambda before, x: before[:, 0][_one_pair(before[:, 0], x["pair"])] < 0,
     ),
 }
 
 
+def _trial_relations(
+    method: MethodId, stack: np.ndarray, image: np.ndarray, tie_tol: float, em: EmOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_relations`` of each trial's matrices ``stack`` (trials, matrices,
+    n, n) and of its transformed matrix ``image`` (trials, n, n), and their
+    mask (trials, matrices + 1).  Images laid out unlike the matrices, as
+    INV's transposed views, are ranked apart: the layout picks the order
+    of EM's sums."""
+    if image.strides[-2:] == stack.strides[-2:]:
+        rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol, em)
+        return rel[:, :-1], rel[:, -1], ok
+    before, ok = _relations(method, stack, tie_tol, em)
+    after, ok_after = _relations(method, image, tie_tol, em)
+    return before, after, np.concatenate([ok, ok_after[:, None]], axis=1)
+
+
 def _judge(
-    axiom: AxiomId,
-    method: MethodId,
-    matrices: Sequence[PCM],
-    ranks: list,
-    inputs: dict,
-    tie_tol: float,
+    axiom: AxiomId, method: MethodId, matrices: Sequence[PCM], transform: Callable[[], PCM],
+    inputs: dict, tie_tol: float, em: EmOptions,
 ) -> AxiomVerdict:
-    """Verdict of one check from its rankings (the matrices', then the
-    transformed matrix's) and its inputs, as ``_draw`` records them."""
-    rel = relation(np.array([r.rank for r in ranks]))
-    broken = _SPECS[axiom].broken(rel[None, :-1], rel[None, -1], _input_arrays([inputs]))[0]
+    """Verdict of one check, judged as a stack of one trial: ``matrices``,
+    the matrix ``transform()`` builds from them, and the inputs as
+    ``_draw`` records them.  The first ranking that cannot be computed, in
+    the order matrices then transformed matrix, raises what ``method_rank``
+    raises, and the matrices are ranked before an error of the transform
+    is raised; a vacuous check raises no error of the transformed matrix."""
+    check_tie_tol(tie_tol)  # the first error any ranking raises
+    spec, x = _SPECS[axiom], _input_arrays([inputs])
+    try:
+        image = transform()
+    except PcmError:
+        ranks = [method_rank(method, m, tie_tol, em).rank for m in matrices]
+        if spec.vacuous(relation(np.array(ranks))[None], x)[0]:
+            return AxiomVerdict(holds=True)
+        raise
+    stack = np.stack([m.entries for m in matrices])[None]
+    before, after, ok = _trial_relations(method, stack, image.entries[None], tie_tol, em)
+    rel = np.concatenate([before[0], after])
+    for m, m_rel, ranked in zip((*matrices, image), rel, ok[0]):
+        if not ranked:
+            if m is image and spec.vacuous(before, x)[0]:
+                return AxiomVerdict(holds=True)
+            if method is MethodId.EM and np.isnan(m_rel).all():
+                raise em.exhausted()  # as em_weights would, after iterating as long again
+            method_rank(method, m, tie_tol, em)  # raises, as its arithmetic is the stack's
+    broken = spec.broken(before, after, x)[0]
     first = int(broken.argmax())  # row-major, so the first broken pair if any
     if not broken.flat[first]:
         return AxiomVerdict(holds=True)
     i, j = divmod(first, len(broken))
     aux = {**inputs, "pair": [i, j], "tie_tol": tie_tol}
-    narrative = _SPECS[axiom].narrative(method, rel, i, j, inputs)
+    narrative = spec.narrative(method, rel, i, j, inputs)
     witness = Witness(axiom, method, tuple(matrices), aux, narrative)
     return AxiomVerdict(holds=False, witness=witness)
 
@@ -438,7 +484,8 @@ def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[
     """One trial's inputs, in stream order: the matrices as grids for
     ``PCM.from_upper`` (not yet validated) and the check's auxiliary
     values as a Witness records them, less the tie tolerance.  The
-    stacked search and the re-run of a flagged trial draw through here."""
+    stacked search draws through here, and re-runs a flagged trial from
+    that draw."""
     n_lo, n_hi = cfg.n_range
     if axiom is AxiomId.IIC:
         n_lo = max(n_lo, 4)  # the axiom is vacuous below four alternatives
@@ -499,9 +546,11 @@ def falsify(
     start, size = 0, 1
     while start < cfg.trials:
         trials = range(start, min(start + size, cfg.trials))
-        flags = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
+        flags, draws = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
         for trial in np.flatnonzero(flags):
-            grids, aux = _draw(axiom, cfg, _trial_rng(cfg.seed, start + int(trial)))
+            if isinstance(draws[trial], Exception):
+                raise draws[trial]
+            grids, aux = draws[trial]
             matrices = [PCM.from_upper(g) for g in grids]
             verdict = _run_check(method, axiom, matrices, {**aux, "tie_tol": tie_tol}, em)
             if not verdict.holds:
@@ -517,10 +566,10 @@ def falsify(
 #: beside their transformed images in a stack of twice that
 _CHUNK_MATRICES = 256
 
-#: a stacked EM iteration stops after this many steps (or fewer, within
-#: ``EmOptions.max_iterations``); a matrix still unconverged then flags its
-#: trial for the scalar re-run, so a rare slow matrix cannot hold a whole
-#: chunk for the full budget
+#: a stacked EM iteration in the search stops after this many steps (or
+#: fewer, within ``EmOptions.max_iterations``); a matrix still unconverged
+#: then flags its trial for the re-run through its check, so a rare slow
+#: matrix cannot hold a whole chunk for the full budget
 _EM_STACK_ITERATIONS = 256
 
 
@@ -531,33 +580,37 @@ def _flag_trials(
     trials: range,
     tie_tol: float,
     em: EmOptions = EmOptions(),
-) -> np.ndarray:
-    """Flag each trial whose scalar check would report a violation or
-    reject an input (a non-finite or non-positive entry, score or weight,
-    a bad tie tolerance, or an EM iteration that does not converge).
+) -> tuple[np.ndarray, list]:
+    """Flag each trial whose check would report a violation or reject an
+    input (a non-finite or non-positive entry, score or weight, a bad tie
+    tolerance, or an EM iteration that does not converge), and return the
+    flags with the trials' draws.
 
     Trials are drawn in order from their own streams, grouped by shape and
     judged a stack at a time, so each needs no PCM, Ranking or check call.
     Flags may over-report a rejection, never under-report a violation:
     a matrix whose EM needs more than ``_EM_STACK_ITERATIONS`` steps flags
-    its trial even when the scalar check goes on to converge.
-    A trial whose draw raises ends the flags, flagged: its scalar re-run
-    raises the same error.
+    its trial even when the check goes on to converge.
+    A trial whose draw raises ends the flags, flagged, and the error
+    stands in for its draw.
     """
     draws = []
     for t in trials:
         try:
             draws.append(_draw(axiom, cfg, _trial_rng(cfg.seed, t)))
-        except (ArithmeticError, ValueError):  # e.g. math.exp overflowing on a wide entry range
+        except (ArithmeticError, ValueError) as exc:  # e.g. math.exp overflowing
+            draws.append(exc)
             break
     by_shape: dict[tuple[int, int], list[int]] = {}
-    for idx, (grids, _) in enumerate(draws):
+    for idx, (grids, _) in enumerate(draws[:-1] if isinstance(draws[-1], Exception) else draws):
         by_shape.setdefault((len(grids), grids[0].shape[0]), []).append(idx)
-    flags = np.ones(min(len(draws) + 1, len(trials)), dtype=bool)
+    flags = np.ones(len(draws), dtype=bool)
+    if method is MethodId.EM:
+        em = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
     with np.errstate(all="ignore"):  # rejected inputs are flagged, not warned about
         for idx in by_shape.values():
             flags[idx] = _stack_flags(method, axiom, [draws[t] for t in idx], tie_tol, em)
-    return flags
+    return flags, draws
 
 
 def _relations(
@@ -565,9 +618,9 @@ def _relations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relation arrays (see ``core.relation``) of ``method``'s ranking of
     every matrix in the stack ``e`` (..., n, n), and a mask of the rankings
-    the scalar path would compute without raising; for EM it also clears
-    where the iteration has not converged within ``_EM_STACK_ITERATIONS``
-    steps.
+    ``method_rank`` would compute without raising.  For EM it also clears
+    where the iteration has not converged within ``em.max_iterations``;
+    such a matrix has NaN weights, and so NaN relations.
 
     The arithmetic repeats ``method_rank`` operation for operation, so the
     weights carry the same bits and the tie closure decides the same way.
@@ -578,8 +631,7 @@ def _relations(
     if method is MethodId.INDEX_ORDER:
         return np.broadcast_to(relation(np.arange(e.shape[-1])), e.shape), ok
     if method is MethodId.EM:
-        capped = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
-        s = em_weight_stack(e, capped)  # NaN rows where unconverged
+        s = em_weight_stack(e, em)  # NaN rows where unconverged
     else:
         s = closed_form_scores(method, e)
     w = s / s.sum(axis=-1, keepdims=True)
@@ -594,38 +646,15 @@ def _stack_flags(
 ) -> np.ndarray:
     """``_flag_trials`` for trials with the same number and size of
     matrices: each trial's drawn matrices and its transformed matrix are
-    ranked as one stack, and the axiom's rule judges their relation
-    arrays.  For every grid ``PCM.from_upper`` accepts, the draw rules out
-    the checks' own argument errors (an unchanged IIC value, a RES value
-    that is no increase)."""
+    ranked as stacks, and the axiom's rule judges their relation arrays.
+    For every grid ``PCM.from_upper`` accepts, the draw rules out the
+    checks' own argument errors (an unchanged IIC value, a RES value that
+    is no increase)."""
     stack = reciprocal_fill(np.array([grids for grids, _ in draws]))  # (trials, matrices, n, n)
     x = _input_arrays([aux for _, aux in draws])
-    b = np.arange(len(draws))
-    a = stack[:, 0]
-    if axiom is AxiomId.INV:
-        # the opposite matrix as a transposed view, laid out like the
-        # scalar path's, so that its reductions add in the same order
-        before, ok = _relations(method, a, tie_tol, em)
-        after, ok_after = _relations(method, a.transpose(0, 2, 1), tie_tol, em)
-        before, ok = before[:, None], ok & ok_after
-    else:
-        if axiom is AxiomId.AI:
-            image = reciprocal_fill(np.exp(np.mean(np.log(stack), axis=1)))
-        elif axiom is AxiomId.ANO:
-            inv = np.argsort(x["permutation"], axis=1)
-            image = a[b[:, None, None], inv[:, :, None], inv[:, None, :]]
-        elif axiom is AxiomId.RSI:
-            kappa = np.array([RationalExponent.parse(aux["kappa"]).value for _, aux in draws])
-            image = reciprocal_fill(np.exp(kappa[:, None, None] * np.log(a)))
-        else:  # IIC and RES rewrite one cell
-            at, to = ("cell", "value") if axiom is AxiomId.IIC else ("pair", "increase")
-            (k, l), value = x[at].T, x[to]
-            image = a.copy()
-            image[b, k, l] = value
-            image[b, l, k] = 1.0 / value
-        rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol, em)
-        before, after, ok = rel[:, :-1], rel[:, -1], ok.all(axis=1)
-    return _SPECS[axiom].broken(before, after, x).any(axis=(1, 2)) | ~ok
+    spec = _SPECS[axiom]
+    before, after, ok = _trial_relations(method, stack, spec.image(stack, x), tie_tol, em)
+    return spec.broken(before, after, x).any(axis=(1, 2)) | ~ok.all(axis=1)
 
 
 # --- greedy witness shrinking ----------------------------------------------

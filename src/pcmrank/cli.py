@@ -20,13 +20,8 @@ import numpy as np
 from .axioms import (
     AxiomId,
     SearchConfig,
-    check_ai,
-    check_ano,
-    check_iic,
+    _run_check,
     check_implications,
-    check_inv,
-    check_res,
-    check_rsi,
     falsify,
     witness_json_dict,
 )
@@ -35,8 +30,6 @@ from .core import (
     DEFAULT_TIE_TOL,
     PCM,
     PcmError,
-    Permutation,
-    RationalExponent,
     pcm_parse,
     pcm_to_csv,
     ranking_json_dict,
@@ -237,41 +230,39 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
+#: per axiom: the flags ``check`` requires, the error when one is missing,
+#: and the matrices and auxiliary values (as a witness records them) that
+#: the flags and the loaded matrix ``a`` give
+_CHECK_ARGS = {
+    AxiomId.ANO: (("perm",), 'ANO needs --perm "i1,i2,..." (1-based images)',
+                  lambda args, a: ([a], {"permutation": _indices(args.perm, a.n, "--perm")})),
+    AxiomId.AI: (("input2",), "AI needs at least one --input2 FILE",
+                 lambda args, a: ([a] + [_load(path, args.reciprocity_tol)
+                                         for path in args.input2], {})),
+    AxiomId.INV: ((), None, lambda args, a: ([a], {})),
+    AxiomId.RSI: (("kappa",), 'RSI needs --kappa "p/q"',
+                  lambda args, a: ([a], {"kappa": args.kappa})),
+    AxiomId.IIC: (("cell", "value", "pair"), "IIC needs --cell k,l --value V --pair i,j",
+                  lambda args, a: ([a], {"cell": _indices(args.cell, 2, "--cell"),
+                                         "value": args.value,
+                                         "pair": _indices(args.pair, 2, "--pair")})),
+    AxiomId.RES: (("pair", "increase"), "RES needs --pair i,j --increase V",
+                  lambda args, a: ([a], {"pair": _indices(args.pair, 2, "--pair"),
+                                         "increase": args.increase})),
+}
+
+
 def _cmd_check(args) -> int:
     method = MethodId(args.method)
     axiom = AxiomId(args.axiom)
     a = _load(args.input, args.reciprocity_tol)
     tie, em = _tie_tol(args), _em_opts(args)
 
-    if axiom is AxiomId.ANO:
-        if args.perm is None:
-            raise PcmError('ANO needs --perm "i1,i2,..." (1-based images)')
-        sigma = Permutation(_indices(args.perm, a.n, "--perm"))
-        verdict = check_ano(method, a, sigma, tie, em)
-    elif axiom is AxiomId.AI:
-        if not args.input2:
-            raise PcmError("AI needs at least one --input2 FILE")
-        others = [_load(path, args.reciprocity_tol) for path in args.input2]
-        verdict = check_ai(method, [a] + others, tie, em)
-    elif axiom is AxiomId.INV:
-        verdict = check_inv(method, a, tie, em)
-    elif axiom is AxiomId.RSI:
-        if args.kappa is None:
-            raise PcmError('RSI needs --kappa "p/q"')
-        verdict = check_rsi(method, a, RationalExponent.parse(args.kappa), tie, em)
-    elif axiom is AxiomId.IIC:
-        if args.cell is None or args.value is None or args.pair is None:
-            raise PcmError("IIC needs --cell k,l --value V --pair i,j")
-        verdict = check_iic(
-            method, a, _indices(args.cell, 2, "--cell"), args.value,
-            _indices(args.pair, 2, "--pair"), tie, em,
-        )
-    else:  # RES
-        if args.pair is None or args.increase is None:
-            raise PcmError("RES needs --pair i,j --increase V")
-        verdict = check_res(
-            method, a, _indices(args.pair, 2, "--pair"), args.increase, tie, em
-        )
+    required, missing, inputs = _CHECK_ARGS[axiom]
+    if any(getattr(args, flag) is None for flag in required):
+        raise PcmError(missing)
+    matrices, aux = inputs(args, a)
+    verdict = _run_check(method, axiom, matrices, {**aux, "tie_tol": tie}, em)
 
     if args.format == "json":
         payload = {

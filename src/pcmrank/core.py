@@ -103,6 +103,16 @@ def triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
+def stack_indices(shape: tuple) -> tuple:
+    """``np.indices(shape, sparse=True)``: index arrays that pick each matrix
+    of a stack with leading shape ``shape``; cached and read-only."""
+    grids = np.indices(shape, sparse=True)
+    for g in grids:
+        g.flags.writeable = False
+    return grids
+
+
+@lru_cache(maxsize=128)
 def _eye(n: int) -> np.ndarray:
     eye = np.eye(n, dtype=bool)
     eye.flags.writeable = False
@@ -118,6 +128,16 @@ def reciprocal_fill(g: np.ndarray) -> np.ndarray:
     a = np.ones(g.shape)
     a[..., iu, ju] = up
     a[..., ju, iu] = 1.0 / up
+    return a
+
+
+def rewrite_entry(e: np.ndarray, i, j, value) -> np.ndarray:
+    """Copy of ``e`` (..., n, n) with entry (i, j) set to ``value`` and (j, i)
+    to its reciprocal; one cell and value per matrix.  Nothing is validated."""
+    a = e.copy()
+    lead = stack_indices(np.shape(value))
+    a[(*lead, i, j)] = value
+    a[(*lead, j, i)] = 1.0 / value
     return a
 
 
@@ -196,10 +216,7 @@ class PCM:
             raise IndexOutOfRange(f"cell ({i}, {j}) invalid for n={n}")
         if not np.isfinite(value) or value <= 0.0:
             raise NonPositive("replacement entry must be finite and positive")
-        a = self.entries.copy()
-        a[i, j] = value
-        a[j, i] = 1.0 / value
-        return PCM(a)
+        return PCM(rewrite_entry(self.entries, i, j, value))
 
 
 def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PCM:
@@ -224,13 +241,16 @@ def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PC
             raise NonSquare(f"{n} rows but a row with {len(fields)} fields")
         grid.append([_parse_entry(f) for f in fields])
     a = np.array(grid, dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(a[i, j] * a[j, i] - 1.0) > reciprocity_tol:
-                raise ReciprocityViolation(
-                    f"a[{i + 1}][{j + 1}] * a[{j + 1}][{i + 1}] = "
-                    f"{a[i, j] * a[j, i]:.9g} is off 1 by more than {reciprocity_tol:g}"
-                )
+    iu, ju = triu_indices(n)
+    product = a[iu, ju] * a[ju, iu]
+    off = np.abs(product - 1.0) > reciprocity_tol
+    if off.any():
+        first = int(off.argmax())  # the first pair in row-major order
+        i, j = int(iu[first]), int(ju[first])
+        raise ReciprocityViolation(
+            f"a[{i + 1}][{j + 1}] * a[{j + 1}][{i + 1}] = "
+            f"{product[first]:.9g} is off 1 by more than {reciprocity_tol:g}"
+        )
     return PCM.from_upper(a)
 
 

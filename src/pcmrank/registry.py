@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .axioms import AxiomId, check_ai, check_ano, check_iic, check_res, check_rsi
-from .core import PCM, Permutation, RationalExponent, UnknownCase
+from .axioms import AxiomId, _run_check
+from .core import DEFAULT_TIE_TOL, PCM, RationalExponent, UnknownCase
 from .transforms import aggregate, power
 from .weighting import MethodId, em_weights, method_scores
 
@@ -47,37 +47,93 @@ KENDALL6 = _pcm(
 # eigenvector ranking of alternatives 1 and 2
 IIC4 = _pcm([[1, 1, 1, 3], [1, 1, 2, 1], [1, 1 / 2, 1, 1], [1 / 3, 1, 1, 1]])
 
-CASE_IDS = (
-    "ex41-ai-arith",
-    "ex43-ai-favprod",
-    "ex45-iic-arith-note",
-    "prop51-rsi-kendall",
-    "prop51-iic-4x4",
-    "prop61-flat-res",
-    "prop61-arith-ai",
-    "prop61-index-ano",
-)
-
 
 def _pair_scores(method: MethodId, matrices, pair) -> list[list[float]]:
     i, j = pair
     return [[float(s[i]), float(s[j])] for s in (method_scores(method, m) for m in matrices)]
 
 
-def _ai_case(case_id: str, method: MethodId, m1: PCM, m2: PCM) -> dict:
-    verdict = check_ai(method, [m1, m2])
+def _narrative(verdict) -> str | None:
+    return verdict.witness.narrative if verdict.witness else None
+
+
+def _em_weights(a: PCM) -> list[float]:
+    return [float(x) for x in em_weights(a)[0].w]
+
+
+def _ai_details(method, matrices, aux, verdict) -> dict:
     pair = (0, 1)
-    details = {
+    return {
         "pair": list(pair),
-        "scores_per_matrix": _pair_scores(method, [m1, m2], pair),
-        "scores_aggregate": _pair_scores(method, [aggregate([m1, m2])], pair)[0],
-        "narrative": verdict.witness.narrative if verdict.witness else None,
+        "scores_per_matrix": _pair_scores(method, matrices, pair),
+        "scores_aggregate": _pair_scores(method, [aggregate(list(matrices))], pair)[0],
+        "narrative": _narrative(verdict),
     }
-    return _report(case_id, method, AxiomId.AI, "fail", verdict.holds, details)
 
 
-def _report(case_id, method, axiom, expected, holds, details) -> dict:
-    observed = "hold" if holds else "fail"
+_ARITH_AI = (
+    MethodId.ROW_ARITHMETIC_MEAN, AxiomId.AI, (ARITH_AI_A1, ARITH_AI_A2), {}, "fail", _ai_details
+)
+
+#: case id -> (method, axiom, matrices, auxiliary values as a witness
+#: records them, expected verdict, details(method, matrices, aux, verdict))
+_CASES = {
+    "ex41-ai-arith": _ARITH_AI,
+    "ex43-ai-favprod": (
+        MethodId.FAVOURABLE_PRODUCT, AxiomId.AI, (FAVPROD_AI_A1, FAVPROD_AI_A2), {}, "fail",
+        _ai_details,
+    ),
+    # row sums of untouched rows cannot move, so the arithmetic-mean rule
+    # keeps the (1, 2) relation across the remote rewrite
+    "ex45-iic-arith-note": (
+        MethodId.ROW_ARITHMETIC_MEAN, AxiomId.IIC, (IIC4,),
+        {"pair": [0, 1], "cell": [2, 3], "value": 4.0}, "hold",
+        lambda method, m, aux, verdict: {
+            **aux, "row_sums": [float(x) for x in m[0].entries.sum(axis=1)]
+        },
+    ),
+    "prop51-rsi-kendall": (
+        MethodId.EM, AxiomId.RSI, (KENDALL6,), {"kappa": "2/1"}, "fail",
+        lambda method, m, aux, verdict: {
+            **aux,
+            "pair": list(verdict.witness.auxiliary["pair"]) if verdict.witness else None,
+            "weights": _em_weights(m[0]),
+            "weights_squared": _em_weights(power(m[0], RationalExponent.parse(aux["kappa"]))),
+            "narrative": _narrative(verdict),
+        },
+    ),
+    "prop51-iic-4x4": (
+        MethodId.EM, AxiomId.IIC, (IIC4,), {"pair": [0, 1], "cell": [2, 3], "value": 4.0}, "fail",
+        lambda method, m, aux, verdict: {
+            **aux,
+            "weights": _em_weights(m[0]),
+            "weights_modified": _em_weights(m[0].with_entry(*aux["cell"], aux["value"])),
+            "narrative": _narrative(verdict),
+        },
+    ),
+    "prop61-flat-res": (
+        MethodId.FLAT, AxiomId.RES, (PCM.ones(3),), {"pair": [0, 1], "increase": 2.0}, "fail",
+        lambda method, m, aux, verdict: {**aux, "narrative": _narrative(verdict)},
+    ),
+    # independence witness: the row-sum rule keeps anonymity and
+    # responsiveness but loses aggregation invariance
+    "prop61-arith-ai": _ARITH_AI,
+    "prop61-index-ano": (
+        MethodId.INDEX_ORDER, AxiomId.ANO, (PCM.ones(3),), {"permutation": [1, 0, 2]}, "fail",
+        lambda method, m, aux, verdict: {**aux, "narrative": _narrative(verdict)},
+    ),
+}
+CASE_IDS = tuple(_CASES)
+
+
+def run_case(case_id: str) -> dict:
+    """Re-run one registry case through its check; ``ok`` is True when the
+    observed verdict matches the recorded one."""
+    if case_id not in CASE_IDS:
+        raise UnknownCase(f"no registry case {case_id!r}; known: {', '.join(CASE_IDS)}")
+    method, axiom, matrices, aux, expected, details = _CASES[case_id]
+    verdict = _run_check(method, axiom, matrices, {**aux, "tie_tol": DEFAULT_TIE_TOL})
+    observed = "hold" if verdict.holds else "fail"
     return {
         "id": case_id,
         "method": method.value,
@@ -85,86 +141,8 @@ def _report(case_id, method, axiom, expected, holds, details) -> dict:
         "expected": expected,
         "observed": observed,
         "ok": observed == expected,
-        "details": details,
+        "details": details(method, matrices, aux, verdict),
     }
-
-
-def run_case(case_id: str) -> dict:
-    """Re-run one registry case; ``ok`` is True when the observed verdict
-    matches the recorded one."""
-    if case_id == "ex41-ai-arith":
-        return _ai_case(case_id, MethodId.ROW_ARITHMETIC_MEAN, ARITH_AI_A1, ARITH_AI_A2)
-
-    if case_id == "ex43-ai-favprod":
-        return _ai_case(case_id, MethodId.FAVOURABLE_PRODUCT, FAVPROD_AI_A1, FAVPROD_AI_A2)
-
-    if case_id == "ex45-iic-arith-note":
-        # row sums of untouched rows cannot move, so the arithmetic-mean
-        # rule keeps the (1, 2) relation across the remote rewrite
-        verdict = check_iic(
-            MethodId.ROW_ARITHMETIC_MEAN, IIC4, cell=(2, 3), new_value=4.0, pair=(0, 1)
-        )
-        details = {
-            "pair": [0, 1],
-            "cell": [2, 3],
-            "value": 4.0,
-            "row_sums": [float(x) for x in IIC4.entries.sum(axis=1)],
-        }
-        return _report(
-            case_id, MethodId.ROW_ARITHMETIC_MEAN, AxiomId.IIC, "hold", verdict.holds, details
-        )
-
-    if case_id == "prop51-rsi-kendall":
-        verdict = check_rsi(MethodId.EM, KENDALL6, RationalExponent(2, 1))
-        w1, _ = em_weights(KENDALL6)
-        w2, _ = em_weights(power(KENDALL6, RationalExponent(2, 1)))
-        details = {
-            "kappa": "2/1",
-            "pair": list(verdict.witness.auxiliary["pair"]) if verdict.witness else None,
-            "weights": [float(x) for x in w1.w],
-            "weights_squared": [float(x) for x in w2.w],
-            "narrative": verdict.witness.narrative if verdict.witness else None,
-        }
-        return _report(case_id, MethodId.EM, AxiomId.RSI, "fail", verdict.holds, details)
-
-    if case_id == "prop51-iic-4x4":
-        verdict = check_iic(MethodId.EM, IIC4, cell=(2, 3), new_value=4.0, pair=(0, 1))
-        w1, _ = em_weights(IIC4)
-        w2, _ = em_weights(IIC4.with_entry(2, 3, 4.0))
-        details = {
-            "pair": [0, 1],
-            "cell": [2, 3],
-            "value": 4.0,
-            "weights": [float(x) for x in w1.w],
-            "weights_modified": [float(x) for x in w2.w],
-            "narrative": verdict.witness.narrative if verdict.witness else None,
-        }
-        return _report(case_id, MethodId.EM, AxiomId.IIC, "fail", verdict.holds, details)
-
-    if case_id == "prop61-flat-res":
-        verdict = check_res(MethodId.FLAT, PCM.ones(3), pair=(0, 1), increased_value=2.0)
-        details = {
-            "pair": [0, 1],
-            "increase": 2.0,
-            "narrative": verdict.witness.narrative if verdict.witness else None,
-        }
-        return _report(case_id, MethodId.FLAT, AxiomId.RES, "fail", verdict.holds, details)
-
-    if case_id == "prop61-arith-ai":
-        # independence witness: the row-sum rule keeps anonymity and
-        # responsiveness but loses aggregation invariance
-        return _ai_case(case_id, MethodId.ROW_ARITHMETIC_MEAN, ARITH_AI_A1, ARITH_AI_A2)
-
-    if case_id == "prop61-index-ano":
-        sigma = Permutation(np.array([1, 0, 2]))
-        verdict = check_ano(MethodId.INDEX_ORDER, PCM.ones(3), sigma)
-        details = {
-            "permutation": [1, 0, 2],
-            "narrative": verdict.witness.narrative if verdict.witness else None,
-        }
-        return _report(case_id, MethodId.INDEX_ORDER, AxiomId.ANO, "fail", verdict.holds, details)
-
-    raise UnknownCase(f"no registry case {case_id!r}; known: {', '.join(CASE_IDS)}")
 
 
 def run_all() -> list[dict]:

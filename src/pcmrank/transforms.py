@@ -1,5 +1,7 @@
 """Reciprocity-preserving matrix algebra: geometric-mean aggregation,
-opposite (full reversal), rational entrywise powers, and relabelling."""
+opposite (full reversal), rational entrywise powers, and relabelling.
+Each is written once over unvalidated entry arrays (..., n, n), for one
+matrix or a stack; the ``PCM`` functions validate around it."""
 
 from __future__ import annotations
 
@@ -13,7 +15,31 @@ from .core import (
     EmptyList,
     Permutation,
     RationalExponent,
+    reciprocal_fill,
+    stack_indices,
 )
+
+
+def aggregate_entries(e: np.ndarray) -> np.ndarray:
+    """Entrywise geometric mean over the matrix axis of ``e`` (..., k, n, n)."""
+    return reciprocal_fill(np.exp(np.mean(np.log(e), axis=-3)))
+
+
+def opposite_entries(e: np.ndarray) -> np.ndarray:
+    """Every matrix transposed, as a view: the entries move bit for bit."""
+    return e.swapaxes(-1, -2)
+
+
+def power_entries(e: np.ndarray, kappa) -> np.ndarray:
+    """exp(kappa * ln a_ij) above the diagonal, mirrored; one ``kappa`` per matrix."""
+    return reciprocal_fill(np.exp(np.asarray(kappa)[..., None, None] * np.log(e)))
+
+
+def permute_entries(e: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``result[sigma[i], sigma[j]] == e[i, j]``, one label map ``sigma`` per matrix."""
+    inv = np.argsort(sigma, axis=-1)
+    lead = (x[..., None, None] for x in stack_indices(inv.shape[:-1]))
+    return e[(*lead, inv[..., :, None], inv[..., None, :])]
 
 
 def aggregate(matrices: Sequence[PCM]) -> PCM:
@@ -31,14 +57,13 @@ def aggregate(matrices: Sequence[PCM]) -> PCM:
             raise DimensionMismatch(f"mixed sizes {n} and {m.n}")
     if len(matrices) == 1:
         return matrices[0]
-    mean_logs = np.mean([np.log(m.entries) for m in matrices], axis=0)
-    return PCM.from_upper(np.exp(mean_logs))
+    return PCM(aggregate_entries(np.array([m.entries for m in matrices])))
 
 
 def opposite(a: PCM) -> PCM:
     """Transpose: every preference reversed.  Entries move bit for bit, so
     opposite(opposite(a)) == a exactly."""
-    return PCM(a.entries.T)
+    return PCM(opposite_entries(a.entries))
 
 
 def power(a: PCM, kappa: RationalExponent) -> PCM:
@@ -47,7 +72,7 @@ def power(a: PCM, kappa: RationalExponent) -> PCM:
     exp((p/q) * ln a_ij) and mirrored."""
     if kappa.p == kappa.q:  # lowest terms, so this is exactly 1
         return a
-    return PCM.from_upper(np.exp(kappa.value * np.log(a.entries)))
+    return PCM(power_entries(a.entries, kappa.value))
 
 
 def permute(a: PCM, sigma: Permutation) -> PCM:
@@ -55,5 +80,4 @@ def permute(a: PCM, sigma: Permutation) -> PCM:
     sigma(i), i.e. result[sigma(i)][sigma(j)] == a[i][j] bit for bit."""
     if sigma.n != a.n:
         raise DimensionMismatch(f"permutation on {sigma.n} labels, matrix has {a.n}")
-    inv = np.argsort(sigma.map)
-    return PCM(a.entries[np.ix_(inv, inv)])
+    return PCM(permute_entries(a.entries, sigma.map))

@@ -35,16 +35,6 @@ class MethodId(Enum):
     INDEX_ORDER = "index"
 
 
-#: methods that define a weight vector (FLAT and INDEX_ORDER rank only)
-WEIGHTED_METHODS = (
-    MethodId.RGM,
-    MethodId.EM,
-    MethodId.ROW_ARITHMETIC_MEAN,
-    MethodId.FIRST_COLUMN,
-    MethodId.FAVOURABLE_PRODUCT,
-)
-
-
 @dataclass(frozen=True)
 class EmOptions:
     """Power iteration budget and stopping tolerance (sup norm on the
@@ -58,6 +48,12 @@ class EmOptions:
             raise InvalidParameter("max_iterations must be at least 1")
         if not self.convergence_tol > 0.0:
             raise InvalidParameter("convergence_tol must be positive")
+
+    def exhausted(self) -> NoConvergence:
+        """The error of an iteration still unconverged after the budget."""
+        return NoConvergence(
+            f"no convergence to {self.convergence_tol:g} in {self.max_iterations} iterations"
+        )
 
 
 def rgm_weights(a: PCM) -> WeightVector:
@@ -100,20 +96,27 @@ def em_weights(
         if w.shape != (a.n,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise NonPositive("start vector must be positive with length n")
         w = w / w.sum()
-    # each step is v = m @ w, v /= v.sum(), max|v - w|, written into two
-    # reused buffers: the same operations in the same order, so the same bits
-    v, step = np.empty(a.n), np.empty(a.n)
-    for _ in range(opts.max_iterations):
+    v = _power_iteration(m, w, opts.max_iterations, opts.convergence_tol)
+    if v is None:
+        raise opts.exhausted()
+    lambda_max = float(np.mean((m @ v) / v))
+    return WeightVector(v), lambda_max
+
+
+def _power_iteration(m: np.ndarray, w: np.ndarray, steps: int, tol: float):
+    """The first of at most ``steps`` iterates of ``m`` from ``w`` that moves
+    by ``tol`` or less in sup norm, or None.  Each step is v = m @ w,
+    v /= v.sum(), max|v - w|, into two reused buffers: the operations of a
+    step of ``em_weight_stack``, in its order, so the same bits."""
+    v, step = np.empty(len(w)), np.empty(len(w))
+    for _ in range(steps):
         np.matmul(m, w, out=v)
         v /= np.add.reduce(v)
         np.absolute(np.subtract(v, w, out=step), out=step)
-        if np.maximum.reduce(step) <= opts.convergence_tol:
-            lambda_max = float(np.mean((m @ v) / v))
-            return WeightVector(v), lambda_max
+        if np.maximum.reduce(step) <= tol:
+            return v
         w, v = v, w
-    raise NoConvergence(
-        f"no convergence to {opts.convergence_tol:g} in {opts.max_iterations} iterations"
-    )
+    return None
 
 
 def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
@@ -122,19 +125,26 @@ def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
     converged within ``opts.max_iterations`` steps.
 
     All matrices iterate together from the uniform vector, one stacked
-    step at a time; a matrix leaves the stack at the step it converges.
-    Each row carries the bits ``em_weights`` gives that matrix when the
-    matrix has the same memory layout here as there (C order for built
-    matrices, Fortran order for the transposed ones of ``opposite``),
-    since the layout picks the order of the products' sums.  Nothing is
-    validated.
+    step at a time; a matrix leaves the stack at the step it converges,
+    and the last one left finishes in the loop of ``em_weights``.  Each
+    row carries the bits ``em_weights`` gives that matrix when the matrix
+    has the same memory layout here as there (C order for built matrices,
+    Fortran order for the transposed ones of ``opposite``), since the
+    layout picks the order of the products' sums.  Nothing is validated.
     """
     n = e.shape[-1]
     m = e.reshape(-1, n, n)  # a view for C-ordered or transposed stacks
     out = np.full(m.shape[:-1], np.nan)
     live = np.arange(len(m))
     w = np.full(out.shape, 1.0 / n)
-    for _ in range(opts.max_iterations):
+    for done_steps in range(opts.max_iterations):
+        if len(live) < 2:  # one matrix left, if any: fewer calls per step
+            if len(live):
+                left = opts.max_iterations - done_steps
+                last = _power_iteration(m[0], w[0], left, opts.convergence_tol)
+                if last is not None:
+                    out[live[0]] = last
+            break
         v = np.matmul(m, w[..., None])[..., 0]
         v /= np.add.reduce(v, axis=-1, keepdims=True)
         done = np.maximum.reduce(np.absolute(v - w), axis=-1) <= opts.convergence_tol
@@ -142,8 +152,6 @@ def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
             out[live[done]] = v[done]
             # boolean indexing keeps each matrix's layout, and so its bits
             live, m, v = live[~done], m[~done], v[~done]
-            if not len(live):
-                break
         w = v
     return out.reshape(e.shape[:-1])
 

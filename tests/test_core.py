@@ -43,6 +43,14 @@ class TestParse:
         with pytest.raises(ReciprocityViolation):
             pcm_parse("1,4\n0.3,1", reciprocity_tol=1e-6)
 
+    def test_reciprocity_violation_names_the_first_pair_in_row_major_order(self):
+        rows = [["1"] * 64 for _ in range(64)]
+        rows[40][50] = "2"
+        rows[7][3] = "3"  # below the diagonal, but pair (4, 8) comes first
+        with pytest.raises(ReciprocityViolation) as exc:
+            pcm_parse("\n".join(",".join(row) for row in rows))
+        assert str(exc.value) == "a[4][8] * a[8][4] = 3 is off 1 by more than 1e-06"
+
     def test_rational_literals(self):
         a = pcm_parse("1,1/3\n3,1")
         assert a.entries[0, 1] == 1 / 3

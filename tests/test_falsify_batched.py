@@ -182,7 +182,7 @@ def test_tie_chain_needs_four_squarings():
 def test_flags_equal_scalar_verdicts(method, axiom):
     cfg = SearchConfig(seed=42, trials=400)
     for tie_tol in TIE_TOLS:
-        flags = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
+        flags, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
         assert np.array_equal(flags, scalar_verdicts(method, axiom, cfg, tie_tol)), tie_tol
 
 
@@ -191,11 +191,11 @@ def test_em_flags_equal_scalar_verdicts(axiom, monkeypatch):
     cfg = SearchConfig(seed=42, trials=200)
     for tie_tol in (1e-9, 0.3):
         verdicts = scalar_verdicts(MethodId.EM, axiom, cfg, tie_tol)
-        capped = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
+        capped, _ = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
         with monkeypatch.context() as patch:
             # iterating as long as the scalar check does, the flags are exact
             patch.setattr(axioms, "_EM_STACK_ITERATIONS", EmOptions().max_iterations)
-            exact = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
+            exact, _ = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
         assert np.array_equal(exact, verdicts), tie_tol
         # the iteration cap only adds flags, for matrices slower than the cap
         assert np.all(capped >= exact), tie_tol
@@ -208,7 +208,7 @@ def test_em_flags_equal_scalar_verdicts(axiom, monkeypatch):
 ])
 def test_flags_equal_scalar_verdicts_up_to_sixteen_alternatives(method, axiom):
     cfg = SearchConfig(seed=42, trials=150, n_range=(2, 16))
-    flags = _flag_trials(method, axiom, cfg, range(cfg.trials), 0.3)
+    flags, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), 0.3)
     assert np.array_equal(flags, scalar_verdicts(method, axiom, cfg, 0.3))
 
 

@@ -13,6 +13,8 @@ from pcmrank import (
     permute,
     power,
 )
+from pcmrank.core import rewrite_entry
+from pcmrank.transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
 
 LOG9 = np.log(9.0)
 
@@ -176,3 +178,38 @@ def test_all_transforms_return_valid_pcms():
             permute(a, sigma),
         ):
             assert result.n == n
+
+
+def test_stack_transforms_equal_the_pcm_functions_row_by_row():
+    # each transform's arithmetic is written once, over stacks (..., n, n);
+    # on a stack it must give every matrix the PCM function's entries
+    # bit for bit
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 6, 16):
+        rows = [[random_pcm(rng, n) for _ in range(3)] for _ in range(5)]
+        e = np.array([[m.entries for m in row] for row in rows])  # (5, 3, n, n)
+        a = [row[0] for row in rows]
+        sigmas = [Permutation(rng.permutation(n)) for _ in rows]
+        kappas = [RationalExponent(p, q) for p, q in rng.integers(1, 6, (5, 2)) if p != q]
+        cells = [tuple(int(t) for t in rng.choice(n, 2, replace=False)) for _ in rows]
+        values = np.exp(rng.uniform(-2.0, 2.0, len(rows)))
+        pairs = {
+            "aggregate": (aggregate_entries(e), [aggregate(row) for row in rows]),
+            "opposite": (opposite_entries(e[:, 0]), [opposite(m) for m in a]),
+            "power": (
+                power_entries(e[: len(kappas), 0], [k.value for k in kappas]),
+                [power(m, k) for m, k in zip(a, kappas)],
+            ),
+            "permute": (
+                permute_entries(e[:, 0], np.array([s.map for s in sigmas])),
+                [permute(m, s) for m, s in zip(a, sigmas)],
+            ),
+            "with_entry": (
+                rewrite_entry(e[:, 0], *np.array(cells).T, values),
+                [m.with_entry(*c, v) for m, c, v in zip(a, cells, values)],
+            ),
+        }
+        for name, (stack, singles) in pairs.items():
+            assert len(stack) == len(singles)
+            for got, want in zip(stack, singles):
+                assert np.array_equal(got, want.entries), (name, n)
