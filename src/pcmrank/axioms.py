@@ -81,15 +81,14 @@ class SearchConfig:
     """Budget and distribution for the randomized counterexample search.
 
     Entries are drawn as exp(uniform over ``entry_log_range``); the default
-    span covers ratio judgments up to 9.  ``k_range`` bounds how many
-    matrices an aggregation-invariance trial pools.
+    span covers ratio judgments up to 9.  An entry drawn beyond the float
+    range is an input like any other: its check rejects it.
     """
 
     seed: int
     trials: int = 10_000
     n_range: tuple[int, int] = (2, 6)
     entry_log_range: tuple[float, float] = (-math.log(9.0), math.log(9.0))
-    k_range: tuple[int, int] = (2, 4)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -103,9 +102,6 @@ class SearchConfig:
             raise InvalidParameter(
                 f"entry_log_range {self.entry_log_range} must be finite with lo < hi"
             )
-        klo, khi = self.k_range
-        if not (2 <= klo <= khi):
-            raise InvalidParameter(f"k_range {self.k_range} must start at 2 or more")
 
 
 def check_ano(
@@ -480,22 +476,25 @@ def _draw_kappa(rng: np.random.Generator) -> RationalExponent:
             return kappa
 
 
+#: how many matrices an aggregation-invariance trial pools, both ends included
+_AI_K_RANGE = (2, 4)
+
+
 def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[list, dict]:
     """One trial's inputs, in stream order: the matrices as grids for
     ``PCM.from_upper`` (not yet validated) and the check's auxiliary
     values as a Witness records them, less the tie tolerance.  The
     stacked search draws through here, and re-runs a flagged trial from
-    that draw."""
-    n_lo, n_hi = cfg.n_range
-    if axiom is AxiomId.IIC:
-        n_lo = max(n_lo, 4)  # the axiom is vacuous below four alternatives
-        n_hi = max(n_hi, n_lo)
-    n = int(rng.integers(n_lo, n_hi + 1))
+    that draw.  A draw never raises: an entry beyond the float range is
+    drawn as inf or 0, a RES increase factor as inf, and the check judges
+    them; outside an ``np.errstate`` the grid's overflows warn."""
+    n_lo = max(cfg.n_range[0], _SPECS[axiom].min_n)  # four for IIC
+    n = int(rng.integers(n_lo, max(cfg.n_range[1], n_lo) + 1))
     a = _draw_grid(rng, n, cfg.entry_log_range)
     if axiom is AxiomId.ANO:
         return [a], {"permutation": [int(x) for x in rng.permutation(n)]}
     if axiom is AxiomId.AI:
-        k = int(rng.integers(cfg.k_range[0], cfg.k_range[1] + 1))
+        k = int(rng.integers(_AI_K_RANGE[0], _AI_K_RANGE[1] + 1))
         return [a] + [_draw_grid(rng, n, cfg.entry_log_range) for _ in range(k - 1)], {}
     if axiom is AxiomId.RSI:
         return [a], {"kappa": str(_draw_kappa(rng))}
@@ -511,11 +510,10 @@ def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[
     if axiom is AxiomId.RES:
         i, j = (int(x) for x in rng.permutation(n)[:2])
         span = max(cfg.entry_log_range[1], math.log(3.0))
-        log_factor = rng.uniform(0.1, span)
         try:
-            factor = math.exp(log_factor)
-        except OverflowError:
-            raise NonPositive(f"increase factor exp({log_factor:g}) overflows a float") from None
+            factor = math.exp(rng.uniform(0.1, span))
+        except OverflowError:  # check_res then holds vacuously or rejects the increase
+            factor = math.inf
         return [a], {"pair": [i, j], "increase": float(_entry(a, i, j) * factor)}
     return [a], {}
 
@@ -537,25 +535,27 @@ def falsify(
     the first flagged trial is run again through its check, which alone
     decides the verdict and builds the witness.
 
-    A trial whose EM power iteration exhausts ``em.max_iterations``
-    aborts the search with NoConvergence, as a trial-by-trial loop
-    would; the trial is not skipped.
+    The search ends as a trial-by-trial loop of checks would: at the
+    first witness, or with the error of the first check that raises one,
+    such as NoConvergence when a trial's EM power iteration exhausts
+    ``em.max_iterations``; no trial is skipped.  Floating-point errors are
+    ignored throughout, so inputs beyond the float range are judged
+    without a RuntimeWarning.
     """
-    per_trial = cfg.k_range[1] if axiom is AxiomId.AI else 1
+    per_trial = _AI_K_RANGE[1] if axiom is AxiomId.AI else 1
     cap = max(1, _CHUNK_MATRICES // per_trial)
     start, size = 0, 1
-    while start < cfg.trials:
-        trials = range(start, min(start + size, cfg.trials))
-        flags, draws = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
-        for trial in np.flatnonzero(flags):
-            if isinstance(draws[trial], Exception):
-                raise draws[trial]
-            grids, aux = draws[trial]
-            matrices = [PCM.from_upper(g) for g in grids]
-            verdict = _run_check(method, axiom, matrices, {**aux, "tie_tol": tie_tol}, em)
-            if not verdict.holds:
-                return _shrink(verdict.witness, em)
-        start, size = start + len(flags), min(2 * size, cap)
+    with np.errstate(all="ignore"):
+        while start < cfg.trials:
+            trials = range(start, min(start + size, cfg.trials))
+            flags, draws = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
+            for trial in np.flatnonzero(flags):
+                grids, aux = draws[trial]
+                matrices = [PCM.from_upper(g) for g in grids]
+                verdict = _run_check(method, axiom, matrices, {**aux, "tie_tol": tie_tol}, em)
+                if not verdict.holds:
+                    return _shrink(verdict.witness, em)
+            start, size = start + len(flags), min(2 * size, cap)
     return None
 
 
@@ -590,26 +590,18 @@ def _flag_trials(
     judged a stack at a time, so each needs no PCM, Ranking or check call.
     Flags may over-report a rejection, never under-report a violation:
     a matrix whose EM needs more than ``_EM_STACK_ITERATIONS`` steps flags
-    its trial even when the check goes on to converge.
-    A trial whose draw raises ends the flags, flagged, and the error
-    stands in for its draw.
+    its trial even when the check goes on to converge.  Rejected inputs
+    warn unless floating-point errors are ignored, as ``falsify`` does.
     """
-    draws = []
-    for t in trials:
-        try:
-            draws.append(_draw(axiom, cfg, _trial_rng(cfg.seed, t)))
-        except (ArithmeticError, ValueError) as exc:  # e.g. math.exp overflowing
-            draws.append(exc)
-            break
+    draws = [_draw(axiom, cfg, _trial_rng(cfg.seed, t)) for t in trials]
     by_shape: dict[tuple[int, int], list[int]] = {}
-    for idx, (grids, _) in enumerate(draws[:-1] if isinstance(draws[-1], Exception) else draws):
+    for idx, (grids, _) in enumerate(draws):
         by_shape.setdefault((len(grids), grids[0].shape[0]), []).append(idx)
-    flags = np.ones(len(draws), dtype=bool)
+    flags = np.empty(len(draws), dtype=bool)
     if method is MethodId.EM:
         em = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
-    with np.errstate(all="ignore"):  # rejected inputs are flagged, not warned about
-        for idx in by_shape.values():
-            flags[idx] = _stack_flags(method, axiom, [draws[t] for t in idx], tie_tol, em)
+    for idx in by_shape.values():
+        flags[idx] = _stack_flags(method, axiom, [draws[t] for t in idx], tie_tol, em)
     return flags, draws
 
 
@@ -684,12 +676,9 @@ def _delete_index(matrices: tuple[PCM, ...], aux: dict, idx: int):
 
 def _attempt(method, axiom, matrices, aux, em) -> Optional[AxiomVerdict]:
     try:
-        verdict = _run_check(method, axiom, matrices, aux, em)
-    except PcmError:
+        return _run_check(method, axiom, matrices, aux, em)
+    except (PcmError, ValueError):
         return None
-    except ValueError:
-        return None
-    return verdict
 
 
 def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
@@ -715,7 +704,7 @@ def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
             if verdict is not None and not verdict.holds:
                 matrices, aux = cand_mats, cand_aux
                 # keep the replayed pair so pinning tracks the live violation
-                aux["pair"] = verdict.witness.auxiliary.get("pair", aux.get("pair"))
+                aux["pair"] = verdict.witness.auxiliary["pair"]
                 current = verdict.witness
                 changed = True
                 break

@@ -99,8 +99,8 @@ def em_weights(
     v = _power_iteration(m, w, opts.max_iterations, opts.convergence_tol)
     if v is None:
         raise opts.exhausted()
-    lambda_max = float(np.mean((m @ v) / v))
-    return WeightVector(v), lambda_max
+    weights = WeightVector(v)  # rejects a weight that underflowed to 0 before dividing by it
+    return weights, float(np.mean((m @ v) / v))
 
 
 def _power_iteration(m: np.ndarray, w: np.ndarray, steps: int, tol: float):

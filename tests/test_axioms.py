@@ -269,8 +269,6 @@ class TestVerdictAndWitness:
             SearchConfig(seed=1, n_range=(1, 6))
         with pytest.raises(ValueError):
             SearchConfig(seed=1, n_range=(2, 65))
-        with pytest.raises(ValueError):
-            SearchConfig(seed=1, k_range=(1, 3))
 
 
 class TestErrorPropagation:

@@ -4,6 +4,7 @@ narrative) or error; and the tie closure of ``ranking_from_weights``
 against union-find."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from pcmrank import (
     PCM,
     AxiomId,
     MethodId,
+    NoConvergence,
+    NonPositive,
     SearchConfig,
     WeightVector,
     method_rank,
@@ -141,20 +144,48 @@ def test_inv_ranks_the_opposite_matrix_in_its_own_layout():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
-def test_em_weights_that_underflow_raise_as_in_the_pair_loops(axiom):
-    # entries up to e**700: EM may converge with a weight that underflows
-    # to zero, which is rejected as a weight, not as NoConvergence
+def underflow_draws(axiom):
+    """Trials with entries up to e**700: EM may converge with a weight that
+    underflows to zero, which is rejected as a weight, not as NoConvergence."""
     cfg = SearchConfig(seed=50, n_range=(4, 6), entry_log_range=(-700.0, 700.0))
-    em = EmOptions(max_iterations=200)
-    errors = []
     for trial in range(40):
         grids, aux = _draw(axiom, cfg, _trial_rng(cfg.seed, trial))
-        matrices = [PCM.from_upper(g) for g in grids]
-        inputs = {**aux, "tie_tol": 1e-9}
+        yield [PCM.from_upper(g) for g in grids], {**aux, "tie_tol": 1e-9}
+
+
+UNDERFLOW_EM = EmOptions(max_iterations=200)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_em_weights_that_underflow_raise_as_in_the_pair_loops(axiom):
+    em = UNDERFLOW_EM
+    errors = []
+    for matrices, inputs in underflow_draws(axiom):
         engine = outcome(_run_check, MethodId.EM, axiom, matrices, inputs, em)
         assert engine == outcome(oracle.run_check, MethodId.EM, axiom, matrices, inputs, em)
         errors.append(engine[0] if isinstance(engine, tuple) else None)
     assert "NonPositive" in errors
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # RES increases overflow in the draws
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_em_weights_that_underflow_raise_before_they_warn(axiom):
+    underflowing = []
+    for matrices, _ in underflow_draws(axiom):
+        for m in matrices:
+            try:
+                em_weights(m, UNDERFLOW_EM)
+            except NonPositive:
+                underflowing.append(m)
+            except NoConvergence:
+                pass
+    assert underflowing
+    for m in underflowing:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositive):
+                em_weights(m, UNDERFLOW_EM)
 
 
 @st.composite

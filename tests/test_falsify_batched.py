@@ -6,7 +6,10 @@ reference pair-loop verdicts of ``oracle`` and that its witnesses and
 errors are those of a loop that checks every trial in order.
 """
 
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from pcmrank import (
     PairRelation,
     PcmError,
     SearchConfig,
+    check_implications,
+    check_res,
     falsify,
     method_rank,
     method_scores,
@@ -285,6 +290,133 @@ def test_overflowing_res_increase_raises_a_pcm_error(method):
     for search in (falsify, scalar_search):
         with pytest.raises(PcmError):
             search(method, AxiomId.RES, cfg, 1e-9, EmOptions())
+
+
+def draw_digest(axiom, **config):
+    """sha256 of ``_draw``'s grids and auxiliary values over 200 trials at
+    each of four seeds; -1 and 2**64 - 1 name the same stream."""
+    digest = hashlib.sha256()
+    for seed in (0, 42, 2**64 - 1, -1):
+        cfg = SearchConfig(seed=seed, trials=200, **config)
+        for trial in range(cfg.trials):
+            grids, aux = _draw(axiom, cfg, _trial_rng(seed, trial))
+            for grid in grids:
+                digest.update(repr(grid.shape).encode() + grid.tobytes())
+            digest.update(json.dumps(aux).encode())
+    return digest.hexdigest()
+
+
+#: per axiom, at the default config and at n 2 to 64 with entries up to e**400
+DRAW_DIGESTS = {
+    AxiomId.ANO: (
+        "92152673001d39b23adaf586049017f457e0129a6251de2bb1f2838b8ad4112b",
+        "09164684a62f8172f0e60243e81f547ec26017feb41df0f1c2e2119a183909a3",
+    ),
+    AxiomId.AI: (
+        "78d334ec465bac3719fcbb3a020450a01b618fecdcd41a7093adfea30bb9de1a",
+        "b4a0d5c1baa37ff66c6dd35ba70042f5d44e0b435f592aa6987224167d9b43ae",
+    ),
+    AxiomId.INV: (
+        "f9a21fd25a144f69a53be9c228c2f6ab995b121ea8c1c99b9821afcc64c3830d",
+        "31a222811343a5b00776a2db43008900e9d83b5a5f3253244da9d02b62913992",
+    ),
+    AxiomId.RSI: (
+        "57882e1442adfd875ff0d0e3c0f4943eb217e38cf0c5c335f3f5b1fed127d665",
+        "0773d20db381fd5f327e745ff1a337eae00c1628829901399089f709b96d0427",
+    ),
+    AxiomId.IIC: (
+        "da518f30fa25d096f1c0d854b5491f541aefaf7b152626018d88949970e21dfc",
+        "af4e9a46038f5c4965c3b7709e086f8caebe3dc65db3845785efb289e68881cb",
+    ),
+    AxiomId.RES: (
+        "d40fbd9660227dee5fabba75788d27001efe65cac63816c42c08df23a789895b",
+        "44c63e1141d95a4def351041bf8221cd1b220730ba75d51ab052bed1b0b06d8c",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # RES increases overflow at e**400
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_draws_keep_their_bits(axiom):
+    wide = draw_digest(axiom, n_range=(2, 64), entry_log_range=(-400.0, 400.0))
+    assert (draw_digest(axiom), wide) == DRAW_DIGESTS[axiom]
+
+
+@pytest.mark.parametrize("log_range", [(-800.0, 800.0), (-720.0, 720.0), (-400.0, 400.0)])
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+@pytest.mark.parametrize("method", STACKED + RANK_ONLY, ids=lambda m: m.value)
+def test_wide_range_searches_warn_nothing_and_end_as_the_loop(method, axiom, log_range):
+    for seed in (0, 42):
+        cfg = SearchConfig(seed=seed, trials=40, entry_log_range=log_range)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = outcome(scalar_search, method, axiom, cfg, 1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would end the search as its error
+            assert outcome(falsify, method, axiom, cfg, 1e-9) == expected, seed
+
+
+@pytest.mark.parametrize("method", STACKED + RANK_ONLY, ids=lambda m: m.value)
+def test_wide_range_lemmas_warn_nothing(method):
+    for log_range in [(-800.0, 800.0), (-400.0, 400.0)]:
+        cfg = SearchConfig(seed=0, trials=40, entry_log_range=log_range)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                check_implications(method, cfg, 1e-9)
+            except PcmError:
+                pass
+
+
+def res_log_factor(cfg, trial):
+    """The log of the increase factor a RES draw takes, read from the
+    trial's stream after n, the grid and the pair."""
+    rng = _trial_rng(cfg.seed, trial)
+    n = rng.integers(cfg.n_range[0], cfg.n_range[1] + 1)
+    rng.uniform(size=(n, n))
+    rng.permutation(n)
+    return rng.uniform(0.1, max(cfg.entry_log_range[1], math.log(3.0)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wide_range_draws_never_raise():
+    cfg = SearchConfig(seed=42, trials=2000, entry_log_range=(-800.0, 800.0))
+    draws = {a: [_draw(a, cfg, _trial_rng(cfg.seed, t)) for t in range(cfg.trials)] for a in AxiomId}
+    overflowed = 0
+    for trial, (grids, aux) in enumerate(draws[AxiomId.RES]):
+        entry = axioms._entry(grids[0], *aux["pair"])
+        try:
+            factor = math.exp(res_log_factor(cfg, trial))
+        except OverflowError:
+            if 0.0 < entry < math.inf:  # else PCM.from_upper rejects the grid
+                assert aux["increase"] == math.inf
+                overflowed += 1
+        else:
+            assert aux["increase"] == float(entry * factor)
+    assert overflowed > 100
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", [MethodId.RGM, MethodId.EM], ids=lambda m: m.value)
+def test_an_overflowing_res_factor_is_judged_as_an_infinite_increase(method):
+    # two alternatives at seed 0: the factors of trials 0 and 7 overflow;
+    # RES holds vacuously at trial 0, trials 1 to 6 hold, and trial 7 raises
+    cfg = SearchConfig(seed=0, trials=8, n_range=(2, 2), entry_log_range=(-800.0, 800.0))
+    infinite = []
+    for trial in (0, 7):
+        grids, aux = _draw(AxiomId.RES, cfg, _trial_rng(cfg.seed, trial))
+        assert aux["increase"] == math.inf
+        try:
+            verdict = check_res(method, PCM.from_upper(grids[0]), aux["pair"], math.inf, 1e-9)
+        except PcmError as exc:
+            infinite.append((type(exc).__name__, str(exc)))
+        else:
+            infinite.append(None if verdict.holds else witness_json_dict(verdict.witness))
+    assert infinite == [None, ("NonPositive", "replacement entry must be finite and positive")]
+    for trials, expected in ((7, infinite[0]), (8, infinite[1])):
+        cfg = SearchConfig(seed=0, trials=trials, n_range=(2, 2), entry_log_range=(-800.0, 800.0))
+        assert outcome(falsify, method, AxiomId.RES, cfg, 1e-9) == expected
+        assert outcome(scalar_search, method, AxiomId.RES, cfg, 1e-9) == expected
 
 
 @pytest.mark.parametrize("log_range", [
