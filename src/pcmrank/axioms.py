@@ -34,6 +34,7 @@ from .core import (
     relation,
     rewrite_entry,
     tie_group_max,
+    triu_indices,
 )
 from .transforms import aggregate, opposite, permute, power
 from .transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
@@ -239,8 +240,10 @@ class _Spec:
     wherever the mask is symmetric.  ``narrative`` tells that pair's story,
     ``args`` turns a witness back into the check's arguments, ``pinned``
     names the indices shrinking keeps, ``min_n`` is the fewest alternatives
-    the check accepts and ``vacuous(before, x)`` marks the trials whose
-    check holds without ranking the transformed matrix.
+    the check accepts, ``vacuous(before, x)`` marks the trials whose
+    check holds without ranking the transformed matrix and ``valid(e, x)``
+    those whose inputs pass the argument rules that read an entry (IIC's
+    value must change its cell, RES's value must raise its pair's entry).
     """
 
     image: Callable
@@ -250,6 +253,7 @@ class _Spec:
     pinned: Callable = lambda aux: set(aux["pair"])
     min_n: int = 2
     vacuous: Callable = lambda before, x: np.zeros(len(before), dtype=bool)
+    valid: Callable = lambda e, x: True
 
 
 def _input_arrays(inputs: list) -> dict:
@@ -364,6 +368,7 @@ _SPECS = {
         lambda m, x: (m[0], tuple(x["cell"]), x["value"], tuple(x["pair"])),
         lambda x: set(x["pair"]) | set(x["cell"]),
         min_n=4,
+        valid=lambda e, x: x["value"] != e[:, 0][_one_pair(e[:, 0], x["cell"])],
     ),
     # RES holds where i starts strictly below j or ends strictly above
     AxiomId.RES: _Spec(
@@ -372,6 +377,7 @@ _SPECS = {
         _res_narrative,
         lambda m, x: (m[0], tuple(x["pair"]), x["increase"]),
         vacuous=lambda before, x: before[:, 0][_one_pair(before[:, 0], x["pair"])] < 0,
+        valid=lambda e, x: x["increase"] > e[:, 0][_one_pair(e[:, 0], x["pair"])],
     ),
 }
 
@@ -392,6 +398,7 @@ def _trial_relations(
     return before, after, np.concatenate([ok, ok_after[:, None]], axis=1)
 
 
+@np.errstate(all="ignore")
 def _judge(
     axiom: AxiomId, method: MethodId, matrices: Sequence[PCM], transform: Callable[[], PCM],
     inputs: dict, tie_tol: float, em: EmOptions,
@@ -401,7 +408,9 @@ def _judge(
     ``_draw`` records them.  The first ranking that cannot be computed, in
     the order matrices then transformed matrix, raises what ``method_rank``
     raises, and the matrices are ranked before an error of the transform
-    is raised; a vacuous check raises no error of the transformed matrix."""
+    is raised; a vacuous check raises no error of the transformed matrix.
+    Floating-point errors are ignored: an input near the float range is
+    judged without a RuntimeWarning."""
     check_tie_tol(tie_tol)  # the first error any ranking raises
     spec, x = _SPECS[axiom], _input_arrays([inputs])
     try:
@@ -566,10 +575,11 @@ def falsify(
 #: beside their transformed images in a stack of twice that
 _CHUNK_MATRICES = 256
 
-#: a stacked EM iteration in the search stops after this many steps (or
-#: fewer, within ``EmOptions.max_iterations``); a matrix still unconverged
-#: then flags its trial for the re-run through its check, so a rare slow
-#: matrix cannot hold a whole chunk for the full budget
+#: a stacked EM iteration stops after this many steps (or fewer, within
+#: ``EmOptions.max_iterations``); a matrix still unconverged then flags its
+#: trial for the re-run through its check, or sends its shrinking step to
+#: its check, so a rare slow matrix cannot hold a whole stack for the full
+#: budget
 _EM_STACK_ITERATIONS = 256
 
 
@@ -587,7 +597,8 @@ def _flag_trials(
     flags with the trials' draws.
 
     Trials are drawn in order from their own streams, grouped by shape and
-    judged a stack at a time, so each needs no PCM, Ranking or check call.
+    judged a stack at a time by ``_stack_verdicts``, so each needs no PCM,
+    Ranking or check call.
     Flags may over-report a rejection, never under-report a violation:
     a matrix whose EM needs more than ``_EM_STACK_ITERATIONS`` steps flags
     its trial even when the check goes on to converge.  Rejected inputs
@@ -598,10 +609,11 @@ def _flag_trials(
     for idx, (grids, _) in enumerate(draws):
         by_shape.setdefault((len(grids), grids[0].shape[0]), []).append(idx)
     flags = np.empty(len(draws), dtype=bool)
-    if method is MethodId.EM:
-        em = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
     for idx in by_shape.values():
-        flags[idx] = _stack_flags(method, axiom, [draws[t] for t in idx], tie_tol, em)
+        stack = reciprocal_fill(np.array([draws[t][0] for t in idx]))  # (trials, matrices, n, n)
+        x = _input_arrays([draws[t][1] for t in idx])
+        broken, ok = _stack_verdicts(method, axiom, stack, x, tie_tol, em)
+        flags[idx] = broken | ~ok
     return flags, draws
 
 
@@ -633,20 +645,22 @@ def _relations(
     return relation(-tie_group_max(w, tie_tol)), ok
 
 
-def _stack_flags(
-    method: MethodId, axiom: AxiomId, draws: list, tie_tol: float, em: EmOptions
-) -> np.ndarray:
-    """``_flag_trials`` for trials with the same number and size of
-    matrices: each trial's drawn matrices and its transformed matrix are
-    ranked as stacks, and the axiom's rule judges their relation arrays.
-    For every grid ``PCM.from_upper`` accepts, the draw rules out the
-    checks' own argument errors (an unchanged IIC value, a RES value that
-    is no increase)."""
-    stack = reciprocal_fill(np.array([grids for grids, _ in draws]))  # (trials, matrices, n, n)
-    x = _input_arrays([aux for _, aux in draws])
+def _stack_verdicts(
+    method: MethodId, axiom: AxiomId, stack: np.ndarray, x: dict, tie_tol: float, em: EmOptions
+) -> tuple[np.ndarray, np.ndarray]:
+    """Judge trials with the same number and size of matrices at once:
+    each trial's matrices ``stack`` (trials, matrices, n, n) and its
+    transformed matrix are ranked as stacks, and the axiom's rule judges
+    their relation arrays.  Returns, per trial, whether a pair breaks the
+    axiom and whether its check ranks every matrix and accepts the inputs
+    ``x`` (see ``_input_arrays``); its check then fails exactly where both
+    hold.  An EM iteration stops after ``_EM_STACK_ITERATIONS`` steps, and
+    a matrix still unconverged then counts as one the check cannot rank."""
+    if method is MethodId.EM:
+        em = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
     spec = _SPECS[axiom]
     before, after, ok = _trial_relations(method, stack, spec.image(stack, x), tie_tol, em)
-    return spec.broken(before, after, x).any(axis=(1, 2)) | ~ok.all(axis=1)
+    return spec.broken(before, after, x).any(axis=(1, 2)), ok.all(axis=1) & spec.valid(stack, x)
 
 
 # --- greedy witness shrinking ----------------------------------------------
@@ -709,19 +723,10 @@ def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
                 changed = True
                 break
 
-    for mat_index, m in enumerate(matrices):
-        for i in range(m.n):
-            for j in range(i + 1, m.n):
-                original = matrices[mat_index].entries[i, j]
-                rounded = _round_to_one_significant(original)
-                if rounded == original or rounded <= 0.0:
-                    continue
-                cand = list(matrices)
-                cand[mat_index] = cand[mat_index].with_entry(i, j, rounded)
-                verdict = _attempt(method, axiom, tuple(cand), aux, em)
-                if verdict is not None and not verdict.holds:
-                    matrices = tuple(cand)
-                    current = verdict.witness
+    rounded = _round_entries(method, axiom, matrices, aux, em)
+    if rounded is not None:
+        matrices = rounded
+        current = _run_check(method, axiom, matrices, aux, em).witness
 
     for key in ("value", "increase"):
         if key in aux:
@@ -735,6 +740,55 @@ def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
                     current = verdict.witness
 
     return current
+
+
+def _round_entries(
+    method: MethodId, axiom: AxiomId, matrices: tuple[PCM, ...], aux: dict, em: EmOptions
+) -> Optional[tuple[PCM, ...]]:
+    """The greedy rounding of ``_shrink``: each upper entry in turn, in
+    (matrix, i, j) order, rounded to one significant digit where that
+    changes it, each step kept if the check still fails on it.  Returns
+    the rounded matrices, or None when no step is kept.
+
+    Each step rounds an entry of its own, so the steps are judged as a
+    stack of prefixes: row p rounds steps 0 to p on top of the matrices
+    kept so far.  The rows up to the first that does not falsify are kept,
+    that step is dropped, and the next stack starts after it.  An EM row
+    the capped stack cannot rank is judged by its check instead."""
+    e = np.array([m.entries for m in matrices])  # (matrices, n, n)
+    iu, ju = triu_indices(e.shape[-1])
+    t, i, j = np.repeat(np.arange(len(e)), len(iu)), np.tile(iu, len(e)), np.tile(ju, len(e))
+    original = e[t, i, j]
+    rounded = np.array([_round_to_one_significant(v) for v in original])
+    if not np.isfinite(rounded).all():  # a step PCM.with_entry rejects
+        raise NonPositive("replacement entry must be finite and positive")
+    step = (rounded != original) & (rounded > 0.0)
+    t, i, j, rounded = t[step], i[step], j[step], rounded[step]
+    size = max(1, _CHUNK_MATRICES // (len(e) + 1))  # prefixes, each with its image
+    kept, start = None, 0
+    while start < len(rounded):
+        s = slice(start, start + size)
+        rows = len(rounded[s])
+        prefix = np.tri(rows, dtype=bool)  # row p takes steps 0 to p
+        stack = np.repeat(e[None], rows, axis=0)
+        stack[:, t[s], i[s], j[s]] = np.where(prefix, rounded[s], e[t[s], i[s], j[s]])
+        stack[:, t[s], j[s], i[s]] = np.where(prefix, 1.0 / rounded[s], e[t[s], j[s], i[s]])
+        x = _input_arrays([aux] * rows)
+        broken, ok = _stack_verdicts(method, axiom, stack, x, aux["tie_tol"], em)
+        accepted = 0
+        for p in range(rows):
+            if method is MethodId.EM and not ok[p]:
+                verdict = _attempt(method, axiom, tuple(PCM(m) for m in stack[p]), aux, em)
+                falsified = verdict is not None and not verdict.holds
+            else:
+                falsified = broken[p] and ok[p]
+            if not falsified:
+                break
+            accepted += 1
+        if accepted:
+            e = kept = stack[accepted - 1]
+        start += min(accepted + 1, rows)
+    return None if kept is None else tuple(PCM(m) for m in kept)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ def em_weights(
     guarantees convergence; an exhausted budget raises NoConvergence
     rather than returning an unconverged vector.  The returned eigenvalue
     is the mean of the componentwise ratios (Aw)_i / w_i and sits at or
-    above n for any reciprocal matrix, up to iteration error.
+    above n for any reciprocal matrix, up to iteration error; where a
+    ratio passes the float range it is sum(Aw) instead, w summing to one.
     """
     m = a.entries
     if start is None:
@@ -100,22 +101,37 @@ def em_weights(
     if v is None:
         raise opts.exhausted()
     weights = WeightVector(v)  # rejects a weight that underflowed to 0 before dividing by it
-    return weights, float(np.mean((m @ v) / v))
+    with np.errstate(over="ignore"):
+        lambda_max = np.mean((m @ v) / v)
+    if not np.isfinite(lambda_max):
+        lambda_max = np.add.reduce(m @ v)
+    return weights, float(lambda_max)
+
+
+#: the power iteration tests its convergence once per block of this many steps
+_EM_BLOCK = 8
 
 
 def _power_iteration(m: np.ndarray, w: np.ndarray, steps: int, tol: float):
     """The first of at most ``steps`` iterates of ``m`` from ``w`` that moves
     by ``tol`` or less in sup norm, or None.  Each step is v = m @ w,
-    v /= v.sum(), max|v - w|, into two reused buffers: the operations of a
-    step of ``em_weight_stack``, in its order, so the same bits."""
-    v, step = np.empty(len(w)), np.empty(len(w))
-    for _ in range(steps):
-        np.matmul(m, w, out=v)
-        v /= np.add.reduce(v)
-        np.absolute(np.subtract(v, w, out=step), out=step)
-        if np.maximum.reduce(step) <= tol:
-            return v
-        w, v = v, w
+    v /= v.sum(): the operations of a step of ``em_weight_stack``, in its
+    order, so the same bits.  A block of steps writes its iterates into one
+    history buffer, and one test then finds its first converged step."""
+    history = np.empty((_EM_BLOCK + 1, len(w)))
+    history[0] = w
+    rows = list(history)
+    while steps > 0:
+        block = min(_EM_BLOCK, steps)
+        for w, v in zip(rows, rows[1:block + 1]):
+            np.matmul(m, w, out=v)
+            v /= np.add.reduce(v)
+        moved = np.maximum.reduce(np.absolute(history[1:block + 1] - history[:block]), axis=1)
+        done = np.flatnonzero(moved <= tol)
+        if len(done):
+            return history[done[0] + 1].copy()
+        history[0] = history[block]
+        steps -= block
     return None
 
 
@@ -124,35 +140,44 @@ def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
     row of n weights per matrix, or a row of NaN for a matrix that has not
     converged within ``opts.max_iterations`` steps.
 
-    All matrices iterate together from the uniform vector, one stacked
-    step at a time; a matrix leaves the stack at the step it converges,
-    and the last one left finishes in the loop of ``em_weights``.  Each
-    row carries the bits ``em_weights`` gives that matrix when the matrix
-    has the same memory layout here as there (C order for built matrices,
-    Fortran order for the transposed ones of ``opposite``), since the
-    layout picks the order of the products' sums.  Nothing is validated.
+    All matrices iterate together from the uniform vector, a block of
+    stacked steps at a time, as in ``_power_iteration``; a matrix leaves
+    the stack after the block in which it converges, with the iterate of
+    its first converged step, and the last one left finishes in
+    ``_power_iteration``.  Each row carries the bits ``em_weights`` gives
+    that matrix when the matrix has the same memory layout here as there
+    (C order for built matrices, Fortran order for the transposed ones of
+    ``opposite``), since the layout picks the order of the products' sums.
+    Nothing is validated.
     """
     n = e.shape[-1]
     m = e.reshape(-1, n, n)  # a view for C-ordered or transposed stacks
     out = np.full(m.shape[:-1], np.nan)
     live = np.arange(len(m))
-    w = np.full(out.shape, 1.0 / n)
-    for done_steps in range(opts.max_iterations):
-        if len(live) < 2:  # one matrix left, if any: fewer calls per step
-            if len(live):
-                left = opts.max_iterations - done_steps
-                last = _power_iteration(m[0], w[0], left, opts.convergence_tol)
-                if last is not None:
-                    out[live[0]] = last
+    history = np.empty((_EM_BLOCK + 1, *out.shape))
+    history[0] = 1.0 / n
+    left = opts.max_iterations
+    while left > 0 and len(live):
+        if len(live) == 1:  # fewer calls per step
+            last = _power_iteration(m[0], history[0, 0], left, opts.convergence_tol)
+            if last is not None:
+                out[live[0]] = last
             break
-        v = np.matmul(m, w[..., None])[..., 0]
-        v /= np.add.reduce(v, axis=-1, keepdims=True)
-        done = np.maximum.reduce(np.absolute(v - w), axis=-1) <= opts.convergence_tol
+        block = min(_EM_BLOCK, left)
+        h = history[:block + 1, :len(live)]
+        for w, v in zip(h, h[1:]):
+            np.matmul(m, w[..., None], out=v[..., None])
+            v /= np.add.reduce(v, axis=-1, keepdims=True)
+        moved = np.maximum.reduce(np.absolute(h[1:] - h[:-1]), axis=-1) <= opts.convergence_tol
+        done = moved.any(axis=0)
         if done.any():
-            out[live[done]] = v[done]
+            out[live[done]] = h[moved.argmax(axis=0)[done] + 1, np.flatnonzero(done)]
             # boolean indexing keeps each matrix's layout, and so its bits
-            live, m, v = live[~done], m[~done], v[~done]
-        w = v
+            live, m = live[~done], m[~done]
+            history[0, :len(live)] = h[block, ~done]
+        else:
+            history[0, :len(live)] = h[block]
+        left -= block
     return out.reshape(e.shape[:-1])
 
 

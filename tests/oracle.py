@@ -1,13 +1,19 @@
 """Reference implementations kept beside the tests: the axiom checks as
-pair-by-pair loops over ``method_rank`` and ``pair_relation``, and the
-union-find tie closure of ``ranking_from_weights``.
+pair-by-pair loops over ``method_rank`` and ``pair_relation``, the
+union-find tie closure of ``ranking_from_weights``, witness shrinking as
+a greedy loop of one check per step, and the EM power iteration that
+tests its convergence after every step.
 
-These are the rules as first written, one pair at a time.  The package
-judges every axiom over relation arrays instead; the tests hold it to
-these loops for verdicts, witness pairs, narratives and errors.
+These are the rules as first written, one pair, one step or one
+iterate at a time.  The package judges every axiom over relation arrays,
+rounds a witness's entries as stacks of prefixes and iterates EM in
+blocks instead; the tests hold it to these loops for verdicts, witness
+pairs, narratives, errors, shrunk witnesses and weight bits.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from pcmrank import (
     NotAnIncrease,
     OverlappingIndices,
     PairRelation,
+    PcmError,
     Permutation,
     Ranking,
     RationalExponent,
@@ -33,6 +40,8 @@ from pcmrank import (
     permute,
     power,
 )
+from pcmrank.axioms import _SPECS, _delete_index, _round_to_one_significant, _run_check
+from pcmrank.weighting import EmOptions
 
 _REL_TEXT = {
     PairRelation.STRICTLY_ABOVE: "strictly above",
@@ -241,3 +250,107 @@ def ranking_union_find(w: np.ndarray, tie_tol: float) -> Ranking:
     for label, members in enumerate(ordered):
         labels[members] = label
     return Ranking(labels)
+
+
+def _attempt(method, axiom, matrices, aux, em) -> Optional[AxiomVerdict]:
+    try:
+        return _run_check(method, axiom, matrices, aux, em)
+    except (PcmError, ValueError):
+        return None
+
+
+def shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
+    """Greedy minimization, one check per step: drop alternatives outside
+    the pinned indices, then round entries (and the auxiliary value, if
+    any) to one significant digit, keeping only steps that still falsify."""
+    method, axiom = witness.method, witness.axiom
+    matrices, aux = witness.matrices, dict(witness.auxiliary)
+    current = witness
+
+    changed = True
+    while changed:
+        changed = False
+        n = matrices[0].n
+        if n <= _SPECS[axiom].min_n:
+            break
+        pinned = _SPECS[axiom].pinned(aux)
+        for idx in range(n - 1, -1, -1):
+            if idx in pinned:
+                continue
+            cand_mats, cand_aux = _delete_index(matrices, aux, idx)
+            verdict = _attempt(method, axiom, cand_mats, cand_aux, em)
+            if verdict is not None and not verdict.holds:
+                matrices, aux = cand_mats, cand_aux
+                # keep the replayed pair so pinning tracks the live violation
+                aux["pair"] = verdict.witness.auxiliary["pair"]
+                current = verdict.witness
+                changed = True
+                break
+
+    for mat_index, m in enumerate(matrices):
+        for i in range(m.n):
+            for j in range(i + 1, m.n):
+                original = matrices[mat_index].entries[i, j]
+                rounded = _round_to_one_significant(original)
+                if rounded == original or rounded <= 0.0:
+                    continue
+                cand = list(matrices)
+                cand[mat_index] = cand[mat_index].with_entry(i, j, rounded)
+                verdict = _attempt(method, axiom, tuple(cand), aux, em)
+                if verdict is not None and not verdict.holds:
+                    matrices = tuple(cand)
+                    current = verdict.witness
+
+    for key in ("value", "increase"):
+        if key in aux:
+            rounded = _round_to_one_significant(aux[key])
+            if rounded != aux[key] and rounded > 0.0:
+                cand_aux = dict(aux)
+                cand_aux[key] = rounded
+                verdict = _attempt(method, axiom, matrices, cand_aux, em)
+                if verdict is not None and not verdict.holds:
+                    aux = cand_aux
+                    current = verdict.witness
+
+    return current
+
+
+def em_power_iteration(m, w, steps, tol):
+    """``weighting._power_iteration`` as a loop that tests every step: the
+    first of at most ``steps`` iterates of ``m`` from ``w`` that moves by
+    ``tol`` or less in sup norm, or None."""
+    v, step = np.empty(len(w)), np.empty(len(w))
+    for _ in range(steps):
+        np.matmul(m, w, out=v)
+        v /= np.add.reduce(v)
+        np.absolute(np.subtract(v, w, out=step), out=step)
+        if np.maximum.reduce(step) <= tol:
+            return v
+        w, v = v, w
+    return None
+
+
+def em_weight_stack(e, opts: EmOptions = EmOptions()):
+    """``weighting.em_weight_stack`` as a loop that tests every step: the
+    weights of each matrix of ``e`` (..., n, n), NaN where unconverged."""
+    n = e.shape[-1]
+    m = e.reshape(-1, n, n)
+    out = np.full(m.shape[:-1], np.nan)
+    live = np.arange(len(m))
+    w = np.full(out.shape, 1.0 / n)
+    for done_steps in range(opts.max_iterations):
+        if len(live) < 2:
+            if len(live):
+                left = opts.max_iterations - done_steps
+                last = em_power_iteration(m[0], w[0], left, opts.convergence_tol)
+                if last is not None:
+                    out[live[0]] = last
+            break
+        v = np.matmul(m, w[..., None])[..., 0]
+        v /= np.add.reduce(v, axis=-1, keepdims=True)
+        done = np.maximum.reduce(np.absolute(v - w), axis=-1) <= opts.convergence_tol
+        if done.any():
+            out[live[done]] = v[done]
+            live, m, v = live[~done], m[~done], v[~done]
+        w = v
+    return out.reshape(e.shape[:-1])

@@ -3,6 +3,7 @@ every method and axiom, the same verdict, witness (pair, auxiliary values,
 narrative) or error; and the tie closure of ``ranking_from_weights``
 against union-find."""
 
+import json
 import math
 import warnings
 
@@ -21,10 +22,12 @@ from pcmrank import (
     WeightVector,
     method_rank,
     opposite,
+    pcm_to_csv,
     ranking_from_weights,
     witness_json_dict,
 )
 from pcmrank.axioms import _draw, _run_check, _trial_rng
+from pcmrank.cli import main
 from pcmrank.core import relation
 from pcmrank.weighting import EmOptions, em_weights
 
@@ -186,6 +189,51 @@ def test_em_weights_that_underflow_raise_before_they_warn(axiom):
             warnings.simplefilter("error")
             with pytest.raises(NonPositive):
                 em_weights(m, UNDERFLOW_EM)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow
+def test_em_lambda_max_stays_finite_where_the_ratios_overflow(tmp_path, capsys):
+    # weights down to 1e-283 push a ratio (Aw)_i / w_i past the float
+    # range; sum(Aw), with w summing to one, stays finite there
+    overflowing = []
+    for matrices, _ in underflow_draws(AxiomId.AI):
+        for m in matrices:
+            try:
+                w, lam = em_weights(m)
+            except (NonPositive, NoConvergence):
+                continue
+            rayleigh = np.mean((m.entries @ w.w) / w.w)
+            if math.isfinite(rayleigh):
+                assert lam == rayleigh
+            else:
+                assert lam == np.add.reduce(m.entries @ w.w)
+                overflowing.append(m)
+    assert len(overflowing) == 3
+    for k, m in enumerate(overflowing):
+        path = tmp_path / f"m{k}.csv"
+        path.write_text(pcm_to_csv(m))
+        assert main(["weights", "--method", "em", "--input", str(path), "--format", "json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        lam = json.loads(capsys.readouterr().out, parse_constant=reject)["lambda_max"]
+        assert 1e90 < lam < 1e153
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+@pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+def test_checks_on_huge_entries_warn_nothing(method, axiom):
+    for matrices, aux in cases(axiom, "huge", 8):
+        inputs = {**aux, "tie_tol": 1e-9}
+        for em in budgets(method, "huge"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = outcome(_run_check, method, axiom, matrices, inputs, em)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would be the outcome
+                assert outcome(_run_check, method, axiom, matrices, inputs, em) == expected
 
 
 @st.composite

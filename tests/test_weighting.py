@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,11 @@ from pcmrank import (
     rgm_weights,
     weights_json_dict,
 )
+from pcmrank.core import reciprocal_fill
 from pcmrank.registry import ARITH_AI_A1, FAVPROD_AI_A1, IIC4, KENDALL6
+from pcmrank.weighting import _power_iteration, em_weight_stack
+
+import oracle
 
 LOG9 = np.log(9.0)
 
@@ -225,3 +231,28 @@ def test_weights_json_shape():
     payload = weights_json_dict(MethodId.EM, w, lam)
     assert list(payload) == ["method", "n", "weights", "lambda_max"]
     assert payload["method"] == "em" and payload["n"] == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 16, 64])
+def test_em_iterations_carry_the_bits_of_the_stepwise_loops(n):
+    """The power iteration tests its convergence once per block of steps;
+    its iterates, its stopping step and so its weights, or NaN where it
+    does not converge, must be those of the loops that test every step,
+    for matrices in C order and transposed, and entries up to e**720."""
+    rng = np.random.default_rng(n)
+    spans = ((0.05, (1, 2, 7, 8, 9, 10_000)), (2.2, (1, 8, 17, 10_000)),
+             (40.0, (3, 16, 300)), (720.0, (5, 64)))
+    with np.errstate(all="ignore"):
+        for span, budgets in spans:
+            stack = reciprocal_fill(np.exp(rng.uniform(-span, span, (6, n, n))))
+            for view, budget in itertools.product((stack, stack.transpose(0, 2, 1)), budgets):
+                opts = EmOptions(max_iterations=budget)
+                got, want = em_weight_stack(view, opts), oracle.em_weight_stack(view, opts)
+                assert np.array_equal(got, want, equal_nan=True), (span, budget)
+                for m in view:
+                    got, want = (
+                        run(m, np.full(n, 1.0 / n), budget, opts.convergence_tol)
+                        for run in (_power_iteration, oracle.em_power_iteration)
+                    )
+                    assert (got is None) == (want is None), (span, budget)
+                    assert got is None or np.array_equal(got, want), (span, budget)
