@@ -575,11 +575,10 @@ def falsify(
 #: beside their transformed images in a stack of twice that
 _CHUNK_MATRICES = 256
 
-#: a stacked EM iteration stops after this many steps (or fewer, within
-#: ``EmOptions.max_iterations``); a matrix still unconverged then flags its
-#: trial for the re-run through its check, or sends its shrinking step to
-#: its check, so a rare slow matrix cannot hold a whole stack for the full
-#: budget
+#: a stacked EM iteration in the search stops after this many steps (or
+#: fewer, within ``EmOptions.max_iterations``); a matrix still unconverged
+#: then flags its trial for the re-run through its check, so a rare slow
+#: matrix cannot hold a whole chunk for the full budget
 _EM_STACK_ITERATIONS = 256
 
 
@@ -600,10 +599,13 @@ def _flag_trials(
     judged a stack at a time by ``_stack_verdicts``, so each needs no PCM,
     Ranking or check call.
     Flags may over-report a rejection, never under-report a violation:
-    a matrix whose EM needs more than ``_EM_STACK_ITERATIONS`` steps flags
-    its trial even when the check goes on to converge.  Rejected inputs
-    warn unless floating-point errors are ignored, as ``falsify`` does.
+    the stacks' EM iteration stops after ``_EM_STACK_ITERATIONS`` steps,
+    and a matrix still unconverged then flags its trial even when the
+    check goes on to converge.  Rejected inputs warn unless floating-point
+    errors are ignored, as ``falsify`` does.
     """
+    if method is MethodId.EM:
+        em = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
     draws = [_draw(axiom, cfg, _trial_rng(cfg.seed, t)) for t in trials]
     by_shape: dict[tuple[int, int], list[int]] = {}
     for idx, (grids, _) in enumerate(draws):
@@ -613,7 +615,7 @@ def _flag_trials(
         stack = reciprocal_fill(np.array([draws[t][0] for t in idx]))  # (trials, matrices, n, n)
         x = _input_arrays([draws[t][1] for t in idx])
         broken, ok = _stack_verdicts(method, axiom, stack, x, tie_tol, em)
-        flags[idx] = broken | ~ok
+        flags[idx] = broken.any(axis=(1, 2)) | ~ok
     return flags, draws
 
 
@@ -650,30 +652,37 @@ def _stack_verdicts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Judge trials with the same number and size of matrices at once:
     each trial's matrices ``stack`` (trials, matrices, n, n) and its
-    transformed matrix are ranked as stacks, and the axiom's rule judges
-    their relation arrays.  Returns, per trial, whether a pair breaks the
-    axiom and whether its check ranks every matrix and accepts the inputs
-    ``x`` (see ``_input_arrays``); its check then fails exactly where both
-    hold.  An EM iteration stops after ``_EM_STACK_ITERATIONS`` steps, and
-    a matrix still unconverged then counts as one the check cannot rank."""
-    if method is MethodId.EM:
-        em = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
+    transformed matrix are ranked as stacks, EM within ``em``'s budget,
+    and the axiom's rule judges their relation arrays.  Returns the pairs
+    that break the axiom (trials, n, n) and, per trial, whether its check
+    ranks every matrix and accepts the inputs ``x`` (see
+    ``_input_arrays``).  A check under ``em`` fails exactly where a pair
+    breaks and the trial is accepted, and reports the first broken pair
+    in row-major order; an EM matrix unconverged within the budget is one
+    the check cannot rank."""
     spec = _SPECS[axiom]
     before, after, ok = _trial_relations(method, stack, spec.image(stack, x), tie_tol, em)
-    return spec.broken(before, after, x).any(axis=(1, 2)), ok.all(axis=1) & spec.valid(stack, x)
+    return spec.broken(before, after, x), ok.all(axis=1) & spec.valid(stack, x)
 
 
 # --- greedy witness shrinking ----------------------------------------------
 
 def _round_to_one_significant(x: float) -> float:
+    """``x`` to one significant digit, or inf where Python's rounding of
+    a float overflows; numpy's rounding of a float64 gives inf there
+    itself, and NaN below about 1e-308."""
     exponent = math.floor(math.log10(abs(x)))
-    return round(x, -exponent)
+    try:
+        return round(x, -exponent)
+    except OverflowError:
+        return math.inf
 
 
-def _delete_index(matrices: tuple[PCM, ...], aux: dict, idx: int):
-    """Drop one alternative, remapping every recorded index; entries keep
-    their bits because deletion only removes a row and column."""
-    kept = [PCM(np.delete(np.delete(m.entries, idx, axis=0), idx, axis=1)) for m in matrices]
+def _delete_index(e: np.ndarray, aux: dict, idx: int) -> tuple[np.ndarray, dict]:
+    """Drop one alternative from the matrices ``e`` (matrices, n, n),
+    remapping every recorded index; entries keep their bits because
+    deletion only removes a row and column."""
+    kept = np.delete(np.delete(e, idx, axis=1), idx, axis=2)
 
     def remap(t: int) -> int:
         return t - 1 if t > idx else t
@@ -685,87 +694,80 @@ def _delete_index(matrices: tuple[PCM, ...], aux: dict, idx: int):
     if "permutation" in new_aux:
         sigma = new_aux["permutation"]
         new_aux["permutation"] = [remap(sigma[t]) for t in range(len(sigma)) if t != idx]
-    return tuple(kept), new_aux
+    return kept, new_aux
 
 
-def _attempt(method, axiom, matrices, aux, em) -> Optional[AxiomVerdict]:
-    try:
-        return _run_check(method, axiom, matrices, aux, em)
-    except (PcmError, ValueError):
-        return None
+def _falsifying(
+    method: MethodId, axiom: AxiomId, stack: np.ndarray, auxes: list, em: EmOptions
+) -> tuple[np.ndarray, np.ndarray]:
+    """The broken pairs of each row of a shrinking stack (rows, matrices,
+    n, n) with its auxiliary values ``auxes``, and whether the row still
+    falsifies: its check under ``em`` fails exactly there."""
+    x = _input_arrays(auxes)
+    broken, ok = _stack_verdicts(method, axiom, stack, x, auxes[0]["tie_tol"], em)
+    return broken, broken.any(axis=(1, 2)) & ok
 
 
 def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
     """Best-effort minimization: drop alternatives outside the pinned
     indices, then round entries (and the auxiliary value, if any) to one
-    significant digit, keeping only steps that still falsify."""
-    method, axiom = witness.method, witness.axiom
-    matrices, aux = witness.matrices, dict(witness.auxiliary)
-    current = witness
+    significant digit, keeping only steps that still falsify.
 
-    changed = True
-    while changed:
-        changed = False
-        n = matrices[0].n
-        if n <= _SPECS[axiom].min_n:
-            break
-        pinned = _SPECS[axiom].pinned(aux)
-        for idx in range(n - 1, -1, -1):
-            if idx in pinned:
-                continue
-            cand_mats, cand_aux = _delete_index(matrices, aux, idx)
-            verdict = _attempt(method, axiom, cand_mats, cand_aux, em)
-            if verdict is not None and not verdict.holds:
-                matrices, aux = cand_mats, cand_aux
-                # keep the replayed pair so pinning tracks the live violation
-                aux["pair"] = verdict.witness.auxiliary["pair"]
-                current = verdict.witness
-                changed = True
+    Every step is a row of ``_stack_verdicts`` under ``em``, the budget
+    of the check the witness came from, so a step is kept exactly where
+    that check would still fail.  A deletion round stacks its candidates,
+    highest index first, and keeps the first that falsifies; one check on
+    the final state builds the shrunk witness."""
+    method, axiom, spec = witness.method, witness.axiom, _SPECS[witness.axiom]
+    e, aux = np.array([m.entries for m in witness.matrices]), dict(witness.auxiliary)
+    size = max(1, _CHUNK_MATRICES // (len(e) + 1))  # rows, each with its image
+    while e.shape[-1] > spec.min_n:
+        pinned = spec.pinned(aux)
+        drops = [idx for idx in range(e.shape[-1] - 1, -1, -1) if idx not in pinned]
+        for start in range(0, len(drops), size):
+            rows = [_delete_index(e, aux, idx) for idx in drops[start:start + size]]
+            stack = np.array([kept for kept, _ in rows])
+            broken, falsified = _falsifying(method, axiom, stack, [a for _, a in rows], em)
+            if falsified.any():
+                p = int(falsified.argmax())
+                e, aux = rows[p]
+                # the pair its check would report, so pinning tracks the live violation
+                aux["pair"] = list(divmod(int(broken[p].argmax()), e.shape[-1]))
                 break
+        else:
+            break
 
-    rounded = _round_entries(method, axiom, matrices, aux, em)
-    if rounded is not None:
-        matrices = rounded
-        current = _run_check(method, axiom, matrices, aux, em).witness
-
+    e = _round_entries(method, axiom, e, aux, em)
     for key in ("value", "increase"):
         if key in aux:
-            rounded = _round_to_one_significant(aux[key])
-            if rounded != aux[key] and rounded > 0.0:
-                cand_aux = dict(aux)
-                cand_aux[key] = rounded
-                verdict = _attempt(method, axiom, matrices, cand_aux, em)
-                if verdict is not None and not verdict.holds:
-                    aux = cand_aux
-                    current = verdict.witness
-
-    return current
+            cand = {**aux, key: _round_to_one_significant(aux[key])}
+            if cand[key] != aux[key] and 0.0 < cand[key] < math.inf:
+                if _falsifying(method, axiom, e[None], [cand], em)[1][0]:
+                    aux = cand
+    return _run_check(method, axiom, [PCM(m) for m in e], aux, em).witness
 
 
 def _round_entries(
-    method: MethodId, axiom: AxiomId, matrices: tuple[PCM, ...], aux: dict, em: EmOptions
-) -> Optional[tuple[PCM, ...]]:
-    """The greedy rounding of ``_shrink``: each upper entry in turn, in
-    (matrix, i, j) order, rounded to one significant digit where that
-    changes it, each step kept if the check still fails on it.  Returns
-    the rounded matrices, or None when no step is kept.
+    method: MethodId, axiom: AxiomId, e: np.ndarray, aux: dict, em: EmOptions
+) -> np.ndarray:
+    """The greedy rounding of ``_shrink`` over the matrices ``e``
+    (matrices, n, n): each upper entry in turn, in (matrix, i, j) order,
+    rounded to one significant digit where that changes it and stays
+    finite, each step kept if the witness still falsifies.  Returns the
+    rounded entries.
 
     Each step rounds an entry of its own, so the steps are judged as a
-    stack of prefixes: row p rounds steps 0 to p on top of the matrices
+    stack of prefixes: row p rounds steps 0 to p on top of the entries
     kept so far.  The rows up to the first that does not falsify are kept,
-    that step is dropped, and the next stack starts after it.  An EM row
-    the capped stack cannot rank is judged by its check instead."""
-    e = np.array([m.entries for m in matrices])  # (matrices, n, n)
+    that step is dropped, and the next stack starts after it."""
     iu, ju = triu_indices(e.shape[-1])
     t, i, j = np.repeat(np.arange(len(e)), len(iu)), np.tile(iu, len(e)), np.tile(ju, len(e))
     original = e[t, i, j]
     rounded = np.array([_round_to_one_significant(v) for v in original])
-    if not np.isfinite(rounded).all():  # a step PCM.with_entry rejects
-        raise NonPositive("replacement entry must be finite and positive")
-    step = (rounded != original) & (rounded > 0.0)
+    step = (rounded != original) & (rounded > 0.0) & (rounded < np.inf)  # NaN fails both
     t, i, j, rounded = t[step], i[step], j[step], rounded[step]
     size = max(1, _CHUNK_MATRICES // (len(e) + 1))  # prefixes, each with its image
-    kept, start = None, 0
+    start = 0
     while start < len(rounded):
         s = slice(start, start + size)
         rows = len(rounded[s])
@@ -773,22 +775,12 @@ def _round_entries(
         stack = np.repeat(e[None], rows, axis=0)
         stack[:, t[s], i[s], j[s]] = np.where(prefix, rounded[s], e[t[s], i[s], j[s]])
         stack[:, t[s], j[s], i[s]] = np.where(prefix, 1.0 / rounded[s], e[t[s], j[s], i[s]])
-        x = _input_arrays([aux] * rows)
-        broken, ok = _stack_verdicts(method, axiom, stack, x, aux["tie_tol"], em)
-        accepted = 0
-        for p in range(rows):
-            if method is MethodId.EM and not ok[p]:
-                verdict = _attempt(method, axiom, tuple(PCM(m) for m in stack[p]), aux, em)
-                falsified = verdict is not None and not verdict.holds
-            else:
-                falsified = broken[p] and ok[p]
-            if not falsified:
-                break
-            accepted += 1
+        falsified = _falsifying(method, axiom, stack, [aux] * rows, em)[1]
+        accepted = rows if falsified.all() else int(falsified.argmin())
         if accepted:
-            e = kept = stack[accepted - 1]
+            e = stack[accepted - 1]
         start += min(accepted + 1, rows)
-    return None if kept is None else tuple(PCM(m) for m in kept)
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ tests its convergence after every step.
 
 These are the rules as first written, one pair, one step or one
 iterate at a time.  The package judges every axiom over relation arrays,
-rounds a witness's entries as stacks of prefixes and iterates EM in
-blocks instead; the tests hold it to these loops for verdicts, witness
+judges a witness's shrinking steps as stacks and iterates EM in blocks
+instead; the tests hold it to these loops for verdicts, witness
 pairs, narratives, errors, shrunk witnesses and weight bits.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ from pcmrank import (
     NonPositive,
     NotAnIncrease,
     OverlappingIndices,
+    PCM,
     PairRelation,
     PcmError,
     Permutation,
@@ -40,7 +42,7 @@ from pcmrank import (
     permute,
     power,
 )
-from pcmrank.axioms import _SPECS, _delete_index, _round_to_one_significant, _run_check
+from pcmrank.axioms import _SPECS, _round_to_one_significant, _run_check
 from pcmrank.weighting import EmOptions
 
 _REL_TEXT = {
@@ -252,6 +254,24 @@ def ranking_union_find(w: np.ndarray, tie_tol: float) -> Ranking:
     return Ranking(labels)
 
 
+def _delete_index(matrices: tuple[PCM, ...], aux: dict, idx: int):
+    """Drop one alternative, remapping every recorded index; entries keep
+    their bits because deletion only removes a row and column."""
+    kept = [PCM(np.delete(np.delete(m.entries, idx, axis=0), idx, axis=1)) for m in matrices]
+
+    def remap(t: int) -> int:
+        return t - 1 if t > idx else t
+
+    new_aux = dict(aux)
+    for key in ("pair", "cell"):
+        if key in new_aux:
+            new_aux[key] = [remap(t) for t in new_aux[key]]
+    if "permutation" in new_aux:
+        sigma = new_aux["permutation"]
+        new_aux["permutation"] = [remap(sigma[t]) for t in range(len(sigma)) if t != idx]
+    return tuple(kept), new_aux
+
+
 def _attempt(method, axiom, matrices, aux, em) -> Optional[AxiomVerdict]:
     try:
         return _run_check(method, axiom, matrices, aux, em)
@@ -292,7 +312,9 @@ def shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
             for j in range(i + 1, m.n):
                 original = matrices[mat_index].entries[i, j]
                 rounded = _round_to_one_significant(original)
-                if rounded == original or rounded <= 0.0:
+                # a rounding that leaves the float range (inf, or NaN
+                # below about 1e-308) is no step
+                if rounded == original or not 0.0 < rounded < math.inf:
                     continue
                 cand = list(matrices)
                 cand[mat_index] = cand[mat_index].with_entry(i, j, rounded)

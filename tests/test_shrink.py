@@ -1,7 +1,9 @@
 """Witness shrinking against the greedy loop of ``oracle.shrink``, which
 judges every step with one check: the same witness, as JSON, or the same
-error, for searches over all 42 method/axiom pairs and for hand-built
-witnesses whose rounding would break a check's own argument rule."""
+error, for searches over all 42 method/axiom pairs, for EM at starved
+budgets, for rounds that span several stacks and for hand-built
+witnesses whose rounding would break a check's own argument rule or
+leave the float range."""
 
 import numpy as np
 import pytest
@@ -66,13 +68,25 @@ def test_shrink_equals_the_greedy_loop(method, axiom):
 
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
 def test_em_shrink_with_a_two_step_stack_cap(axiom, monkeypatch):
-    # nearly every EM row of a rounding stack is cut by the cap, so the
-    # shrink re-judges it through its check, in the greedy order
+    # the search's cap flags nearly every EM trial for its check; it must
+    # not reach shrinking, which judges every step at the check's budget
     monkeypatch.setattr(axioms, "_EM_STACK_ITERATIONS", 2)
     for seed in (0, 1, 42):
         witness = raw_witness(MethodId.EM, axiom, SearchConfig(seed=seed, trials=400))
         if witness is not None:
             assert_shrinks_alike(witness)
+
+
+@pytest.mark.parametrize("budget", [32, 48, 64, None], ids=lambda k: f"em{k or 'default'}")
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_em_shrink_at_starved_budgets(axiom, budget):
+    # a step whose EM iteration runs out of the budget is no step, in the
+    # deletion, rounding and auxiliary stacks alike
+    em = EmOptions() if budget is None else EmOptions(max_iterations=budget)
+    for seed in (0, 1, 42):
+        witness = raw_witness(MethodId.EM, axiom, SearchConfig(seed=seed, trials=400), em=em)
+        if witness is not None:
+            assert_shrinks_alike(witness, em)
 
 
 def iic_witness(cell, value):
@@ -140,12 +154,34 @@ def test_a_wide_witness_fills_several_rounding_stacks():
     assert n * (n - 1) // 2 > 2 * (_CHUNK_MATRICES // 2)
 
 
+@pytest.mark.parametrize("method", [MethodId.EM, MethodId.ROW_ARITHMETIC_MEAN,
+                                    MethodId.FAVOURABLE_PRODUCT], ids=lambda m: m.value)
+def test_a_deletion_round_spans_several_stacks(method, monkeypatch):
+    # a stack holds at least 51 deletion candidates, and the witnesses
+    # found at n 60-64 keep their first; so AI witnesses at n 2-6, whose
+    # rounds reject candidates, are shrunk with stacks of one or two
+    judged = []
+    delete = axioms._delete_index
+    monkeypatch.setattr(axioms, "_delete_index",
+                        lambda e, aux, idx: judged.append(e.shape[-1]) or delete(e, aux, idx))
+    monkeypatch.setattr(axioms, "_CHUNK_MATRICES", 6)
+    spans = 0
+    for seed in (0, 1, 2, 42):
+        witness = raw_witness(method, AxiomId.AI, SearchConfig(seed=seed, trials=400))
+        judged.clear()
+        assert_shrinks_alike(witness)
+        size = 6 // (len(witness.matrices) + 1)
+        spans += any(judged.count(n) > size for n in judged)
+    assert spans
+
+
 @pytest.mark.parametrize("entry, increase", [(1.6e308, 1.7e308), (6e-309, 1e-300)])
-def test_an_entry_that_rounds_out_of_range_raises_as_the_loop(entry, increase):
+def test_an_entry_that_rounds_out_of_range_is_no_step(entry, increase):
     # numpy's one-digit rounding takes 1.6e308 to inf and 6e-309 to NaN,
-    # and the matrix of that step is rejected before any check is made
+    # and Python's takes 1.7e308 past the float range: none is a step
     a = PCM.from_upper(np.array([[1.0, entry], [1.0, 1.0]]))
     aux = {"pair": [0, 1], "increase": increase, "tie_tol": 1e-9}
     witness = _run_check(MethodId.FLAT, AxiomId.RES, [a], aux).witness
     assert shrunk(_shrink, witness) == shrunk(oracle.shrink, witness)
-    assert shrunk(_shrink, witness)[0] == "NonPositive"
+    with np.errstate(all="ignore"):
+        assert not axioms.replay(_shrink(witness)).holds
