@@ -668,12 +668,12 @@ def _stack_verdicts(
 # --- greedy witness shrinking ----------------------------------------------
 
 def _round_to_one_significant(x: float) -> float:
-    """``x`` to one significant digit, or inf where Python's rounding of
-    a float overflows; numpy's rounding of a float64 gives inf there
-    itself, and NaN below about 1e-308."""
+    """``x`` to one significant digit, rounded exactly as a Python float
+    (numpy's rounding of a float64 is inexact far from 1), or inf where
+    the rounding overflows."""
     exponent = math.floor(math.log10(abs(x)))
     try:
-        return round(x, -exponent)
+        return round(float(x), -exponent)
     except OverflowError:
         return math.inf
 
@@ -764,7 +764,7 @@ def _round_entries(
     t, i, j = np.repeat(np.arange(len(e)), len(iu)), np.tile(iu, len(e)), np.tile(ju, len(e))
     original = e[t, i, j]
     rounded = np.array([_round_to_one_significant(v) for v in original])
-    step = (rounded != original) & (rounded > 0.0) & (rounded < np.inf)  # NaN fails both
+    step = (rounded != original) & (rounded < np.inf)
     t, i, j, rounded = t[step], i[step], j[step], rounded[step]
     size = max(1, _CHUNK_MATRICES // (len(e) + 1))  # prefixes, each with its image
     start = 0

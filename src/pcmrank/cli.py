@@ -10,6 +10,7 @@ are numbered 1-based on the command line and in human-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,6 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise PcmError(f"{self.prog}: {message}")
 
 
+@functools.cache  # one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pcmrank",
@@ -60,44 +62,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tie-tol", type=float, default=None,
+    def group():
+        return argparse.ArgumentParser(add_help=False)
+
+    # option groups, each given to the subcommands that read its options
+    recip = group()
+    recip.add_argument("--reciprocity-tol", type=float, default=DEFAULT_RECIPROCITY_TOL,
+                       help="allowed |a_ij*a_ji - 1| when parsing (default 1e-6)")
+    tie = group()
+    tie.add_argument("--tie-tol", type=float, default=None,
                      help="relative tie tolerance on weights (default 1e-9; "
                           "env PCMRANK_TIE_TOL overrides the default, the flag beats both)")
-    tol.add_argument("--reciprocity-tol", type=float, default=DEFAULT_RECIPROCITY_TOL,
-                     help="allowed |a_ij*a_ji - 1| when parsing (default 1e-6)")
-    tol.add_argument("--em-max-iterations", type=int, default=10_000,
-                     help="power iteration budget (default 10000)")
-    tol.add_argument("--em-tol", type=float, default=1e-12,
-                     help="power iteration stopping tolerance (default 1e-12)")
-
-    fmt = argparse.ArgumentParser(add_help=False)
+    em = group()
+    em.add_argument("--em-max-iterations", type=int, default=10_000,
+                    help="power iteration budget (default 10000)")
+    em.add_argument("--em-tol", type=float, default=1e-12,
+                    help="power iteration stopping tolerance (default 1e-12)")
+    fmt = group()
     fmt.add_argument("--format", choices=("text", "json"), default="text")
+    method = group()
+    method.add_argument("--method", choices=ALL_METHOD_TOKENS, required=True)
+    source = group()
+    source.add_argument("--input", required=True, help="matrix CSV file")
+    axiom = group()
+    axiom.add_argument("--axiom", choices=AXIOM_TOKENS, required=True)
+    search = group()
+    search.add_argument("--trials", type=int, required=True)
+    search.add_argument("--seed", type=int, required=True)
+    search.add_argument("--n-min", type=int, default=2)
+    search.add_argument("--n-max", type=int, default=6)
 
-    p = sub.add_parser("weights", parents=[tol, fmt],
-                       help="derive a weight vector from one matrix")
+    def command(name, func, parents, summary):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("weights", _cmd_weights, [source, recip, em, fmt],
+                "derive a weight vector from one matrix")
     p.add_argument("--method", choices=WEIGHT_METHOD_TOKENS, required=True)
-    p.add_argument("--input", required=True, help="matrix CSV file")
-    p.set_defaults(func=_cmd_weights)
 
-    p = sub.add_parser("rank", parents=[tol, fmt],
-                       help="rank the alternatives of one matrix")
-    p.add_argument("--method", choices=ALL_METHOD_TOKENS, required=True)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=_cmd_rank)
+    command("rank", _cmd_rank, [method, source, recip, tie, em, fmt],
+            "rank the alternatives of one matrix")
 
-    p = sub.add_parser("aggregate", parents=[tol],
-                       help="geometric-mean aggregate of several matrices")
+    p = command("aggregate", _cmd_aggregate, [recip], "geometric-mean aggregate of several matrices")
     p.add_argument("--input", action="append", required=True,
                    help="matrix CSV file (repeat for each judge)")
     p.add_argument("-o", "--output", default=None, help="write the CSV here instead of stdout")
-    p.set_defaults(func=_cmd_aggregate)
 
-    p = sub.add_parser("check", parents=[tol, fmt],
-                       help="check one axiom on explicit inputs")
-    p.add_argument("--method", choices=ALL_METHOD_TOKENS, required=True)
-    p.add_argument("--axiom", choices=AXIOM_TOKENS, required=True)
-    p.add_argument("--input", required=True)
+    p = command("check", _cmd_check, [method, axiom, source, recip, tie, em, fmt],
+                "check one axiom on explicit inputs")
     p.add_argument("--perm", default=None,
                    help='ANO: image of each alternative, 1-based, e.g. "2,1,3"')
     p.add_argument("--input2", action="append", default=None,
@@ -107,42 +120,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", type=float, default=None, help="IIC: replacement value")
     p.add_argument("--pair", default=None, help='IIC/RES: observed pair "i,j" (1-based)')
     p.add_argument("--increase", type=float, default=None, help="RES: raised a_ij value")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("falsify", parents=[tol, fmt],
-                       help="randomized counterexample search")
-    p.add_argument("--method", choices=ALL_METHOD_TOKENS, required=True)
-    p.add_argument("--axiom", choices=AXIOM_TOKENS, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=6)
-    p.set_defaults(func=_cmd_falsify)
+    command("falsify", _cmd_falsify, [method, axiom, search, tie, em, fmt],
+            "randomized counterexample search")
+    command("lemmas", _cmd_lemmas, [method, search, tie, em, fmt],
+            "audit the implications between the axioms empirically")
 
-    p = sub.add_parser("lemmas", parents=[tol, fmt],
-                       help="audit the implications between the axioms empirically")
-    p.add_argument("--method", choices=ALL_METHOD_TOKENS, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=6)
-    p.set_defaults(func=_cmd_lemmas)
-
-    p = sub.add_parser("repro", parents=[fmt],
-                       help="replay the fixed counterexample registry")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--case", default=None, choices=CASE_IDS, metavar="ID",
+    p = command("repro", _cmd_repro, [fmt], "replay the fixed counterexample registry")
+    cases = p.add_mutually_exclusive_group(required=True)
+    cases.add_argument("--case", default=None, choices=CASE_IDS, metavar="ID",
                        help=f"one of: {', '.join(CASE_IDS)}")
-    group.add_argument("--all", action="store_true")
-    p.set_defaults(func=_cmd_repro)
+    cases.add_argument("--all", action="store_true")
 
-    p = sub.add_parser("proof-chain", parents=[tol, fmt],
-                       help="build the constructive chain and verify its identities")
-    p.add_argument("--input", required=True)
+    p = command("proof-chain", _cmd_proof_chain, [source, recip, fmt],
+                "build the constructive chain and verify its identities")
     p.add_argument("--equalize", action="store_true",
                    help="first rescale a_12 so rows 1 and 2 share their product")
-    p.set_defaults(func=_cmd_proof_chain)
-
     return parser
 
 
@@ -276,9 +269,14 @@ def _cmd_check(args) -> int:
         state = "holds" if verdict.holds else "VIOLATED"
         print(f"axiom {axiom.value} for method {method.value}: {state}")
         if verdict.witness is not None:
-            print(verdict.witness.narrative)
-            print("witness: " + json.dumps(witness_json_dict(verdict.witness)))
+            _print_witness(verdict.witness)
     return 0
+
+
+def _print_witness(witness) -> None:
+    """The witness's narrative, then its JSON on a ``witness:`` line."""
+    print(witness.narrative)
+    print("witness: " + json.dumps(witness_json_dict(witness)))
 
 
 def _search_config(args) -> SearchConfig:
@@ -302,8 +300,7 @@ def _cmd_falsify(args) -> int:
               f"in {args.trials} trials (seed {args.seed})")
     else:
         print(f"falsify {method.value}/{axiom.value}: witness found (seed {args.seed})")
-        print(witness.narrative)
-        print("witness: " + json.dumps(witness_json_dict(witness)))
+        _print_witness(witness)
     return 0
 
 

@@ -23,12 +23,11 @@ from .core import (
     DimensionTooSmall,
     IndexOutOfRange,
     NonPositive,
-    PairRelation,
     PcmError,
     Permutation,
     RationalExponent,
     UnequalRowProducts,
-    pair_relation,
+    relation,
 )
 from .transforms import aggregate, opposite, permute, power
 from .weighting import MethodId, closed_form_scores, method_rank
@@ -185,26 +184,14 @@ def row_product_smoke(a: PCM, tie_tol: float = DEFAULT_TIE_TOL) -> dict:
     """
     log_rows = _log_row_sums(a)
     delta = float(log_rows[0] - log_rows[1])
-    rank = method_rank(MethodId.RGM, a, tie_tol)
-    rel = pair_relation(rank, 0, 1)
-
+    # +1, 0 or -1 as alternative 1 ranks above, ties with or ranks below 2
+    rel = relation(method_rank(MethodId.RGM, a, tie_tol).rank)[0, 1]
+    rel_eq = relation(method_rank(MethodId.RGM, equalize_pair(a, 0, 1), tie_tol).rank)[0, 1]
     applicable = abs(delta) <= ROW_PRODUCT_TOL
-    tie_when_equal = rel is PairRelation.TIED if applicable else True
-
-    equalized = equalize_pair(a, 0, 1)
-    rel_eq = pair_relation(method_rank(MethodId.RGM, equalized, tie_tol), 0, 1)
-
-    if rel is PairRelation.STRICTLY_ABOVE:
-        sign_matches = delta > 0.0
-    elif rel is PairRelation.STRICTLY_BELOW:
-        sign_matches = delta < 0.0
-    else:
-        sign_matches = True
-
     return {
-        "tie_when_equal": {"applicable": applicable, "passed": bool(tie_when_equal)},
-        "tie_after_equalize": rel_eq is PairRelation.TIED,
-        "strict_matches_row_products": bool(sign_matches),
+        "tie_when_equal": {"applicable": applicable, "passed": bool(rel == 0 or not applicable)},
+        "tie_after_equalize": bool(rel_eq == 0),
+        "strict_matches_row_products": bool(rel == 0 or rel == np.sign(delta)),
     }
 
 

@@ -312,8 +312,7 @@ def shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
             for j in range(i + 1, m.n):
                 original = matrices[mat_index].entries[i, j]
                 rounded = _round_to_one_significant(original)
-                # a rounding that leaves the float range (inf, or NaN
-                # below about 1e-308) is no step
+                # a rounding that overflows to inf is no step
                 if rounded == original or not 0.0 < rounded < math.inf:
                     continue
                 cand = list(matrices)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,17 @@ class TestErrorContract:
         ["check", "--method", "rgm", "--axiom", "RSI", "--input", "{kendall}",
          "--kappa", f"{BIG}/1"],
         ["proof-chain", "--equalize", "--input", "{lopsided}"],
+        ["weights", "--method", "rgm", "--input", "{consistent}", "--tie-tol", "1e-9"],
+        ["aggregate", "--input", "{consistent}", "--tie-tol", "1e-9"],
+        ["aggregate", "--input", "{consistent}", "--em-max-iterations", "50"],
+        ["aggregate", "--input", "{consistent}", "--em-tol", "1e-12"],
+        ["falsify", "--method", "rgm", "--axiom", "INV", "--trials", "5", "--seed", "1",
+         "--reciprocity-tol", "1e-6"],
+        ["lemmas", "--method", "rgm", "--trials", "5", "--seed", "1",
+         "--reciprocity-tol", "1e-6"],
+        ["proof-chain", "--input", "{consistent}", "--equalize", "--tie-tol", "1e-9"],
+        ["proof-chain", "--input", "{consistent}", "--equalize", "--em-max-iterations", "50"],
+        ["proof-chain", "--input", "{consistent}", "--equalize", "--em-tol", "1e-12"],
     ], ids=["trials-0", "n-max-100", "tie-tol-negative", "tie-tol-nan", "em-iterations-0",
             "kappa-abc", "perm-repeats", "iic-unchanged-value", "reciprocity-tol-0",
             "400-digit-rational", "rank-flat-tie-tol-negative", "rank-index-tie-tol-nan",
@@ -304,7 +316,10 @@ class TestErrorContract:
             "lemmas-flat-tie-tol-negative", "lemmas-index-tie-tol-nan",
             "env-tie-tol-negative-flat", "env-tie-tol-negative-index",
             "aggregate-output-in-missing-dir", "aggregate-output-is-a-dir",
-            "trials-not-a-number", "kappa-too-large", "equalize-overflows"])
+            "trials-not-a-number", "kappa-too-large", "equalize-overflows",
+            "weights-tie-tol", "aggregate-tie-tol", "aggregate-em-max-iterations",
+            "aggregate-em-tol", "falsify-reciprocity-tol", "lemmas-reciprocity-tol",
+            "proof-chain-tie-tol", "proof-chain-em-max-iterations", "proof-chain-em-tol"])
     def test_exits_2_with_one_error_line(self, capsys, monkeypatch, tmp_path, kendall,
                                          consistent, iic4, argv):
         huge = tmp_path / "huge.csv"
@@ -322,3 +337,48 @@ class TestErrorContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOneParser:
+    """``main`` reuses one parser: no call's options leak into the next."""
+
+    def test_input2_does_not_carry_over(self, capsys, consistent):
+        head = ("check", "--method", "rgm", "--axiom", "AI", "--input", consistent)
+        code, out, _ = run(capsys, *head, "--input2", consistent)
+        assert code == 0 and "holds" in out
+        code, out, err = run(capsys, *head)
+        assert code == 2 and out == ""
+        assert err == "error: AI needs at least one --input2 FILE\n"
+
+    def test_identical_calls_print_identical_stdout(self, capsys, kendall):
+        argv = ("check", "--method", "em", "--axiom", "RSI", "--input", kendall, "--kappa", "2/1")
+        assert run(capsys, *argv) == run(capsys, *argv)
+
+
+SEARCH_OPTIONS = {"--method", "--trials", "--seed", "--n-min", "--n-max", "--tie-tol",
+          "--em-max-iterations", "--em-tol", "--format"}
+
+
+class TestHelp:
+    """Each subcommand lists exactly the options it reads."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("weights", {"--method", "--input", "--reciprocity-tol", "--em-max-iterations",
+                     "--em-tol", "--format"}),
+        ("rank", {"--method", "--input", "--reciprocity-tol", "--tie-tol",
+                  "--em-max-iterations", "--em-tol", "--format"}),
+        ("aggregate", {"--input", "--output", "--reciprocity-tol"}),
+        ("check", {"--method", "--axiom", "--input", "--perm", "--input2", "--kappa", "--cell",
+                   "--value", "--pair", "--increase", "--reciprocity-tol", "--tie-tol",
+                   "--em-max-iterations", "--em-tol", "--format"}),
+        ("falsify", SEARCH_OPTIONS | {"--axiom"}),
+        ("lemmas", SEARCH_OPTIONS),
+        ("repro", {"--case", "--all", "--format"}),
+        ("proof-chain", {"--input", "--equalize", "--reciprocity-tol", "--format"}),
+    ])
+    def test_lists_exactly_its_options(self, capsys, command, options):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        listed = {flag for line in out.splitlines() if line.startswith("  -")
+                  for flag in re.findall(r"--[a-z0-9-]+", line)}
+        assert listed == options | {"--help"}

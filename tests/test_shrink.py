@@ -5,6 +5,8 @@ budgets, for rounds that span several stacks and for hand-built
 witnesses whose rounding would break a check's own argument rule or
 leave the float range."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,14 @@ from pcmrank import (
     witness_json_dict,
 )
 from pcmrank import axioms
-from pcmrank.axioms import _CHUNK_MATRICES, _input_arrays, _run_check, _shrink, _stack_verdicts
+from pcmrank.axioms import (
+    _CHUNK_MATRICES,
+    _input_arrays,
+    _round_to_one_significant,
+    _run_check,
+    _shrink,
+    _stack_verdicts,
+)
 from pcmrank.weighting import EmOptions
 
 import oracle
@@ -175,10 +184,18 @@ def test_a_deletion_round_spans_several_stacks(method, monkeypatch):
     assert spans
 
 
+@pytest.mark.parametrize("entry, rounded", [
+    (3.3e-300, 3e-300), (9.9e307, 1e308), (6e-309, 6e-309), (1.6e308, math.inf)])
+def test_an_entry_rounds_exactly_to_one_digit(entry, rounded):
+    # numpy's own rounding of a float64 gives 2.9999999999999996e-300,
+    # 9.999999999999998e+307 and NaN for the first three
+    assert _round_to_one_significant(np.float64(entry)) == rounded
+
+
 @pytest.mark.parametrize("entry, increase", [(1.6e308, 1.7e308), (6e-309, 1e-300)])
 def test_an_entry_that_rounds_out_of_range_is_no_step(entry, increase):
-    # numpy's one-digit rounding takes 1.6e308 to inf and 6e-309 to NaN,
-    # and Python's takes 1.7e308 past the float range: none is a step
+    # one-digit rounding takes 1.6e308 and 1.7e308 past the float range,
+    # and leaves 6e-309 as it is: none is a step
     a = PCM.from_upper(np.array([[1.0, entry], [1.0, 1.0]]))
     aux = {"pair": [0, 1], "increase": increase, "tie_tol": 1e-9}
     witness = _run_check(MethodId.FLAT, AxiomId.RES, [a], aux).witness
