@@ -386,16 +386,10 @@ def _trial_relations(
     method: MethodId, stack: np.ndarray, image: np.ndarray, tie_tol: float, em: EmOptions
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_relations`` of each trial's matrices ``stack`` (trials, matrices,
-    n, n) and of its transformed matrix ``image`` (trials, n, n), and their
-    mask (trials, matrices + 1).  Images laid out unlike the matrices, as
-    INV's transposed views, are ranked apart: the layout picks the order
-    of EM's sums."""
-    if image.strides[-2:] == stack.strides[-2:]:
-        rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol, em)
-        return rel[:, :-1], rel[:, -1], ok
-    before, ok = _relations(method, stack, tie_tol, em)
-    after, ok_after = _relations(method, image, tie_tol, em)
-    return before, after, np.concatenate([ok, ok_after[:, None]], axis=1)
+    n, n) and of its transformed matrix ``image`` (trials, n, n), ranked
+    as one stack, and their mask (trials, matrices + 1)."""
+    rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol, em)
+    return rel[:, :-1], rel[:, -1], ok
 
 
 @np.errstate(all="ignore")

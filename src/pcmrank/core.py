@@ -154,13 +154,15 @@ class PCM:
     float and its exact float reciprocal.  Value-producing constructors
     derive the lower triangle from the upper; entry-moving transforms
     (transpose, relabelling) keep the pairs bit for bit, which is why the
-    reciprocal may sit in either orientation.
+    reciprocal may sit in either orientation.  ``entries`` is always a
+    C-ordered copy, so weights depend on the entries alone, not on the
+    layout they were given in.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
+        a = np.array(self.entries, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NonSquare(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]

@@ -26,7 +26,8 @@ def aggregate_entries(e: np.ndarray) -> np.ndarray:
 
 
 def opposite_entries(e: np.ndarray) -> np.ndarray:
-    """Every matrix transposed, as a view: the entries move bit for bit."""
+    """Every matrix transposed, as a view that callers copy: the entries
+    move bit for bit."""
     return e.swapaxes(-1, -2)
 
 
@@ -61,8 +62,8 @@ def aggregate(matrices: Sequence[PCM]) -> PCM:
 
 
 def opposite(a: PCM) -> PCM:
-    """Transpose: every preference reversed.  Entries move bit for bit, so
-    opposite(opposite(a)) == a exactly."""
+    """Transpose: every preference reversed, as a C-ordered copy.  Entries
+    move bit for bit, so opposite(opposite(a)) == a exactly."""
     return PCM(opposite_entries(a.entries))
 
 

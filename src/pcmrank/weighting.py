@@ -15,7 +15,6 @@ from .core import (
     InvalidParameter,
     NoConvergence,
     NoWeightForm,
-    NonPositive,
     Ranking,
     WeightVector,
     check_tie_tol,
@@ -74,15 +73,13 @@ def rgm_objective(a: PCM, w: WeightVector) -> float:
     return float(np.sum(resid * resid))
 
 
-def em_weights(
-    a: PCM, opts: EmOptions = EmOptions(), start=None
-) -> tuple[WeightVector, float]:
+def em_weights(a: PCM, opts: EmOptions = EmOptions()) -> tuple[WeightVector, float]:
     """Principal-eigenvector weights by power iteration, with the Rayleigh
     estimate of the dominant eigenvalue.
 
-    Iterates w <- Aw (normalized to sum one) from the uniform vector, or
-    from ``start`` if given, until the sup-norm step drops to
-    ``opts.convergence_tol``.  The matrix is positive, so Perron-Frobenius
+    Iterates w <- Aw (normalized to sum one) from the uniform vector until
+    the sup-norm step drops to ``opts.convergence_tol``: ``em_weight_stack``
+    on a stack of one.  The matrix is positive, so Perron-Frobenius
     guarantees convergence; an exhausted budget raises NoConvergence
     rather than returning an unconverged vector.  The returned eigenvalue
     is the mean of the componentwise ratios (Aw)_i / w_i and sits at or
@@ -90,15 +87,8 @@ def em_weights(
     ratio passes the float range it is sum(Aw) instead, w summing to one.
     """
     m = a.entries
-    if start is None:
-        w = np.full(a.n, 1.0 / a.n)
-    else:
-        w = np.asarray(start, dtype=float)
-        if w.shape != (a.n,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            raise NonPositive("start vector must be positive with length n")
-        w = w / w.sum()
-    v = _power_iteration(m, w, opts.max_iterations, opts.convergence_tol)
-    if v is None:
+    v = em_weight_stack(m, opts)
+    if np.isnan(v).any():
         raise opts.exhausted()
     weights = WeightVector(v)  # rejects a weight that underflowed to 0 before dividing by it
     with np.errstate(over="ignore"):
@@ -144,11 +134,7 @@ def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
     stacked steps at a time, as in ``_power_iteration``; a matrix leaves
     the stack after the block in which it converges, with the iterate of
     its first converged step, and the last one left finishes in
-    ``_power_iteration``.  Each row carries the bits ``em_weights`` gives
-    that matrix when the matrix has the same memory layout here as there
-    (C order for built matrices, Fortran order for the transposed ones of
-    ``opposite``), since the layout picks the order of the products' sums.
-    Nothing is validated.
+    ``_power_iteration``.  Nothing is validated.
     """
     n = e.shape[-1]
     m = e.reshape(-1, n, n)  # a view for C-ordered or transposed stacks
@@ -172,7 +158,6 @@ def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
         done = moved.any(axis=0)
         if done.any():
             out[live[done]] = h[moved.argmax(axis=0)[done] + 1, np.flatnonzero(done)]
-            # boolean indexing keeps each matrix's layout, and so its bits
             live, m = live[~done], m[~done]
             history[0, :len(live)] = h[block, ~done]
         else:

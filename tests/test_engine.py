@@ -18,17 +18,23 @@ from pcmrank import (
     MethodId,
     NoConvergence,
     NonPositive,
+    Permutation,
+    RationalExponent,
     SearchConfig,
     WeightVector,
-    method_rank,
+    aggregate,
+    equalize_pair,
+    method_scores,
     opposite,
+    pcm_parse,
     pcm_to_csv,
+    permute,
+    power,
     ranking_from_weights,
     witness_json_dict,
 )
 from pcmrank.axioms import _draw, _run_check, _trial_rng
 from pcmrank.cli import main
-from pcmrank.core import relation
 from pcmrank.weighting import EmOptions, em_weights
 
 import oracle
@@ -114,35 +120,71 @@ def test_bad_tie_tolerance_raises_for_every_method(axiom):
                 )
 
 
-def layout_sensitive_inv_cases(rng, count):
-    """Matrices whose INV verdict or witness pair would change if their
-    opposite, the transposed view ``opposite`` gives, were ranked as a
-    C-ordered copy, at a tie tolerance set on one of its EM weight gaps:
-    the layout picks the order of EM's sums."""
+WEIGHTED = [m for m in MethodId if m not in (MethodId.FLAT, MethodId.INDEX_ORDER)]
+
+
+@pytest.mark.parametrize("method", WEIGHTED, ids=lambda m: m.value)
+def test_weights_depend_on_the_entries_alone(method):
+    """A matrix built from a transposed or Fortran-ordered array is held in
+    C order, so it gets the weights or scores of a C-ordered copy of its
+    entries, bit for bit."""
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 6, 9, 16, 64):
+        for _ in range(5):
+            x = PCM.from_upper(np.exp(rng.uniform(-2.2, 2.2, (n, n)))).entries
+            for built, entries in ((opposite(PCM(x)), x.T), (PCM(np.asfortranarray(x)), x)):
+                assert built.entries.flags.c_contiguous
+                want = method_scores(method, PCM(np.ascontiguousarray(entries)))
+                assert np.array_equal(method_scores(method, built), want), n
+
+
+def test_every_constructor_and_transform_holds_c_order():
+    x = PCM.from_upper(np.exp(np.random.default_rng(2).uniform(-2.0, 2.0, (5, 5)))).entries
+    f = np.asfortranarray(x)
+    a, b = PCM(x), PCM(f)
+    built = [
+        a, b, PCM(x.T), PCM(x[::-1, ::-1]), PCM.from_upper(f), PCM.ones(4),
+        pcm_parse(pcm_to_csv(b)), b.with_entry(0, 1, 3.0), opposite(a), opposite(b),
+        power(b, RationalExponent.parse("3/2")), permute(b, Permutation.transposition(5, 0, 3)),
+        aggregate([a, opposite(b)]), equalize_pair(b, 0, 1),
+    ]
+    for m in built:
+        assert m.entries.flags.c_contiguous
+
+
+def first_broken_pair(a, tie_tol):
+    verdict = _run_check(MethodId.EM, AxiomId.INV, [a], {"tie_tol": tie_tol})
+    return None if verdict.holds else verdict.witness.auxiliary["pair"]
+
+
+def last_bit_inv_cases(rng, count, tries=100):
+    """Matrices whose EM INV check reports another pair, or holds, once a
+    tie tolerance set on an EM weight gap of the opposite matrix, the
+    smallest that ties the pair, drops by its last bit."""
     found = []
-    while len(found) < count:
+    for _ in range(tries):
         a = PCM.from_upper(np.exp(rng.uniform(-2.2, 2.2, (6, 6))))
-        image, copy = opposite(a), PCM(np.ascontiguousarray(opposite(a).entries))
-        w = em_weights(image)[0].w
+        w = em_weights(opposite(a))[0].w
         for i, j in np.argwhere(w[:, None] > w):
             tie_tol = (w[i] - w[j]) / w[i]
             while tie_tol * w[i] < w[i] - w[j]:
                 tie_tol = np.nextafter(tie_tol, 1.0)
-            base = relation(method_rank(MethodId.EM, a, tie_tol).rank)
-            breaks = [np.flatnonzero(relation(method_rank(MethodId.EM, m, tie_tol).rank) != -base)
-                      for m in (image, copy)]
-            if breaks[0][:1].tolist() != breaks[1][:1].tolist():
-                found.append((a, float(tie_tol)))
+            tols = [float(tie_tol), float(np.nextafter(tie_tol, 0.0))]
+            if first_broken_pair(a, tols[0]) != first_broken_pair(a, tols[1]):
+                found.append((a, tols))
                 break
-    return found
+        if len(found) == count:
+            return found
+    raise AssertionError(f"{len(found)} of {count} cases in {tries} matrices")
 
 
-def test_inv_ranks_the_opposite_matrix_in_its_own_layout():
-    for a, tie_tol in layout_sensitive_inv_cases(np.random.default_rng(3), 3):
-        aux = {"tie_tol": tie_tol}
-        assert outcome(_run_check, MethodId.EM, AxiomId.INV, [a], aux) == outcome(
-            oracle.run_check, MethodId.EM, AxiomId.INV, [a], aux
-        )
+def test_inv_decides_last_bit_tie_tolerances_as_the_pair_loop():
+    for a, tols in last_bit_inv_cases(np.random.default_rng(3), 3):
+        for tie_tol in tols:
+            aux = {"tie_tol": tie_tol}
+            assert outcome(_run_check, MethodId.EM, AxiomId.INV, [a], aux) == outcome(
+                oracle.run_check, MethodId.EM, AxiomId.INV, [a], aux
+            )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -101,8 +101,9 @@ def test_stacked_scores_carry_the_scalar_bits(method):
     rng = np.random.default_rng(5)
     for n in (2, 3, 6, 9, 16, 64):
         stack = random_stack(rng, 7, n)
-        # C-ordered matrices and transposed views, as the INV stacks use
-        for view, one in ((stack, PCM), (stack.transpose(0, 2, 1), lambda e: opposite(PCM(e)))):
+        # C-ordered matrices and their C-ordered opposites, as the INV stacks use
+        opposites = np.ascontiguousarray(stack.transpose(0, 2, 1))
+        for view, one in ((stack, PCM), (opposites, lambda e: opposite(PCM(e)))):
             scores = closed_form_scores(method, view)
             for b in range(len(stack)):
                 assert np.array_equal(scores[b], method_scores(method, one(stack[b])))
@@ -112,12 +113,12 @@ def test_stacked_em_weights_carry_the_scalar_bits():
     rng = np.random.default_rng(6)
     for n in (2, 3, 6, 9, 16, 64):
         stack = random_stack(rng, 8, n)
-        # C-ordered matrices, a stack of pairs of them, and transposed
-        # views as INV's opposite images, which PCM keeps in Fortran order
+        # C-ordered matrices, a stack of pairs of them, and their opposites
+        # copied into C order, as the search stacks INV's images
         views = (
             (stack, PCM),
             (stack.reshape(4, 2, n, n), PCM),
-            (stack.transpose(0, 2, 1), lambda e: opposite(PCM(e))),
+            (np.ascontiguousarray(stack.transpose(0, 2, 1)), lambda e: opposite(PCM(e))),
         )
         for view, one in views:
             weights = em_weight_stack(view).reshape(len(stack), n)
