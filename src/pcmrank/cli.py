@@ -31,6 +31,7 @@ from .core import (
     DEFAULT_TIE_TOL,
     PCM,
     PcmError,
+    csv_rows,
     pcm_parse,
     pcm_to_csv,
     ranking_json_dict,
@@ -160,10 +161,10 @@ def _load(path: str, reciprocity_tol: float) -> PCM:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise PcmError(f"cannot read {path}: {exc}") from None
-    a = pcm_parse(text, reciprocity_tol)
-    if a.n > MAX_CLI_N:
-        raise PcmError(f"{path}: {a.n} alternatives exceed the CLI limit of {MAX_CLI_N}")
-    return a
+    n = len(csv_rows(text))  # before any field is converted
+    if n > MAX_CLI_N:
+        raise PcmError(f"{path}: {n} alternatives exceed the CLI limit of {MAX_CLI_N}")
+    return pcm_parse(text, reciprocity_tol)
 
 
 def _indices(text: str, count: int, what: str) -> tuple[int, ...]:

@@ -221,6 +221,13 @@ class PCM:
         return PCM(rewrite_entry(self.entries, i, j, value))
 
 
+def csv_rows(text: str) -> list[str]:
+    """The rows of the matrix CSV format in ``text``: its lines that are
+    not blank, stripped.  The parse and the command line's size limit
+    count rows by this one rule."""
+    return [line for line in (raw.strip() for raw in text.splitlines()) if line]
+
+
 def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PCM:
     """Parse the matrix CSV format into a canonical PCM.
 
@@ -232,17 +239,13 @@ def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PC
     """
     if not reciprocity_tol > 0.0:
         raise InvalidParameter("reciprocity_tol must be positive")
-    rows = [line for line in (raw.strip() for raw in text.splitlines()) if line]
+    rows = csv_rows(text)
     n = len(rows)
     if n < 2:
         raise TooSmall(f"matrix needs at least 2 rows, got {n}")
-    grid = []
-    for line in rows:
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != n:
-            raise NonSquare(f"{n} rows but a row with {len(fields)} fields")
-        grid.append([_parse_entry(f) for f in fields])
-    a = np.array(grid, dtype=float)
+    a = _convert_grid(rows)
+    if a is None:  # some field is bad: find the first, field by field
+        a = np.array([_parse_row(line, n) for line in rows])
     iu, ju = triu_indices(n)
     product = a[iu, ju] * a[ju, iu]
     off = np.abs(product - 1.0) > reciprocity_tol
@@ -254,6 +257,39 @@ def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PC
             f"{product[first]:.9g} is off 1 by more than {reciprocity_tol:g}"
         )
     return PCM.from_upper(a)
+
+
+def _convert_grid(rows: list[str]) -> np.ndarray | None:
+    """Every field of ``rows`` converted in one pass, as ``_parse_entry``
+    would convert it, or None where some row has the wrong length or some
+    field is not a positive finite decimal or a rational with p, q > 0.
+    Conversion strips whitespace as ``str.strip`` does, so the fields need
+    no stripping first."""
+    n = len(rows)
+    if any(line.count(",") != n - 1 for line in rows):
+        return None
+    values = []
+    try:
+        for field in ",".join(rows).split(","):
+            if "/" in field:
+                num, den = field.split("/")  # more than one "/" raises
+                p, q = int(num), int(den)
+                if p <= 0 or q <= 0:
+                    return None
+                values.append(p / q)
+            else:
+                values.append(float(field))
+    except (ValueError, OverflowError):
+        return None
+    a = np.array(values).reshape(n, n)
+    return a if ((a > 0.0) & (a < np.inf)).all() else None
+
+
+def _parse_row(line: str, n: int) -> list[float]:
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != n:
+        raise NonSquare(f"{n} rows but a row with {len(fields)} fields")
+    return [_parse_entry(f) for f in fields]
 
 
 def _parse_entry(field: str) -> float:

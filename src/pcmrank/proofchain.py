@@ -29,7 +29,7 @@ from .core import (
     UnequalRowProducts,
     relation,
 )
-from .transforms import aggregate, opposite, permute, power
+from .transforms import aggregate, aggregate_entries, opposite, permute, permute_entries, power
 from .weighting import MethodId, closed_form_scores, method_rank
 
 ROW_PRODUCT_TOL = 1e-9  # on log row products; looser than the identity tol
@@ -76,11 +76,11 @@ def equalize_pair(a: PCM, i: int, j: int) -> PCM:
     return a.with_entry(i, j, float(a.entries[i, j] * correction))
 
 
-def _cycle_tail(n: int, m: int) -> Permutation:
-    """Fix alternatives 0 and 1, rotate the tail 2..n-1 forward by m."""
-    image = np.arange(n)
-    image[2:] = 2 + (np.arange(n - 2) + m) % (n - 2)
-    return Permutation(image)
+def _aggregate_relabellings(a: PCM, maps: np.ndarray) -> PCM:
+    """``aggregate([permute(a, Permutation(m)) for m in maps])`` for label
+    maps ``maps`` (k, n), relabelled and averaged as one stack."""
+    moved = permute_entries(np.broadcast_to(a.entries, (len(maps), a.n, a.n)), maps)
+    return PCM(aggregate_entries(moved))
 
 
 def build_proof_chain(a: PCM) -> ProofChain:
@@ -103,7 +103,10 @@ def build_proof_chain(a: PCM) -> ProofChain:
     flattened[2:, 2:] = 1.0
     b = PCM(flattened)
 
-    c = aggregate([permute(b, _cycle_tail(n, m)) for m in range(n - 2)])
+    # the n - 2 rotations of the tail 2..n-1, alternatives 0 and 1 fixed
+    cycles = np.tile(np.arange(n), (n - 2, 1))
+    cycles[:, 2:] = 2 + np.add.outer(np.arange(n - 2), np.arange(n - 2)) % (n - 2)
+    c = _aggregate_relabellings(b, cycles)
 
     d_grid = np.ones((n, n))
     d_grid[0, 2:] = _exp(-log_rows[0] / (n - 2))
@@ -161,9 +164,10 @@ def verify_proof_identities(chain: ProofChain, tol: float = CHAIN_TOL) -> dict:
     }
     if n >= 4:
         lhs = power(swap12, RationalExponent(1, n - 2))
-        rhs = aggregate(
-            [permute(e, Permutation.transposition(n, 1, m)) for m in range(2, n)]
-        )
+        swaps = np.tile(np.arange(n), (n - 2, 1))  # row m - 2 swaps labels 1 and m
+        rows = np.arange(n - 2)
+        swaps[rows, 1], swaps[rows, rows + 2] = rows + 2, 1
+        rhs = _aggregate_relabellings(e, swaps)
         out["swap_power_aggregate"] = _close(lhs.entries, rhs.entries, tol)
     else:
         out["swap_power_aggregate"] = None

@@ -21,7 +21,10 @@ from .core import (
 
 
 def aggregate_entries(e: np.ndarray) -> np.ndarray:
-    """Entrywise geometric mean over the matrix axis of ``e`` (..., k, n, n)."""
+    """Entrywise geometric mean over the matrix axis of ``e`` (..., k, n, n);
+    a single matrix (k = 1) is returned unchanged, bit for bit."""
+    if e.shape[-3] == 1:
+        return e[..., 0, :, :]
     return reciprocal_fill(np.exp(np.mean(np.log(e), axis=-3)))
 
 

@@ -1,14 +1,16 @@
 """Reference implementations kept beside the tests: the axiom checks as
 pair-by-pair loops over ``method_rank`` and ``pair_relation``, the
 union-find tie closure of ``ranking_from_weights``, witness shrinking as
-a greedy loop of one check per step, and the EM power iteration that
-tests its convergence after every step.
+a greedy loop of one check per step, the EM power iteration that tests
+its convergence after every step, and the matrix CSV parser that
+converts and validates one field at a time.
 
-These are the rules as first written, one pair, one step or one
-iterate at a time.  The package judges every axiom over relation arrays,
-judges a witness's shrinking steps as stacks and iterates EM in blocks
-instead; the tests hold it to these loops for verdicts, witness
-pairs, narratives, errors, shrunk witnesses and weight bits.
+These are the rules as first written, one pair, one step, one iterate or
+one field at a time.  The package judges every axiom over relation
+arrays, judges a witness's shrinking steps as stacks, iterates EM in
+blocks and converts a whole CSV grid in one pass instead; the tests hold
+it to these loops for verdicts, witness pairs, narratives, errors, shrunk
+witnesses, weight bits and parsed entries.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pcmrank import (
     IndexOutOfRange,
     InvalidParameter,
     NonPositive,
+    NonSquare,
     NotAnIncrease,
     OverlappingIndices,
     PCM,
@@ -34,6 +37,8 @@ from pcmrank import (
     Permutation,
     Ranking,
     RationalExponent,
+    ReciprocityViolation,
+    TooSmall,
     Witness,
     aggregate,
     method_rank,
@@ -43,6 +48,7 @@ from pcmrank import (
     power,
 )
 from pcmrank.axioms import _SPECS, _round_to_one_significant, _run_check
+from pcmrank.core import DEFAULT_RECIPROCITY_TOL, triu_indices
 from pcmrank.weighting import EmOptions
 
 _REL_TEXT = {
@@ -375,3 +381,54 @@ def em_weight_stack(e, opts: EmOptions = EmOptions()):
             live, m, v = live[~done], m[~done], v[~done]
         w = v
     return out.reshape(e.shape[:-1])
+
+
+def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PCM:
+    """``core.pcm_parse`` field by field: each field is stripped, converted
+    and checked in row-major order, so the first bad field raises."""
+    if not reciprocity_tol > 0.0:
+        raise InvalidParameter("reciprocity_tol must be positive")
+    rows = [line for line in (raw.strip() for raw in text.splitlines()) if line]
+    n = len(rows)
+    if n < 2:
+        raise TooSmall(f"matrix needs at least 2 rows, got {n}")
+    grid = []
+    for line in rows:
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != n:
+            raise NonSquare(f"{n} rows but a row with {len(fields)} fields")
+        grid.append([_parse_entry(f) for f in fields])
+    a = np.array(grid, dtype=float)
+    iu, ju = triu_indices(n)
+    product = a[iu, ju] * a[ju, iu]
+    off = np.abs(product - 1.0) > reciprocity_tol
+    if off.any():
+        first = int(off.argmax())  # the first pair in row-major order
+        i, j = int(iu[first]), int(ju[first])
+        raise ReciprocityViolation(
+            f"a[{i + 1}][{j + 1}] * a[{j + 1}][{i + 1}] = "
+            f"{product[first]:.9g} is off 1 by more than {reciprocity_tol:g}"
+        )
+    return PCM.from_upper(a)
+
+
+def _parse_entry(field: str) -> float:
+    if "/" in field:
+        num, _, den = field.partition("/")
+        try:
+            p, q = int(num.strip()), int(den.strip())
+        except ValueError:
+            raise NonPositive(f"bad rational literal {field!r}") from None
+        if p <= 0 or q <= 0:
+            raise NonPositive(f"rational literal {field!r} must have p, q > 0")
+        try:
+            return p / q  # int division is correctly rounded
+        except OverflowError:
+            raise NonPositive(f"rational literal {field!r} overflows a float") from None
+    try:
+        value = float(field)
+    except ValueError:
+        raise NonPositive(f"bad entry {field!r}") from None
+    if not np.isfinite(value) or value <= 0.0:
+        raise NonPositive(f"entry {field!r} is not a positive real")
+    return value

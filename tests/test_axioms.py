@@ -195,6 +195,34 @@ class TestRes:
             check_res(MethodId.RGM, PCM.ones(3), (0, 1), 1.0)
 
 
+class TestNearTieBand:
+    """A tie band of relative width ``tie_tol`` is not invariant under
+    powers or small increases: two RGM weights 5.3e-10 apart tie at the
+    default 1e-9, and squaring the matrix doubles the gap past the band,
+    while raising their comparison by a factor 1 + 1e-12 keeps the tie.
+    Both checks report violations that vanish at ``tie_tol`` 0.  Pinned
+    as the package decides today."""
+
+    A = PCM.from_upper([[1, 1 + 0.8e-9, 2], [1, 1, 2], [1, 1, 1]])
+
+    def verdicts(self, tie_tol):
+        a = self.A
+        rsi = check_rsi(MethodId.RGM, a, RationalExponent(2, 1), tie_tol)
+        res = check_res(MethodId.RGM, a, (1, 0), a.entries[1, 0] * (1 + 1e-12), tie_tol)
+        return rsi, res
+
+    def test_default_band_reports_violations(self):
+        rsi, res = self.verdicts(1e-9)
+        assert not rsi.holds and not res.holds
+        assert rsi.witness.narrative.endswith(
+            "alternative 1 is tied with 2 before but strictly above after")
+        assert "alternative 2 is tied with 1" in res.witness.narrative
+
+    def test_zero_band_holds(self):
+        rsi, res = self.verdicts(0.0)
+        assert rsi.holds and res.holds
+
+
 class TestFalsify:
     def test_rgm_clean_on_small_budget(self):
         for axiom in AxiomId:

@@ -226,6 +226,21 @@ class TestUsageAndLimits:
         code, _, err = run(capsys, "rank", "--method", "rgm", "--input", str(path))
         assert code == 2 and "65" in err
 
+    def test_oversized_file_rejected_before_its_fields_are_read(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join([",".join(["1"] * 1000)] * 1000) + "\n")
+        code, out, err = run(capsys, "rank", "--method", "rgm", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: 1000 alternatives exceed the CLI limit of 64\n"
+
+    def test_oversized_and_malformed_file_reports_the_limit(self, capsys, tmp_path):
+        # rows are counted as the parser counts them: blank lines do not count
+        path = tmp_path / "big.csv"
+        path.write_text("\n\n".join(["1,abc"] + ["1"] * 64) + "\n  \n")
+        code, _, err = run(capsys, "weights", "--method", "rgm", "--input", str(path))
+        assert code == 2
+        assert err == f"error: {path}: 65 alternatives exceed the CLI limit of 64\n"
+
     def test_reciprocity_error_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,4\n0.3,1\n")

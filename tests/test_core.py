@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from pcmrank import (
     PCM,
     IndexOutOfRange,
@@ -8,6 +13,7 @@ from pcmrank import (
     NonPositive,
     NonSquare,
     PairRelation,
+    PcmError,
     Permutation,
     Ranking,
     RationalExponent,
@@ -102,6 +108,98 @@ class TestParse:
             for i in range(n):
                 for j in range(i + 1, n):
                     assert a.entries[j, i] == 1.0 / a.entries[i, j]
+
+
+def _parsed(parse, text: str, reciprocity_tol: float = 1e-6):
+    """The entries' bytes, or the error's type and text."""
+    try:
+        return parse(text, reciprocity_tol).entries.tobytes()
+    except PcmError as exc:
+        return type(exc), str(exc)
+
+
+EDGE_FIELDS = [
+    "-1/-2", "0/1", "1/0", "+3/4", " 3 / 4 ", "1_0", "1/2/3", "1e3/2", "1/", "/", "",
+    "nan", "inf", "-inf", "1e-400", "1e400", "5e-324", "0x10", "-0.0",
+    "7" * 400 + "/" + "3" * 399, "1" + "0" * 4999, "1" + "0" * 4999 + "/1",
+    "\uff13/\uff14", "\uff11.\uff15", "\u0663", "\u00a02\u00a0", "1\u20282",
+]
+
+
+def _reciprocal(field: str) -> str:
+    num, slash, den = field.partition("/")
+    if slash:
+        return f"{den}/{num}"
+    try:
+        return repr(1.0 / float(field))
+    except (ValueError, ZeroDivisionError):
+        return field
+
+
+def _grid_text(fields, sep="\n") -> str:
+    return sep.join(",".join(row) for row in fields) + "\n"
+
+
+def _edge_texts():
+    for f in EDGE_FIELDS:
+        yield _grid_text([["1", f, "2"], [_reciprocal(f), "1", "3"], ["1/2", "1/3", "1"]])
+        yield _grid_text([["1", _reciprocal(f), "2"], [f, "1", "3"], ["1/2", "1/3", "1"]])
+        yield _grid_text([[f, "4"], ["1/4", "1"]])
+    yield "1,2\n\n   \n1/2,1\n"  # blank and whitespace-only lines
+    yield " \t\n1,2\r\n1/2,1\r\n\x0c\n"
+    yield "1,2\n1\n"  # a short row
+    yield "1,2,3\n1/2,1\n"  # a long row
+    yield "1,2,3\n1/2,1\n1/3,1,1,1\n"  # a short and a long row: nine fields in all
+    yield "1,4\n0.3,1\n"  # a reciprocity violation
+    yield "1,4,abc\n1/4,1\n"  # a bad field before a short row
+    yield ""
+    yield "1,1\n"
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: reciprocal grids of decimals and rationals, which parse,
+    or rows of any fields and lengths, which mostly do not."""
+    space = st.sampled_from(["", " ", "\t", "\u00a0"])
+    integer = st.one_of(st.integers(-3, 10**20), st.just(10**400))
+    field = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.floats(min_value=1e-3, max_value=1e3).map(lambda x: f"{x:.17g}"),
+        st.builds(lambda l, p, q, r: f"{l}{p}/{q}{r}", space, integer, integer, space),
+        st.text(alphabet="0123456789./-+eE_ ", max_size=6),
+        st.sampled_from(EDGE_FIELDS),
+    )
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        up = [[draw(field) for _ in range(n)] for _ in range(n)]
+        rows = [["1" if i == j else up[i][j] if i < j else _reciprocal(up[j][i])
+                 for j in range(n)] for i in range(n)]
+    else:
+        rows = [draw(st.lists(field, min_size=max(n - 1, 0), max_size=n + 1)) for _ in range(n)]
+    return _grid_text(rows, draw(st.sampled_from(["\n", "\r\n", "\n\n", "\n \n"])))
+
+
+class TestParseMatchesFieldByFieldReference:
+    """``pcm_parse`` converts the whole grid in one pass and falls back to
+    the field-by-field rules on any failure: it must give the reference's
+    entries bit for bit, or its error type and text."""
+
+    @pytest.mark.parametrize("text", list(_edge_texts()))
+    def test_edge_cases(self, text):
+        assert _parsed(pcm_parse, text) == _parsed(oracle.pcm_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_texts(), tol=st.sampled_from([1e-6, 1e-2, 0.5]))
+    def test_any_csv_text(self, text, tol):
+        assert _parsed(pcm_parse, text, tol) == _parsed(oracle.pcm_parse, text, tol)
+
+    def test_negative_rationals_are_rejected_though_their_quotient_is_positive(self):
+        with pytest.raises(NonPositive, match="must have p, q > 0"):
+            pcm_parse("1,-1/-2\n-2/-1,1")
+
+    def test_mixed_64_alternative_file(self):
+        text = (Path(__file__).parent / "golden" / "inputs" / "mixed64.csv").read_text()
+        assert _parsed(pcm_parse, text) == _parsed(oracle.pcm_parse, text)
 
 
 class TestPcmType:

@@ -4,8 +4,11 @@ Each transcript in ``tests/golden`` pins the exit code and stdout of
 ``pcmrank`` for a fixed argv on the matrix files in
 ``tests/golden/inputs``: ``check`` for every method and axiom in text and
 JSON, ``falsify`` for every method and axiom, ``lemmas`` for every
-method, ``repro --all`` and ``rank`` on a 64-alternative near-tie file.
-An argument ``@name`` stands for the input file ``name``.
+method, ``repro --all``, ``rank`` on a 64-alternative near-tie file, and
+``weights --format json``, ``aggregate`` and ``proof-chain`` on a 6- and
+a 64-alternative file, the latter mixing rationals and 17-digit decimals
+as hand-written CSV files do.  An argument ``@name`` stands for the input
+file ``name``.
 
 Rewrite the transcripts (and the inputs) only when a change of output is
 intended:
@@ -22,8 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcmrank import PCM, pcm_to_csv
-from pcmrank.cli import ALL_METHOD_TOKENS, AXIOM_TOKENS, main
+from pcmrank import PCM, equalize_pair, pcm_to_csv
+from pcmrank.cli import ALL_METHOD_TOKENS, AXIOM_TOKENS, WEIGHT_METHOD_TOKENS, main
 from pcmrank.registry import (
     ARITH_AI_A1,
     ARITH_AI_A2,
@@ -73,6 +76,31 @@ def _rank_argvs():
             yield ["rank", "--method", method, "--input", "@near_tie64.csv", *tail]
 
 
+#: one small and one large input
+MATRIX_INPUTS = ("@a6.csv", "@mixed64.csv")
+
+
+def _proof_chain_argvs():
+    # equal6.csv is a6.csv with rows 1 and 2 brought to one product, so
+    # its chain runs without --equalize
+    for path in (*MATRIX_INPUTS, "@equal6.csv"):
+        for tail in ([], ["--equalize"]):
+            for fmt in ("text", "json"):
+                yield ["proof-chain", "--input", path, *tail, "--format", fmt]
+
+
+def _aggregate_argvs():
+    for paths in (["@a6.csv"], ["@a6.csv", "@kendall6.csv"],
+                  ["@mixed64.csv"], ["@mixed64.csv", "@near_tie64.csv"]):
+        yield ["aggregate", *(arg for p in paths for arg in ("--input", p))]
+
+
+def _weights_argvs():
+    for path in MATRIX_INPUTS:
+        for method in WEIGHT_METHOD_TOKENS:
+            yield ["weights", "--method", method, "--input", path, "--format", "json"]
+
+
 TRANSCRIPTS = {
     "check": _check_argvs,
     "falsify": _falsify_argvs,
@@ -81,6 +109,9 @@ TRANSCRIPTS = {
     ),
     "repro": lambda: [["repro", "--all", "--format", "json"]],
     "rank": _rank_argvs,
+    "weights": _weights_argvs,
+    "aggregate": _aggregate_argvs,
+    "proof-chain": _proof_chain_argvs,
 }
 
 
@@ -122,6 +153,22 @@ def _near_tie_weights() -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod(1.0 + gaps)])[::-1].copy()
 
 
+def _mixed_csv(rng: np.random.Generator, n: int) -> str:
+    """A reciprocal matrix as a hand-written file holds it: each upper cell
+    a rational p/q or a 17-digit decimal, its lower cell the reciprocal in
+    the same form."""
+    text = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                p, q = (int(x) for x in rng.integers(1, 10, size=2))
+                text[i][j], text[j][i] = f"{p}/{q}", f"{q}/{p}"
+            else:
+                x = float(np.exp(rng.uniform(-np.log(9.0), np.log(9.0))))
+                text[i][j], text[j][i] = f"{x:.17g}", f"{1.0 / x:.17g}"
+    return "\n".join(",".join(row) for row in text) + "\n"
+
+
 def write_inputs() -> None:
     INPUTS.mkdir(parents=True, exist_ok=True)
     a6 = np.exp(np.random.default_rng(0).uniform(-2.2, 2.2, (6, 6)))
@@ -135,9 +182,11 @@ def write_inputs() -> None:
         "ai_fav1": FAVPROD_AI_A1,
         "ai_fav2": FAVPROD_AI_A2,
         "near_tie64": PCM.from_upper(w[:, None] / w[None, :]),
+        "equal6": equalize_pair(PCM.from_upper(a6), 0, 1),
     }
     for name, m in mats.items():
         (INPUTS / f"{name}.csv").write_text(pcm_to_csv(m))
+    (INPUTS / "mixed64.csv").write_text(_mixed_csv(np.random.default_rng(64), 64))
 
 
 def write_transcripts() -> None:
