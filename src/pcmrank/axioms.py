@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -338,6 +339,12 @@ def _res_narrative(method, rel, i, j, x) -> str:
     )
 
 
+@lru_cache(maxsize=128)
+def _kappa_value(kappa: str) -> float:
+    """The value of an exponent as a witness records it, parsed once."""
+    return RationalExponent.parse(kappa).value
+
+
 _SPECS = {
     AxiomId.ANO: _Spec(
         lambda e, x: permute_entries(e[:, 0], x["permutation"]),
@@ -356,7 +363,7 @@ _SPECS = {
         lambda m, x: (m[0],),
     ),
     AxiomId.RSI: _Spec(
-        lambda e, x: power_entries(e[:, 0], [RationalExponent.parse(k).value for k in x["kappa"]]),
+        lambda e, x: power_entries(e[:, 0], [_kappa_value(k) for k in x["kappa"]]),
         lambda before, after, x: after != before[:, 0],
         _rsi_narrative,
         lambda m, x: (m[0], RationalExponent.parse(x["kappa"])),
@@ -383,13 +390,42 @@ _SPECS = {
 
 
 def _trial_relations(
-    method: MethodId, stack: np.ndarray, image: np.ndarray, tie_tol: float, em: EmOptions
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_relations`` of each trial's matrices ``stack`` (trials, matrices,
-    n, n) and of its transformed matrix ``image`` (trials, n, n), ranked
-    as one stack, and their mask (trials, matrices + 1)."""
-    rel, ok = _relations(method, np.concatenate([stack, image[:, None]], axis=1), tie_tol, em)
-    return rel[:, :-1], rel[:, -1], ok
+    method: MethodId, stacks: list, tie_tol: float, em: EmOptions
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_relations`` of trial stacks of one matrix size, each stack
+    (trials, matrices + 1, n, n) holding each trial's matrices and then
+    its transformed matrix, all ranked as one stack: per stack, its
+    relation arrays and mask (trials, matrices + 1)."""
+    if len(stacks) == 1:
+        return [_relations(method, stacks[0], tie_tol, em)]
+    n = stacks[0].shape[-1]
+    rel, ok = _relations(method, np.concatenate([s.reshape(-1, n, n) for s in stacks]), tie_tol, em)
+    out, start = [], 0
+    for s in stacks:
+        end = start + s.shape[0] * s.shape[1]
+        out.append((rel[start:end].reshape(s.shape), ok[start:end].reshape(s.shape[:2])))
+        start = end
+    return out
+
+
+def _witness(
+    axiom: AxiomId, method: MethodId, matrices: Sequence[PCM], inputs: dict,
+    rel: np.ndarray, broken: np.ndarray, tie_tol: float,
+) -> Optional[Witness]:
+    """The witness of a trial its check accepts, from the relation arrays
+    ``rel`` (matrices + 1, n, n) of its matrices and transformed matrix
+    and its broken pairs ``broken`` (n, n), or None where no pair breaks.
+    It reports the first broken pair in row-major order beside the
+    check's ``inputs``, as ``_draw`` or a witness records them.  A check
+    builds its witness here, and so do a search from the stack row that
+    judged a trial and shrinking from the last step it kept."""
+    first = int(broken.argmax())
+    if not broken.flat[first]:
+        return None
+    i, j = divmod(first, len(broken))
+    aux = {**inputs, "pair": [i, j], "tie_tol": tie_tol}
+    narrative = _SPECS[axiom].narrative(method, rel, i, j, inputs)
+    return Witness(axiom, method, tuple(matrices), aux, narrative)
 
 
 @np.errstate(all="ignore")
@@ -414,10 +450,10 @@ def _judge(
         if spec.vacuous(relation(np.array(ranks))[None], x)[0]:
             return AxiomVerdict(holds=True)
         raise
-    stack = np.stack([m.entries for m in matrices])[None]
-    before, after, ok = _trial_relations(method, stack, image.entries[None], tie_tol, em)
-    rel = np.concatenate([before[0], after])
-    for m, m_rel, ranked in zip((*matrices, image), rel, ok[0]):
+    stack = np.stack([m.entries for m in matrices] + [image.entries])[None]
+    [(rel, ok)] = _trial_relations(method, [stack], tie_tol, em)
+    before, after = rel[:, :-1], rel[:, -1]
+    for m, m_rel, ranked in zip((*matrices, image), rel[0], ok[0]):
         if not ranked:
             if m is image and spec.vacuous(before, x)[0]:
                 return AxiomVerdict(holds=True)
@@ -425,14 +461,8 @@ def _judge(
                 raise em.exhausted()  # as em_weights would, after iterating as long again
             method_rank(method, m, tie_tol, em)  # raises, as its arithmetic is the stack's
     broken = spec.broken(before, after, x)[0]
-    first = int(broken.argmax())  # row-major, so the first broken pair if any
-    if not broken.flat[first]:
-        return AxiomVerdict(holds=True)
-    i, j = divmod(first, len(broken))
-    aux = {**inputs, "pair": [i, j], "tie_tol": tie_tol}
-    narrative = spec.narrative(method, rel, i, j, inputs)
-    witness = Witness(axiom, method, tuple(matrices), aux, narrative)
-    return AxiomVerdict(holds=False, witness=witness)
+    witness = _witness(axiom, method, matrices, inputs, rel[0], broken, tie_tol)
+    return AxiomVerdict(holds=witness is None, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +517,8 @@ def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[
     """One trial's inputs, in stream order: the matrices as grids for
     ``PCM.from_upper`` (not yet validated) and the check's auxiliary
     values as a Witness records them, less the tie tolerance.  The
-    stacked search draws through here, and re-runs a flagged trial from
-    that draw.  A draw never raises: an entry beyond the float range is
+    stacked search draws through here, and builds a flagged trial's
+    witness, or re-runs its check, from that draw.  A draw never raises: an entry beyond the float range is
     drawn as inf or 0, a RES increase factor as inf, and the check judges
     them; outside an ``np.errstate`` the grid's overflows warn."""
     n_lo = max(cfg.n_range[0], _SPECS[axiom].min_n)  # four for IIC
@@ -534,9 +564,12 @@ def falsify(
 
     Each trial's random stream is derived from (seed, trial index) alone,
     so results are reproducible and independent of evaluation order.
-    Trials are drawn in chunks and judged as stacks (see ``_flag_trials``);
-    the first flagged trial is run again through its check, which alone
-    decides the verdict and builds the witness.
+    Trials are drawn in chunks and judged as stacks (see ``_flag_trials``).
+    A flagged trial whose stack row its check accepts gets its witness from
+    that row's relation arrays; a trial flagged because its row was
+    rejected (a bad input or tie tolerance, or an EM matrix unconverged
+    within the stack's cap) runs again through its check, which decides
+    its verdict or raises its error.
 
     The search ends as a trial-by-trial loop of checks would: at the
     first witness, or with the error of the first check that raises one,
@@ -551,13 +584,17 @@ def falsify(
     with np.errstate(all="ignore"):
         while start < cfg.trials:
             trials = range(start, min(start + size, cfg.trials))
-            flags, draws = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
+            flags, draws, judged = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
             for trial in np.flatnonzero(flags):
-                grids, aux = draws[trial]
+                grids, inputs = draws[trial]
                 matrices = [PCM.from_upper(g) for g in grids]
-                verdict = _run_check(method, axiom, matrices, {**aux, "tie_tol": tie_tol}, em)
-                if not verdict.holds:
-                    return _shrink(verdict.witness, em)
+                if trial in judged:
+                    witness = _witness(axiom, method, matrices, inputs, *judged[trial], tie_tol)
+                else:
+                    aux = {**inputs, "tie_tol": tie_tol}
+                    witness = _run_check(method, axiom, matrices, aux, em).witness
+                if witness is not None:
+                    return _shrink(witness, em)
             start, size = start + len(flags), min(2 * size, cap)
     return None
 
@@ -572,7 +609,10 @@ _CHUNK_MATRICES = 256
 #: a stacked EM iteration in the search stops after this many steps (or
 #: fewer, within ``EmOptions.max_iterations``); a matrix still unconverged
 #: then flags its trial for the re-run through its check, so a rare slow
-#: matrix cannot hold a whole chunk for the full budget
+#: matrix cannot hold a whole chunk for the full budget.  A matrix that
+#: converges within the cap has the weights of the full budget, since the
+#: iteration starts from the uniform vector and stops at its first
+#: converged step
 _EM_STACK_ITERATIONS = 256
 
 
@@ -583,15 +623,18 @@ def _flag_trials(
     trials: range,
     tie_tol: float,
     em: EmOptions = EmOptions(),
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, list, dict]:
     """Flag each trial whose check would report a violation or reject an
     input (a non-finite or non-positive entry, score or weight, a bad tie
-    tolerance, or an EM iteration that does not converge), and return the
-    flags with the trials' draws.
+    tolerance, or an EM iteration that does not converge).  Returns the
+    flags, the trials' draws, and for each flagged trial its check would
+    accept, by index in ``trials``, its relation arrays and broken pairs
+    (see ``_witness``).
 
-    Trials are drawn in order from their own streams, grouped by shape and
-    judged a stack at a time by ``_stack_verdicts``, so each needs no PCM,
-    Ranking or check call.
+    Trials are drawn in order from their own streams, grouped by matrix
+    size and judged a group at a time by ``_stack_verdicts``, so each needs
+    no PCM, Ranking or check call; an aggregation-invariance group ranks
+    the trials of every pool size in one stack.
     Flags may over-report a rejection, never under-report a violation:
     the stacks' EM iteration stops after ``_EM_STACK_ITERATIONS`` steps,
     and a matrix still unconverged then flags its trial even when the
@@ -601,16 +644,22 @@ def _flag_trials(
     if method is MethodId.EM:
         em = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
     draws = [_draw(axiom, cfg, _trial_rng(cfg.seed, t)) for t in trials]
-    by_shape: dict[tuple[int, int], list[int]] = {}
+    by_size: dict[int, dict[int, list[int]]] = {}
     for idx, (grids, _) in enumerate(draws):
-        by_shape.setdefault((len(grids), grids[0].shape[0]), []).append(idx)
-    flags = np.empty(len(draws), dtype=bool)
-    for idx in by_shape.values():
-        stack = reciprocal_fill(np.array([draws[t][0] for t in idx]))  # (trials, matrices, n, n)
-        x = _input_arrays([draws[t][1] for t in idx])
-        broken, ok = _stack_verdicts(method, axiom, stack, x, tie_tol, em)
-        flags[idx] = broken.any(axis=(1, 2)) | ~ok
-    return flags, draws
+        by_size.setdefault(grids[0].shape[0], {}).setdefault(len(grids), []).append(idx)
+    flags, judged = np.empty(len(draws), dtype=bool), {}
+    for by_count in by_size.values():
+        groups = list(by_count.values())
+        stacks = [reciprocal_fill(np.array([draws[t][0] for t in idx])) for idx in groups]
+        xs = [_input_arrays([draws[t][1] for t in idx]) for idx in groups]
+        for idx, (rel, broken, ok) in zip(
+            groups, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em)
+        ):
+            flagged = broken.any(axis=(1, 2))
+            flags[idx] = flagged | ~ok
+            for row in (flagged & ok).nonzero()[0]:
+                judged[idx[row]] = rel[row], broken[row]
+    return flags, draws, judged
 
 
 def _relations(
@@ -642,21 +691,25 @@ def _relations(
 
 
 def _stack_verdicts(
-    method: MethodId, axiom: AxiomId, stack: np.ndarray, x: dict, tie_tol: float, em: EmOptions
-) -> tuple[np.ndarray, np.ndarray]:
-    """Judge trials with the same number and size of matrices at once:
-    each trial's matrices ``stack`` (trials, matrices, n, n) and its
-    transformed matrix are ranked as stacks, EM within ``em``'s budget,
-    and the axiom's rule judges their relation arrays.  Returns the pairs
+    method: MethodId, axiom: AxiomId, stacks: list, xs: list, tie_tol: float, em: EmOptions
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Judge stacks of trials with matrices of one size at once: each
+    stack holds trials with the same number of matrices (trials, matrices,
+    n, n) and ``xs`` their inputs (see ``_input_arrays``).  Every matrix
+    and transformed matrix is ranked in one stack, EM within ``em``'s
+    budget, and the axiom's rule judges their relation arrays.  Returns,
+    per stack, the relation arrays (trials, matrices + 1, n, n), the pairs
     that break the axiom (trials, n, n) and, per trial, whether its check
-    ranks every matrix and accepts the inputs ``x`` (see
-    ``_input_arrays``).  A check under ``em`` fails exactly where a pair
-    breaks and the trial is accepted, and reports the first broken pair
-    in row-major order; an EM matrix unconverged within the budget is one
-    the check cannot rank."""
+    ranks every matrix and accepts the inputs.  A check under ``em`` fails
+    exactly where a pair breaks and the trial is accepted, and reports the
+    first broken pair in row-major order; an EM matrix unconverged within
+    the budget is one the check cannot rank."""
     spec = _SPECS[axiom]
-    before, after, ok = _trial_relations(method, stack, spec.image(stack, x), tie_tol, em)
-    return spec.broken(before, after, x), ok.all(axis=1) & spec.valid(stack, x)
+    full = [np.concatenate([s, spec.image(s, x)[:, None]], axis=1) for s, x in zip(stacks, xs)]
+    return [
+        (rel, spec.broken(rel[:, :-1], rel[:, -1], x), ok.all(axis=1) & spec.valid(s, x))
+        for s, x, (rel, ok) in zip(stacks, xs, _trial_relations(method, full, tie_tol, em))
+    ]
 
 
 # --- greedy witness shrinking ----------------------------------------------
@@ -693,13 +746,14 @@ def _delete_index(e: np.ndarray, aux: dict, idx: int) -> tuple[np.ndarray, dict]
 
 def _falsifying(
     method: MethodId, axiom: AxiomId, stack: np.ndarray, auxes: list, em: EmOptions
-) -> tuple[np.ndarray, np.ndarray]:
-    """The broken pairs of each row of a shrinking stack (rows, matrices,
-    n, n) with its auxiliary values ``auxes``, and whether the row still
-    falsifies: its check under ``em`` fails exactly there."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The relation arrays and broken pairs of each row of a shrinking
+    stack (rows, matrices, n, n) with its auxiliary values ``auxes``, and
+    whether the row still falsifies: its check under ``em`` fails exactly
+    there."""
     x = _input_arrays(auxes)
-    broken, ok = _stack_verdicts(method, axiom, stack, x, auxes[0]["tie_tol"], em)
-    return broken, broken.any(axis=(1, 2)) & ok
+    [(rel, broken, ok)] = _stack_verdicts(method, axiom, [stack], [x], auxes[0]["tie_tol"], em)
+    return rel, broken, broken.any(axis=(1, 2)) & ok
 
 
 def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
@@ -710,45 +764,52 @@ def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
     Every step is a row of ``_stack_verdicts`` under ``em``, the budget
     of the check the witness came from, so a step is kept exactly where
     that check would still fail.  A deletion round stacks its candidates,
-    highest index first, and keeps the first that falsifies; one check on
-    the final state builds the shrunk witness."""
+    highest index first, and keeps the first that falsifies.  The shrunk
+    witness is built from the relation arrays of the last step kept; where
+    no step is kept, the witness comes back unchanged."""
     method, axiom, spec = witness.method, witness.axiom, _SPECS[witness.axiom]
     e, aux = np.array([m.entries for m in witness.matrices]), dict(witness.auxiliary)
     size = max(1, _CHUNK_MATRICES // (len(e) + 1))  # rows, each with its image
+    kept = None  # the relation arrays and broken pairs of the last step kept
     while e.shape[-1] > spec.min_n:
         pinned = spec.pinned(aux)
         drops = [idx for idx in range(e.shape[-1] - 1, -1, -1) if idx not in pinned]
         for start in range(0, len(drops), size):
             rows = [_delete_index(e, aux, idx) for idx in drops[start:start + size]]
-            stack = np.array([kept for kept, _ in rows])
-            broken, falsified = _falsifying(method, axiom, stack, [a for _, a in rows], em)
+            stack = np.array([cand for cand, _ in rows])
+            rel, broken, falsified = _falsifying(method, axiom, stack, [a for _, a in rows], em)
             if falsified.any():
                 p = int(falsified.argmax())
-                e, aux = rows[p]
+                e, aux, kept = *rows[p], (rel[p], broken[p])
                 # the pair its check would report, so pinning tracks the live violation
                 aux["pair"] = list(divmod(int(broken[p].argmax()), e.shape[-1]))
                 break
         else:
             break
 
-    e = _round_entries(method, axiom, e, aux, em)
+    e, kept = _round_entries(method, axiom, e, aux, em, kept)
     for key in ("value", "increase"):
         if key in aux:
             cand = {**aux, key: _round_to_one_significant(aux[key])}
             if cand[key] != aux[key] and 0.0 < cand[key] < math.inf:
-                if _falsifying(method, axiom, e[None], [cand], em)[1][0]:
-                    aux = cand
-    return _run_check(method, axiom, [PCM(m) for m in e], aux, em).witness
+                rel, broken, falsified = _falsifying(method, axiom, e[None], [cand], em)
+                if falsified[0]:
+                    aux, kept = cand, (rel[0], broken[0])
+    if kept is None:
+        return witness
+    return _witness(axiom, method, [PCM(m) for m in e], aux, *kept, aux["tie_tol"])
 
 
 def _round_entries(
-    method: MethodId, axiom: AxiomId, e: np.ndarray, aux: dict, em: EmOptions
-) -> np.ndarray:
+    method: MethodId, axiom: AxiomId, e: np.ndarray, aux: dict, em: EmOptions,
+    kept: Optional[tuple],
+) -> tuple[np.ndarray, Optional[tuple]]:
     """The greedy rounding of ``_shrink`` over the matrices ``e``
     (matrices, n, n): each upper entry in turn, in (matrix, i, j) order,
     rounded to one significant digit where that changes it and stays
     finite, each step kept if the witness still falsifies.  Returns the
-    rounded entries.
+    rounded entries with the relation arrays and broken pairs of the last
+    step kept, or ``kept`` where no step is.
 
     Each step rounds an entry of its own, so the steps are judged as a
     stack of prefixes: row p rounds steps 0 to p on top of the entries
@@ -769,12 +830,12 @@ def _round_entries(
         stack = np.repeat(e[None], rows, axis=0)
         stack[:, t[s], i[s], j[s]] = np.where(prefix, rounded[s], e[t[s], i[s], j[s]])
         stack[:, t[s], j[s], i[s]] = np.where(prefix, 1.0 / rounded[s], e[t[s], j[s], i[s]])
-        falsified = _falsifying(method, axiom, stack, [aux] * rows, em)[1]
+        rel, broken, falsified = _falsifying(method, axiom, stack, [aux] * rows, em)
         accepted = rows if falsified.all() else int(falsified.argmin())
         if accepted:
-            e = stack[accepted - 1]
+            e, kept = stack[accepted - 1], (rel[accepted - 1], broken[accepted - 1])
         start += min(accepted + 1, rows)
-    return e
+    return e, kept
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .core import (
     PCM,
     PcmError,
     csv_rows,
-    pcm_parse,
+    pcm_parse_rows,
     pcm_to_csv,
     ranking_json_dict,
 )
@@ -161,10 +161,10 @@ def _load(path: str, reciprocity_tol: float) -> PCM:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise PcmError(f"cannot read {path}: {exc}") from None
-    n = len(csv_rows(text))  # before any field is converted
-    if n > MAX_CLI_N:
-        raise PcmError(f"{path}: {n} alternatives exceed the CLI limit of {MAX_CLI_N}")
-    return pcm_parse(text, reciprocity_tol)
+    rows = csv_rows(text)  # counted before any field is converted
+    if len(rows) > MAX_CLI_N:
+        raise PcmError(f"{path}: {len(rows)} alternatives exceed the CLI limit of {MAX_CLI_N}")
+    return pcm_parse_rows(rows, reciprocity_tol)
 
 
 def _indices(text: str, count: int, what: str) -> tuple[int, ...]:
@@ -360,8 +360,9 @@ def _cmd_proof_chain(args) -> int:
             state = "n/a" if ok is None else ("pass" if ok else "FAIL")
             print(f"identity {name}: {state}")
         print("E:")
-        for row in chain.e.entries:
-            print("  " + "  ".join(f"{x:.6g}" for x in row))
+        line = "  " + "  ".join(["%.6g"] * chain.e.n)  # the bytes of f"{x:.6g}"
+        for row in chain.e.entries.tolist():
+            print(line % tuple(row))
     return 0
 
 

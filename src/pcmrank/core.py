@@ -237,9 +237,13 @@ def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PC
     after which the lower triangle is replaced with exact reciprocals and
     the diagonal forced to 1.
     """
+    return pcm_parse_rows(csv_rows(text), reciprocity_tol)
+
+
+def pcm_parse_rows(rows: list[str], reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PCM:
+    """``pcm_parse`` of a text whose ``csv_rows`` are ``rows``."""
     if not reciprocity_tol > 0.0:
         raise InvalidParameter("reciprocity_tol must be positive")
-    rows = csv_rows(text)
     n = len(rows)
     if n < 2:
         raise TooSmall(f"matrix needs at least 2 rows, got {n}")
@@ -316,7 +320,8 @@ def _parse_entry(field: str) -> float:
 
 def pcm_to_csv(a: PCM) -> str:
     """Matrix CSV with 17-significant-digit decimals (round-trip exact)."""
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in a.entries) + "\n"
+    line = ",".join(["%.17g"] * a.n) + "\n"  # one format per row, the bytes of f"{v:.17g}"
+    return "".join(line % tuple(row) for row in a.entries.tolist())
 
 
 def is_consistent(a: PCM, tol: float) -> bool:
@@ -419,7 +424,14 @@ def tie_group_max(w: np.ndarray, tie_tol: float) -> np.ndarray:
     i and j tie when |w_i - w_j| <= tie_tol * max(w_i, w_j), and the
     relation is closed transitively, so a chain of near-ties forms one
     group.  Distinct groups have distinct maxima.  Nothing is validated.
+
+    Where no two neighbours in sorted order tie, no pair ties at all and
+    ``w`` comes back as it is: if a >= b tie, so do a and its sorted lower
+    neighbour c, since rounding is monotone and fl(a - c) <= fl(a - b).
     """
+    d = np.sort(w, axis=-1)
+    if not (d[..., 1:] - d[..., :-1] <= tie_tol * d[..., 1:]).any():
+        return w
     n = w.shape[-1]
     wi, wj = w[..., :, None], w[..., None, :]
     tied = (np.abs(wi - wj) <= tie_tol * np.maximum(wi, wj)) | _eye(n)

@@ -7,9 +7,13 @@ For each pair it checks, trial by trial, that the stacked flags of
 ``_flag_trials`` equal the verdicts of the pair loops (for EM, whose
 stacked iteration is capped, that the flags include them), that the
 package's check returns the pair loop's outcome, and that the first
-witness shrinks as ``oracle.shrink`` shrinks it.  It prints one line per
-pair and exits with status 1 on any mismatch.  pytest does not collect
-this file; the tests run the same comparisons at smaller budgets.
+witness shrinks as ``oracle.shrink`` shrinks it.  It also checks that
+``falsify`` ends as the pair loops do: with the error of the first trial
+whose reference check does not hold, or with its witness shrunk by
+``oracle.shrink``, or with None when every trial holds.  It prints one
+line per pair and exits with status 1 on any mismatch.  pytest does not
+collect this file; the tests run the same comparisons at smaller
+budgets.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 
 import numpy as np
 
-from pcmrank import PCM, AxiomId, MethodId, SearchConfig, witness_json_dict
+from pcmrank import PCM, AxiomId, MethodId, SearchConfig, falsify, witness_json_dict
 from pcmrank.axioms import _flag_trials, _run_check, _shrink
 from pcmrank.weighting import EmOptions
 
@@ -41,16 +45,29 @@ def shrunk(shrink, witness):
         return type(exc).__name__, str(exc)
 
 
+def searched(method, axiom, cfg, tie_tol):
+    try:
+        witness = falsify(method, axiom, cfg, tie_tol)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None if witness is None else witness_json_dict(witness)
+
+
 def gate_pair(method: MethodId, axiom: AxiomId, cfg: SearchConfig, tie_tol: float) -> list[str]:
     """The mismatches of one pair, and a one-line summary last."""
-    flags, draws = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
+    flags, draws, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
     problems, expected, witness = [], np.zeros(cfg.trials, dtype=bool), None
+    first = None  # the outcome of the first trial that does not hold
     for trial, (grids, aux) in enumerate(draws):
         matrices, aux = [PCM.from_upper(g) for g in grids], {**aux, "tie_tol": tie_tol}
         reference = outcome(oracle.run_check, method, axiom, matrices, aux)
         if outcome(_run_check, method, axiom, matrices, aux) != reference:
             problems.append(f"trial {trial}: the check differs from the pair loops")
         expected[trial] = reference is not None
+        if first is None and reference is not None:
+            first = reference if not isinstance(reference, dict) else shrunk(
+                oracle.shrink, oracle.run_check(method, axiom, matrices, aux, EmOptions()).witness
+            )
         if witness is None and isinstance(reference, dict):
             witness = _run_check(method, axiom, matrices, aux).witness
     exact = np.array_equal(flags, expected)
@@ -59,6 +76,8 @@ def gate_pair(method: MethodId, axiom: AxiomId, cfg: SearchConfig, tie_tol: floa
                         f"{np.flatnonzero(flags != expected)[:10].tolist()}")
     if witness is not None and shrunk(_shrink, witness) != shrunk(oracle.shrink, witness):
         problems.append("the first witness shrinks unlike the greedy loop")
+    if searched(method, axiom, cfg, tie_tol) != first:
+        problems.append("falsify ends unlike the loop of reference checks")
     summary = (f"{method.value}/{axiom.value}: {int(flags.sum())} flags, "
                f"{int(expected.sum())} verdicts, "
                f"{'no witness' if witness is None else 'witness shrunk'}")

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from pcmrank import (
     ranking_from_weights,
     ranking_json_dict,
 )
-from pcmrank.core import reciprocal_fill, triu_indices
+from pcmrank.core import reciprocal_fill, tie_group_max, triu_indices
 
 LOG9 = np.log(9.0)
 
@@ -334,6 +335,96 @@ class TestRanking:
                     for k in range(n):
                         if r[i] < r[j] and r[j] < r[k]:
                             assert r[i] < r[k]
+
+
+def union_find_group_max(w: np.ndarray, tie_tol: float) -> np.ndarray:
+    """The largest weight of each alternative's group in
+    ``oracle.ranking_union_find``; NaN weights tie with nothing."""
+    out = np.empty(len(w))
+    for members in oracle.ranking_union_find(w, tie_tol).groups():
+        out[members] = max(w[i] for i in members)
+    return out
+
+
+@st.composite
+def _near_tie_weights(draw):
+    """A stack of weight rows (rows, n) built on near-ties: each weight is
+    a fresh draw, or an earlier weight of its row moved by a multiple of
+    the tolerance and nudged by a few ulps; some weights and rows are NaN."""
+    tie_tol = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.3, 1.0, 2.5]))
+    n, count = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(count):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([np.nan] * n)
+            continue
+        row = []
+        for k in range(n):
+            if k and draw(st.booleans()):
+                base = row[draw(st.integers(0, k - 1))]
+                step = draw(st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
+                value = base * (1.0 + step * max(tie_tol, 1e-9))
+                for _ in range(draw(st.integers(-2, 2)) % 5):
+                    value = np.nextafter(value, draw(st.sampled_from([0.0, np.inf])))
+            elif draw(st.integers(0, 19)) == 0:
+                value = np.nan
+            else:
+                value = draw(st.floats(1e-6, 1.0))
+            row.append(value)
+        rows.append(row)
+    return np.array(rows), tie_tol
+
+
+class TestTieGroupMax:
+    """``tie_group_max`` skips the closure where no sorted neighbours tie;
+    with or without that shortcut it must give the union-find groups."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_near_tie_weights())
+    def test_matches_union_find(self, case):
+        w, tie_tol = case
+        with np.errstate(invalid="ignore"):
+            gmax = tie_group_max(w, tie_tol)
+        for row, got in zip(w, gmax):
+            assert np.array_equal(got, union_find_group_max(row, tie_tol), equal_nan=True)
+
+    def test_no_tie_returns_the_weights(self):
+        w = np.array([[0.5, 0.3, 0.2], [np.nan, np.nan, np.nan]])
+        assert tie_group_max(w, 1e-9) is w
+
+    def test_one_tie_closes_the_whole_stack(self):
+        w = np.array([[0.5, 0.3, 0.2], [0.4, 0.4 * (1 + 5e-10), 0.2]])
+        assert tie_group_max(w, 1e-9).tolist() == [[0.5, 0.3, 0.2], [0.4 * (1 + 5e-10)] * 2 + [0.2]]
+
+
+_FORMAT_EDGES = [5e-324, 2.2250738585072014e-308, 6e-309, 1e308, 1.7976931348623157e308,
+                 0.1, 1.2345678901234567, 1e16, 123456.5, 1e-5, 0.0001, -0.0, math.inf, math.nan]
+
+
+class TestFormatting:
+    """One %-format per row must give the bytes of formatting each value."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_percent_format_equals_format_spec(self, v):
+        for spec in (".17g", ".6g"):
+            assert ("%" + spec) % v == format(v, spec)
+
+    @pytest.mark.parametrize("v", _FORMAT_EDGES)
+    def test_edge_values(self, v):
+        assert ("%.17g" % v, "%.6g" % v) == (f"{v:.17g}", f"{v:.6g}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(upper=st.lists(st.floats(5.6e-309, 1.7976931348623157e308), min_size=1, max_size=15))
+    def test_csv_bytes(self, upper):
+        n = next(k for k in range(2, 8) if k * (k - 1) // 2 >= len(upper))
+        grid = np.ones((n, n))
+        iu, ju = triu_indices(n)
+        grid[iu[:len(upper)], ju[:len(upper)]] = upper
+        with np.errstate(over="ignore"):  # a subnormal's reciprocal pair is checked both ways
+            a = PCM.from_upper(grid)
+        expected = "\n".join(",".join(f"{v:.17g}" for v in row) for row in a.entries) + "\n"
+        assert pcm_to_csv(a) == expected
 
 
 class TestPairRelation:

@@ -1,7 +1,8 @@
 """Differential tests of the batched falsifier against a trial-by-trial loop.
 
-``falsify`` judges the trials as stacks and re-runs only the first flagged
-trial through its check; these tests pin that its flags equal the
+``falsify`` judges the trials as stacks, builds a witness from the stack
+row that judged it, and re-runs only a flagged trial whose row was
+rejected through its check; these tests pin that its flags equal the
 reference pair-loop verdicts of ``oracle`` and that its witnesses and
 errors are those of a loop that checks every trial in order.
 """
@@ -80,6 +81,22 @@ def scalar_search(method, axiom, cfg, tie_tol, em=EmOptions()):
         if not verdict.holds:
             return _shrink(verdict.witness, em)
     return None
+
+
+def reference_search(method, axiom, cfg, tie_tol, em=EmOptions(), shrink=oracle.shrink):
+    """The search as a loop of the reference checks of ``oracle``: the
+    error of the first trial whose check does not hold, or its witness
+    shrunk by ``shrink``."""
+    for trial in range(cfg.trials):
+        matrices, aux = trial_inputs(axiom, cfg, trial, tie_tol)
+        verdict = oracle.run_check(method, axiom, matrices, aux, em)
+        if not verdict.holds:
+            return shrink(verdict.witness, em)
+    return None
+
+
+def unshrunk(witness, em):
+    return witness
 
 
 def outcome(search, method, axiom, cfg, tie_tol, em=EmOptions()):
@@ -188,7 +205,7 @@ def test_tie_chain_needs_four_squarings():
 def test_flags_equal_scalar_verdicts(method, axiom):
     cfg = SearchConfig(seed=42, trials=400)
     for tie_tol in TIE_TOLS:
-        flags, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
+        flags, _, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
         assert np.array_equal(flags, scalar_verdicts(method, axiom, cfg, tie_tol)), tie_tol
 
 
@@ -197,11 +214,11 @@ def test_em_flags_equal_scalar_verdicts(axiom, monkeypatch):
     cfg = SearchConfig(seed=42, trials=200)
     for tie_tol in (1e-9, 0.3):
         verdicts = scalar_verdicts(MethodId.EM, axiom, cfg, tie_tol)
-        capped, _ = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
+        capped, _, _ = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
         with monkeypatch.context() as patch:
             # iterating as long as the scalar check does, the flags are exact
             patch.setattr(axioms, "_EM_STACK_ITERATIONS", EmOptions().max_iterations)
-            exact, _ = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
+            exact, _, _ = _flag_trials(MethodId.EM, axiom, cfg, range(cfg.trials), tie_tol)
         assert np.array_equal(exact, verdicts), tie_tol
         # the iteration cap only adds flags, for matrices slower than the cap
         assert np.all(capped >= exact), tie_tol
@@ -214,7 +231,7 @@ def test_em_flags_equal_scalar_verdicts(axiom, monkeypatch):
 ])
 def test_flags_equal_scalar_verdicts_up_to_sixteen_alternatives(method, axiom):
     cfg = SearchConfig(seed=42, trials=150, n_range=(2, 16))
-    flags, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), 0.3)
+    flags, _, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), 0.3)
     assert np.array_equal(flags, scalar_verdicts(method, axiom, cfg, 0.3))
 
 
@@ -240,6 +257,55 @@ def test_witness_equals_scalar_loop(method, axiom, seed, trials, tie_tol):
     assert outcome(falsify, method, axiom, cfg, tie_tol) == outcome(
         scalar_search, method, axiom, cfg, tie_tol
     )
+
+
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+@pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+def test_falsify_equals_the_reference_loop(method, axiom, monkeypatch):
+    # a witness comes from the stack row that judged it, or from the check
+    # of a trial whose row was rejected; either way the loop's outcome,
+    # before shrinking as well as after
+    for seed, tie_tol in ((0, 1e-9), (42, 1e-9), (7, 0.3)):
+        cfg = SearchConfig(seed=seed, trials=60)
+        assert outcome(falsify, method, axiom, cfg, tie_tol) == outcome(
+            reference_search, method, axiom, cfg, tie_tol
+        ), (seed, tie_tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(axioms, "_shrink", unshrunk)
+            found = outcome(falsify, method, axiom, cfg, tie_tol)
+        expected = outcome(
+            lambda *args: reference_search(*args, shrink=unshrunk), method, axiom, cfg, tie_tol
+        )
+        assert found == expected, (seed, tie_tol)
+
+
+@pytest.mark.parametrize("budget", [32, 48, 64])
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_starved_em_falsify_equals_the_reference_loop(axiom, budget):
+    # rows converged within the budget give the witness; the others are
+    # re-run and raise NoConvergence, or hold, as the loop's checks do
+    starved = EmOptions(max_iterations=budget)
+    for seed in (0, 1, 42):
+        cfg = SearchConfig(seed=seed, trials=30)
+        assert outcome(falsify, MethodId.EM, axiom, cfg, 1e-9, starved) == outcome(
+            reference_search, MethodId.EM, axiom, cfg, 1e-9, starved
+        ), seed
+
+
+@pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+def test_ai_chunks_mixing_pool_sizes_end_as_the_reference_loop(method):
+    # chunks of 8 and 16 trials pool 2, 3 and 4 matrices of one size, all
+    # ranked in one stack
+    cfg = SearchConfig(seed=3, trials=31, n_range=(3, 4))
+    for trials in (range(7, 15), range(15, 31)):
+        flags, draws, _ = _flag_trials(method, AxiomId.AI, cfg, trials, 0.3)
+        pools = {(grids[0].shape[0], len(grids)) for grids, _ in draws}
+        assert len(pools) > len({n for n, _ in pools})
+        assert np.array_equal(flags, scalar_verdicts(method, AxiomId.AI, cfg, 0.3)[trials])
+    for tie_tol in (1e-9, 0.3):
+        assert outcome(falsify, method, AxiomId.AI, cfg, tie_tol) == outcome(
+            reference_search, method, AxiomId.AI, cfg, tie_tol
+        )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -146,8 +146,8 @@ def test_the_stacked_judge_rejects_what_the_check_rejects(method, axiom, upper, 
     a, aux = PCM.from_upper(grid), {**aux, "tie_tol": 0.43}
     with pytest.raises(error):
         _run_check(method, axiom, [a], aux)
-    _, ok = _stack_verdicts(
-        method, axiom, a.entries[None, None], _input_arrays([aux]), aux["tie_tol"], EmOptions()
+    [(_, _, ok)] = _stack_verdicts(
+        method, axiom, [a.entries[None, None]], [_input_arrays([aux])], aux["tie_tol"], EmOptions()
     )
     assert ok.tolist() == [False]
 
@@ -202,3 +202,14 @@ def test_an_entry_that_rounds_out_of_range_is_no_step(entry, increase):
     assert shrunk(_shrink, witness) == shrunk(oracle.shrink, witness)
     with np.errstate(all="ignore"):
         assert not axioms.replay(_shrink(witness)).holds
+
+
+@pytest.mark.parametrize("method, axiom, upper, aux", [
+    (MethodId.INDEX_ORDER, AxiomId.INV, 2.0, {}),  # no step to try
+    (MethodId.RGM, AxiomId.RSI, 1.0 + 0.8e-9, {"kappa": "2/1"}),  # its one step holds
+])
+def test_a_witness_shrinking_cannot_reduce_comes_back_unchanged(method, axiom, upper, aux):
+    a = PCM.from_upper(np.array([[1.0, upper], [1.0, 1.0]]))
+    witness = _run_check(method, axiom, [a], {**aux, "tie_tol": 1e-9}).witness
+    assert _shrink(witness) is witness
+    assert shrunk(_shrink, witness) == shrunk(oracle.shrink, witness)
