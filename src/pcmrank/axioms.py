@@ -27,7 +27,6 @@ from .core import (
     NonPositive,
     NotAnIncrease,
     OverlappingIndices,
-    PcmError,
     Permutation,
     RationalExponent,
     check_tie_tol,
@@ -232,8 +231,9 @@ class _Spec:
 
     ``image(e, x)`` is each trial's transformed matrix (trials, n, n),
     from its matrices ``e`` (trials, matrices, n, n) and ``x``, the trials'
-    inputs as arrays (see ``_input_arrays``); a check builds it through
-    the validating ``PCM`` function instead.  ``broken(before, after, x)``
+    inputs as arrays (see ``_input_arrays``), for a check as for a search;
+    a check's validating ``PCM`` transform runs only to raise its own error
+    where the image is rejected (see ``_judge``).  ``broken(before, after, x)``
     marks the pairs (i, j) that break the axiom, (trials, n, n), from the
     relation arrays of the matrices, ``before`` (trials, matrices, n, n),
     and of the transformed matrix, ``after`` (trials, n, n).  A witness
@@ -389,25 +389,6 @@ _SPECS = {
 }
 
 
-def _trial_relations(
-    method: MethodId, stacks: list, tie_tol: float, em: EmOptions
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``_relations`` of trial stacks of one matrix size, each stack
-    (trials, matrices + 1, n, n) holding each trial's matrices and then
-    its transformed matrix, all ranked as one stack: per stack, its
-    relation arrays and mask (trials, matrices + 1)."""
-    if len(stacks) == 1:
-        return [_relations(method, stacks[0], tie_tol, em)]
-    n = stacks[0].shape[-1]
-    rel, ok = _relations(method, np.concatenate([s.reshape(-1, n, n) for s in stacks]), tie_tol, em)
-    out, start = [], 0
-    for s in stacks:
-        end = start + s.shape[0] * s.shape[1]
-        out.append((rel[start:end].reshape(s.shape), ok[start:end].reshape(s.shape[:2])))
-        start = end
-    return out
-
-
 def _witness(
     axiom: AxiomId, method: MethodId, matrices: Sequence[PCM], inputs: dict,
     rel: np.ndarray, broken: np.ndarray, tie_tol: float,
@@ -433,35 +414,29 @@ def _judge(
     axiom: AxiomId, method: MethodId, matrices: Sequence[PCM], transform: Callable[[], PCM],
     inputs: dict, tie_tol: float, em: EmOptions,
 ) -> AxiomVerdict:
-    """Verdict of one check, judged as a stack of one trial: ``matrices``,
-    the matrix ``transform()`` builds from them, and the inputs as
-    ``_draw`` records them.  The first ranking that cannot be computed, in
-    the order matrices then transformed matrix, raises what ``method_rank``
-    raises, and the matrices are ranked before an error of the transform
-    is raised; a vacuous check raises no error of the transformed matrix.
-    Floating-point errors are ignored: an input near the float range is
-    judged without a RuntimeWarning."""
+    """Verdict of one check: ``_stack_verdicts`` on a stack of one trial,
+    ``matrices`` with the inputs as ``_draw`` records them.  Where that
+    row is rejected, the first rejected matrix, in the order matrices then
+    image, raises what ranking it alone raises.  ``transform()`` builds the
+    image through its validating ``PCM`` function only when the image is
+    rejected, so an image it cannot build raises the transform's own
+    error; a vacuous check raises no error of its image.  Floating-point
+    errors are ignored: an input near the float range is judged without a
+    RuntimeWarning."""
     check_tie_tol(tie_tol)  # the first error any ranking raises
-    spec, x = _SPECS[axiom], _input_arrays([inputs])
-    try:
-        image = transform()
-    except PcmError:
-        ranks = [method_rank(method, m, tie_tol, em).rank for m in matrices]
-        if spec.vacuous(relation(np.array(ranks))[None], x)[0]:
-            return AxiomVerdict(holds=True)
-        raise
-    stack = np.stack([m.entries for m in matrices] + [image.entries])[None]
-    [(rel, ok)] = _trial_relations(method, [stack], tie_tol, em)
-    before, after = rel[:, :-1], rel[:, -1]
-    for m, m_rel, ranked in zip((*matrices, image), rel[0], ok[0]):
+    x = _input_arrays([inputs])
+    e = np.array([m.entries for m in matrices])[None]
+    [(rel, broken, ok)] = _stack_verdicts(method, axiom, [e], [x], tie_tol, em)
+    for m, m_rel, ranked in zip((*matrices, None), rel[0], ok[0]):
         if not ranked:
-            if m is image and spec.vacuous(before, x)[0]:
-                return AxiomVerdict(holds=True)
+            if m is None:  # the image
+                if _SPECS[axiom].vacuous(rel[:, :-1], x)[0]:
+                    return AxiomVerdict(holds=True)
+                m = transform()
             if method is MethodId.EM and np.isnan(m_rel).all():
                 raise em.exhausted()  # as em_weights would, after iterating as long again
             method_rank(method, m, tie_tol, em)  # raises, as its arithmetic is the stack's
-    broken = spec.broken(before, after, x)[0]
-    witness = _witness(axiom, method, matrices, inputs, rel[0], broken, tie_tol)
+    witness = _witness(axiom, method, matrices, inputs, rel[0], broken[0], tie_tol)
     return AxiomVerdict(holds=witness is None, witness=witness)
 
 
@@ -655,7 +630,7 @@ def _flag_trials(
         for idx, (rel, broken, ok) in zip(
             groups, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em)
         ):
-            flagged = broken.any(axis=(1, 2))
+            flagged, ok = broken.any(axis=(1, 2)), ok.all(axis=1)
             flags[idx] = flagged | ~ok
             for row in (flagged & ok).nonzero()[0]:
                 judged[idx[row]] = rel[row], broken[row]
@@ -669,7 +644,8 @@ def _relations(
     every matrix in the stack ``e`` (..., n, n), and a mask of the rankings
     ``method_rank`` would compute without raising.  For EM it also clears
     where the iteration has not converged within ``em.max_iterations``;
-    such a matrix has NaN weights, and so NaN relations.
+    such a matrix, and one with an entry that is not finite and positive,
+    has NaN weights, and so NaN relations.
 
     The arithmetic repeats ``method_rank`` operation for operation, so the
     weights carry the same bits and the tie closure decides the same way.
@@ -679,8 +655,9 @@ def _relations(
         return np.zeros(e.shape), ok
     if method is MethodId.INDEX_ORDER:
         return np.broadcast_to(relation(np.arange(e.shape[-1])), e.shape), ok
-    if method is MethodId.EM:
-        s = em_weight_stack(e, em)  # NaN rows where unconverged
+    if method is MethodId.EM:  # NaN rows where unconverged
+        s = np.full(e.shape[:-1], np.nan)
+        s[ok] = em_weight_stack(e[ok], em)  # a bad entry would iterate NaN to the end
     else:
         s = closed_form_scores(method, e)
     w = s / s.sum(axis=-1, keepdims=True)
@@ -695,21 +672,35 @@ def _stack_verdicts(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Judge stacks of trials with matrices of one size at once: each
     stack holds trials with the same number of matrices (trials, matrices,
-    n, n) and ``xs`` their inputs (see ``_input_arrays``).  Every matrix
-    and transformed matrix is ranked in one stack, EM within ``em``'s
-    budget, and the axiom's rule judges their relation arrays.  Returns,
-    per stack, the relation arrays (trials, matrices + 1, n, n), the pairs
-    that break the axiom (trials, n, n) and, per trial, whether its check
-    ranks every matrix and accepts the inputs.  A check under ``em`` fails
-    exactly where a pair breaks and the trial is accepted, and reports the
-    first broken pair in row-major order; an EM matrix unconverged within
-    the budget is one the check cannot rank."""
+    n, n) and ``xs`` their inputs (see ``_input_arrays``).  Each trial's
+    image is built by the axiom's spec, and every matrix and image of
+    every stack is ranked in one stack, EM within ``em``'s budget; the
+    axiom's rule then judges their relation arrays.  Returns, per stack,
+    the relation arrays (trials, matrices + 1, n, n), the pairs that break
+    the axiom (trials, n, n) and whether its check ranks each matrix and
+    the image (trials, matrices + 1), the image's column also requiring
+    the spec's ``valid`` rule.  A check under ``em`` fails exactly where a
+    pair breaks and the whole row is accepted, and reports the first
+    broken pair in row-major order; an EM matrix unconverged within the
+    budget is one the check cannot rank.  Every check is a stack of one
+    trial here (see ``_judge``)."""
     spec = _SPECS[axiom]
     full = [np.concatenate([s, spec.image(s, x)[:, None]], axis=1) for s, x in zip(stacks, xs)]
-    return [
-        (rel, spec.broken(rel[:, :-1], rel[:, -1], x), ok.all(axis=1) & spec.valid(s, x))
-        for s, x, (rel, ok) in zip(stacks, xs, _trial_relations(method, full, tie_tol, em))
-    ]
+    if len(full) == 1:  # most calls: ranked as it is, with nothing to split
+        parts = [_relations(method, full[0], tie_tol, em)]
+    else:
+        n = full[0].shape[-1]
+        rel, ok = _relations(method, np.concatenate([f.reshape(-1, n, n) for f in full]), tie_tol, em)
+        parts, start = [], 0
+        for f in full:
+            end = start + f.shape[0] * f.shape[1]
+            parts.append((rel[start:end].reshape(f.shape), ok[start:end].reshape(f.shape[:2])))
+            start = end
+    out = []
+    for s, x, (rel, ok) in zip(stacks, xs, parts):
+        ok[:, -1] &= spec.valid(s, x)
+        out.append((rel, spec.broken(rel[:, :-1], rel[:, -1], x), ok))
+    return out
 
 
 # --- greedy witness shrinking ----------------------------------------------
@@ -753,7 +744,7 @@ def _falsifying(
     there."""
     x = _input_arrays(auxes)
     [(rel, broken, ok)] = _stack_verdicts(method, axiom, [stack], [x], auxes[0]["tie_tol"], em)
-    return rel, broken, broken.any(axis=(1, 2)) & ok
+    return rel, broken, broken.any(axis=(1, 2)) & ok.all(axis=1)
 
 
 def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:

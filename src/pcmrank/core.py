@@ -191,18 +191,13 @@ class PCM:
 
         The lower triangle is overwritten with exact reciprocals and the
         diagonal is forced to 1, so whatever ``grid`` carried there is
-        ignored.
+        ignored.  The filled matrix is validated once, as any ``PCM``.
         """
         g = np.asarray(grid, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise NonSquare(f"expected a square matrix, got shape {g.shape}")
-        n = g.shape[0]
-        if n < 2:
-            raise TooSmall("need at least two alternatives")
-        up = g[triu_indices(n)]
-        if not np.all(np.isfinite(up)) or np.any(up <= 0.0):
-            raise NonPositive("entries must be finite and strictly positive")
-        return cls(reciprocal_fill(g))
+        with np.errstate(divide="ignore", over="ignore"):  # a bad reciprocal is rejected
+            return cls(reciprocal_fill(g))
 
     @classmethod
     def ones(cls, n: int) -> "PCM":

@@ -35,8 +35,11 @@ def opposite_entries(e: np.ndarray) -> np.ndarray:
 
 
 def power_entries(e: np.ndarray, kappa) -> np.ndarray:
-    """exp(kappa * ln a_ij) above the diagonal, mirrored; one ``kappa`` per matrix."""
-    return reciprocal_fill(np.exp(np.asarray(kappa)[..., None, None] * np.log(e)))
+    """exp(kappa * ln a_ij) above the diagonal, mirrored; one ``kappa`` per
+    matrix.  A matrix whose kappa is 1 is returned unchanged, bit for bit,
+    as ``power`` returns it (exp(ln a) misses a by an ulp now and then)."""
+    k = np.asarray(kappa)[..., None, None]
+    return np.where(k == 1, e, reciprocal_fill(np.exp(k * np.log(e))))
 
 
 def permute_entries(e: np.ndarray, sigma: np.ndarray) -> np.ndarray:

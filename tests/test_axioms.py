@@ -25,11 +25,13 @@ from pcmrank import (
     check_rsi,
     falsify,
     method_rank,
+    method_weights,
     pair_relation,
     pcm_parse,
     replay,
     witness_json_dict,
 )
+from pcmrank.core import DEFAULT_TIE_TOL
 from pcmrank.registry import ARITH_AI_A1, ARITH_AI_A2, FAVPROD_AI_A1, FAVPROD_AI_A2, IIC4, KENDALL6
 
 LOG9 = np.log(9.0)
@@ -114,12 +116,26 @@ class TestInv:
         assert not replay(witness).holds
 
 
+def exponent_one_near_ties():
+    """2x2 matrices whose upper entry x differs from exp(ln x), each with
+    the tie tolerance set at its RGM weight gap, |w1 - w2| / max(w): an
+    exponent 1 computed through exp and ln moves some of them across it."""
+    rng = np.random.default_rng(0)
+    xs = np.exp(rng.uniform(-3.0, 3.0, 20_000))
+    for x in xs[np.exp(np.log(xs)) != xs]:
+        a = PCM.from_upper([[1.0, x], [1.0, 1.0]])
+        w = method_weights(MethodId.RGM, a).w
+        yield a, abs(w[0] - w[1]) / w.max()
+
+
 class TestRsi:
     def test_exponent_one_holds_for_every_method(self):
         rng = np.random.default_rng(65)
-        a = random_pcm(rng, 5)
-        for method in MethodId:
-            assert check_rsi(method, a, RationalExponent(1, 1)).holds
+        cases = [(random_pcm(rng, 5), DEFAULT_TIE_TOL), *exponent_one_near_ties()]
+        assert len(cases) > 30
+        for a, tie_tol in cases:
+            for method in MethodId:
+                assert check_rsi(method, a, RationalExponent(1, 1), tie_tol).holds
 
     def test_em_published_failure(self):
         verdict = check_rsi(MethodId.EM, KENDALL6, RationalExponent(2, 1))

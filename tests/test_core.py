@@ -240,6 +240,20 @@ class TestPcmType:
         for g, f in zip(grids, filled):
             assert np.array_equal(f, PCM.from_upper(g).entries)
 
+    @pytest.mark.parametrize("grid, error, text", [
+        (np.ones((0, 0)), TooSmall, "need at least two alternatives"),
+        (np.ones((1, 1)), TooSmall, "need at least two alternatives"),
+        ([1.0, 2.0], NonSquare, "expected a square matrix, got shape (2,)"),
+        (np.ones((2, 3)), NonSquare, "expected a square matrix, got shape (2, 3)"),
+        *(([[1.0, x], [7.0, 1.0]], NonPositive, "entries must be finite and strictly positive")
+          for x in (0.0, -0.0, -2.0, 5e-324, np.inf, np.nan)),
+    ])
+    def test_from_upper_rejects_as_pcm_does_without_a_warning(self, grid, error, text):
+        # the filled matrix is validated once; a RuntimeWarning fails the test
+        with pytest.raises(error) as exc:
+            PCM.from_upper(grid)
+        assert str(exc.value) == text
+
 
 class TestConsistency:
     def test_ones_consistent(self):

@@ -149,7 +149,7 @@ def test_the_stacked_judge_rejects_what_the_check_rejects(method, axiom, upper, 
     [(_, _, ok)] = _stack_verdicts(
         method, axiom, [a.entries[None, None]], [_input_arrays([aux])], aux["tie_tol"], EmOptions()
     )
-    assert ok.tolist() == [False]
+    assert ok.all(axis=1).tolist() == [False]
 
 
 def test_a_wide_witness_fills_several_rounding_stacks():
