@@ -33,12 +33,11 @@ from .core import (
     reciprocal_fill,
     relation,
     rewrite_entry,
-    tie_group_max,
     triu_indices,
 )
 from .transforms import aggregate, opposite, permute, power
 from .transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
-from .weighting import EmOptions, MethodId, closed_form_scores, em_weight_stack, method_rank
+from .weighting import EmOptions, MethodId, method_rank, rank_keys
 
 
 class AxiomId(Enum):
@@ -420,9 +419,9 @@ def _judge(
     image, raises what ranking it alone raises.  ``transform()`` builds the
     image through its validating ``PCM`` function only when the image is
     rejected, so an image it cannot build raises the transform's own
-    error; a vacuous check raises no error of its image.  Floating-point
-    errors are ignored: an input near the float range is judged without a
-    RuntimeWarning."""
+    error; a vacuous check's image counts as ranked, so it raises none.
+    Floating-point errors are ignored: an input near the float range is
+    judged without a RuntimeWarning."""
     check_tie_tol(tie_tol)  # the first error any ranking raises
     x = _input_arrays([inputs])
     e = np.array([m.entries for m in matrices])[None]
@@ -430,12 +429,10 @@ def _judge(
     for m, m_rel, ranked in zip((*matrices, None), rel[0], ok[0]):
         if not ranked:
             if m is None:  # the image
-                if _SPECS[axiom].vacuous(rel[:, :-1], x)[0]:
-                    return AxiomVerdict(holds=True)
                 m = transform()
             if method is MethodId.EM and np.isnan(m_rel).all():
                 raise em.exhausted()  # as em_weights would, after iterating as long again
-            method_rank(method, m, tie_tol, em)  # raises, as its arithmetic is the stack's
+            method_rank(method, m, tie_tol, em)  # raises: it ranks through ``rank_keys`` too
     witness = _witness(axiom, method, matrices, inputs, rel[0], broken[0], tie_tol)
     return AxiomVerdict(holds=witness is None, witness=witness)
 
@@ -637,36 +634,6 @@ def _flag_trials(
     return flags, draws, judged
 
 
-def _relations(
-    method: MethodId, e: np.ndarray, tie_tol: float, em: EmOptions = EmOptions()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relation arrays (see ``core.relation``) of ``method``'s ranking of
-    every matrix in the stack ``e`` (..., n, n), and a mask of the rankings
-    ``method_rank`` would compute without raising.  For EM it also clears
-    where the iteration has not converged within ``em.max_iterations``;
-    such a matrix, and one with an entry that is not finite and positive,
-    has NaN weights, and so NaN relations.
-
-    The arithmetic repeats ``method_rank`` operation for operation, so the
-    weights carry the same bits and the tie closure decides the same way.
-    """
-    ok = ((e > 0.0) & (e < np.inf)).all(axis=(-2, -1)) & (tie_tol >= 0.0)
-    if method is MethodId.FLAT:
-        return np.zeros(e.shape), ok
-    if method is MethodId.INDEX_ORDER:
-        return np.broadcast_to(relation(np.arange(e.shape[-1])), e.shape), ok
-    if method is MethodId.EM:  # NaN rows where unconverged
-        s = np.full(e.shape[:-1], np.nan)
-        s[ok] = em_weight_stack(e[ok], em)  # a bad entry would iterate NaN to the end
-    else:
-        s = closed_form_scores(method, e)
-    w = s / s.sum(axis=-1, keepdims=True)
-    # w > 0 throughout only if every score and their sum are finite and
-    # positive; the weights then sum to 1 within n ulps, far inside SUM_TOL
-    ok &= (w > 0.0).all(axis=-1)
-    return relation(-tie_group_max(w, tie_tol)), ok
-
-
 def _stack_verdicts(
     method: MethodId, axiom: AxiomId, stacks: list, xs: list, tie_tol: float, em: EmOptions
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -678,27 +645,31 @@ def _stack_verdicts(
     axiom's rule then judges their relation arrays.  Returns, per stack,
     the relation arrays (trials, matrices + 1, n, n), the pairs that break
     the axiom (trials, n, n) and whether its check ranks each matrix and
-    the image (trials, matrices + 1), the image's column also requiring
-    the spec's ``valid`` rule.  A check under ``em`` fails exactly where a
-    pair breaks and the whole row is accepted, and reports the first
-    broken pair in row-major order; an EM matrix unconverged within the
-    budget is one the check cannot rank.  Every check is a stack of one
-    trial here (see ``_judge``)."""
+    the image (trials, matrices + 1): the image's column holds where the
+    spec's ``vacuous`` rule does, and requires its ``valid`` rule.  Every
+    matrix is ranked by ``rank_keys``, as ``method_rank`` ranks one.  A
+    check under ``em`` fails exactly where a pair breaks and the whole row
+    is accepted, and reports the first broken pair in row-major order; an
+    EM matrix unconverged within the budget is one the check cannot rank.
+    Every check is a stack of one trial here (see ``_judge``)."""
     spec = _SPECS[axiom]
     full = [np.concatenate([s, spec.image(s, x)[:, None]], axis=1) for s, x in zip(stacks, xs)]
     if len(full) == 1:  # most calls: ranked as it is, with nothing to split
-        parts = [_relations(method, full[0], tie_tol, em)]
+        parts = [rank_keys(method, full[0], tie_tol, em)]
     else:
         n = full[0].shape[-1]
-        rel, ok = _relations(method, np.concatenate([f.reshape(-1, n, n) for f in full]), tie_tol, em)
+        e = np.concatenate([f.reshape(-1, n, n) for f in full])
+        keys, ok = rank_keys(method, e, tie_tol, em)
         parts, start = [], 0
         for f in full:
             end = start + f.shape[0] * f.shape[1]
-            parts.append((rel[start:end].reshape(f.shape), ok[start:end].reshape(f.shape[:2])))
+            rows = slice(start, end)
+            parts.append((keys[rows].reshape(f.shape[:-1]), ok[rows].reshape(f.shape[:2])))
             start = end
     out = []
-    for s, x, (rel, ok) in zip(stacks, xs, parts):
-        ok[:, -1] &= spec.valid(s, x)
+    for s, x, (keys, ok) in zip(stacks, xs, parts):
+        rel = relation(keys)
+        ok[:, -1] = (ok[:, -1] | spec.vacuous(rel[:, :-1], x)) & spec.valid(s, x)
         out.append((rel, spec.broken(rel[:, :-1], rel[:, -1], x), ok))
     return out
 

@@ -43,8 +43,10 @@ from .weighting import EmOptions, MethodId, em_weights, method_rank, method_weig
 
 MAX_CLI_N = 64
 
-WEIGHT_METHOD_TOKENS = ("rgm", "em", "arith", "col1", "favprod")
-ALL_METHOD_TOKENS = WEIGHT_METHOD_TOKENS + ("flat", "index")
+ALL_METHOD_TOKENS = tuple(m.value for m in MethodId)
+WEIGHT_METHOD_TOKENS = tuple(
+    m.value for m in MethodId if m not in (MethodId.FLAT, MethodId.INDEX_ORDER)
+)
 AXIOM_TOKENS = tuple(a.value for a in AxiomId)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 
 import numpy as np
 
@@ -242,9 +242,35 @@ def pcm_parse_rows(rows: list[str], reciprocity_tol: float = DEFAULT_RECIPROCITY
     n = len(rows)
     if n < 2:
         raise TooSmall(f"matrix needs at least 2 rows, got {n}")
-    a = _convert_grid(rows)
-    if a is None:  # some field is bad: find the first, field by field
-        a = np.array([_parse_row(line, n) for line in rows])
+    values = []
+    for line in rows:  # row-major order, so the first bad row or field raises
+        fields = line.split(",")
+        if len(fields) != n:
+            raise NonSquare(f"{n} rows but a row with {len(fields)} fields")
+        for field in fields:  # int() and float() strip whitespace as str.strip does
+            if "/" in field:
+                num, _, den = field.partition("/")
+                try:
+                    p, q = int(num), int(den)
+                except ValueError:
+                    raise NonPositive(f"bad rational literal {field.strip()!r}") from None
+                if p <= 0 or q <= 0:
+                    raise NonPositive(f"rational literal {field.strip()!r} must have p, q > 0")
+                try:
+                    values.append(p / q)  # int division is correctly rounded
+                except OverflowError:
+                    raise NonPositive(
+                        f"rational literal {field.strip()!r} overflows a float"
+                    ) from None
+            else:
+                try:
+                    value = float(field)
+                except ValueError:
+                    raise NonPositive(f"bad entry {field.strip()!r}") from None
+                if not 0.0 < value < inf:
+                    raise NonPositive(f"entry {field.strip()!r} is not a positive real")
+                values.append(value)
+    a = np.array(values).reshape(n, n)
     iu, ju = triu_indices(n)
     product = a[iu, ju] * a[ju, iu]
     off = np.abs(product - 1.0) > reciprocity_tol
@@ -256,61 +282,6 @@ def pcm_parse_rows(rows: list[str], reciprocity_tol: float = DEFAULT_RECIPROCITY
             f"{product[first]:.9g} is off 1 by more than {reciprocity_tol:g}"
         )
     return PCM.from_upper(a)
-
-
-def _convert_grid(rows: list[str]) -> np.ndarray | None:
-    """Every field of ``rows`` converted in one pass, as ``_parse_entry``
-    would convert it, or None where some row has the wrong length or some
-    field is not a positive finite decimal or a rational with p, q > 0.
-    Conversion strips whitespace as ``str.strip`` does, so the fields need
-    no stripping first."""
-    n = len(rows)
-    if any(line.count(",") != n - 1 for line in rows):
-        return None
-    values = []
-    try:
-        for field in ",".join(rows).split(","):
-            if "/" in field:
-                num, den = field.split("/")  # more than one "/" raises
-                p, q = int(num), int(den)
-                if p <= 0 or q <= 0:
-                    return None
-                values.append(p / q)
-            else:
-                values.append(float(field))
-    except (ValueError, OverflowError):
-        return None
-    a = np.array(values).reshape(n, n)
-    return a if ((a > 0.0) & (a < np.inf)).all() else None
-
-
-def _parse_row(line: str, n: int) -> list[float]:
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != n:
-        raise NonSquare(f"{n} rows but a row with {len(fields)} fields")
-    return [_parse_entry(f) for f in fields]
-
-
-def _parse_entry(field: str) -> float:
-    if "/" in field:
-        num, _, den = field.partition("/")
-        try:
-            p, q = int(num.strip()), int(den.strip())
-        except ValueError:
-            raise NonPositive(f"bad rational literal {field!r}") from None
-        if p <= 0 or q <= 0:
-            raise NonPositive(f"rational literal {field!r} must have p, q > 0")
-        try:
-            return p / q  # int division is correctly rounded
-        except OverflowError:
-            raise NonPositive(f"rational literal {field!r} overflows a float") from None
-    try:
-        value = float(field)
-    except ValueError:
-        raise NonPositive(f"bad entry {field!r}") from None
-    if not np.isfinite(value) or value <= 0.0:
-        raise NonPositive(f"entry {field!r} is not a positive real")
-    return value
 
 
 def pcm_to_csv(a: PCM) -> str:
@@ -385,6 +356,14 @@ class Ranking:
     def n(self) -> int:
         return len(self.rank)
 
+    @classmethod
+    def from_keys(cls, keys: np.ndarray) -> "Ranking":
+        """Dense labels from rank keys, smaller first: equal keys share a
+        label, and the smallest key is labelled 0."""
+        keys = keys.tolist()
+        label = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return cls([label[k] for k in keys])
+
     def groups(self) -> list[list[int]]:
         """Alternative indices grouped by label, best group first."""
         out: list[list[int]] = [[] for _ in range(int(self.rank.max()) + 1)]
@@ -458,9 +437,7 @@ def ranking_from_weights(w: WeightVector, tie_tol: float = DEFAULT_TIE_TOL) -> R
     rank of its largest weight.
     """
     check_tie_tol(tie_tol)
-    gmax = tie_group_max(w.w, tie_tol).tolist()
-    label = {m: k for k, m in enumerate(sorted(set(gmax), reverse=True))}
-    return Ranking([label[m] for m in gmax])
+    return Ranking.from_keys(-tie_group_max(w.w, tie_tol))
 
 
 def pair_relation(r: Ranking, i: int, j: int) -> PairRelation:

@@ -18,7 +18,7 @@ from .core import (
     Ranking,
     WeightVector,
     check_tie_tol,
-    ranking_from_weights,
+    tie_group_max,
 )
 
 
@@ -210,18 +210,52 @@ def method_rank(
     tie_tol: float = DEFAULT_TIE_TOL,
     em: EmOptions = EmOptions(),
 ) -> Ranking:
-    """Ranking induced by method ``m`` on matrix ``a``.
+    """Ranking induced by method ``m`` on matrix ``a``: ``rank_keys`` on a
+    stack of one.
 
     FLAT ties everything; INDEX_ORDER ranks alternatives by their index
     regardless of the matrix; every other method ranks by its weights.
-    The tie tolerance is checked for every method.
+    The tie tolerance is checked for every method.  Where the weights
+    cannot be ranked, the error is the one ``method_weights`` raises, and
+    an EM iteration that has not converged raises after one budget.
     """
     check_tie_tol(tie_tol)
+    keys, ok = rank_keys(m, a.entries, tie_tol, em)
+    if not ok:
+        if m is MethodId.EM and np.isnan(keys).all():
+            raise em.exhausted()
+        method_weights(m, a, em)  # raises what the weights alone raise
+    return Ranking.from_keys(keys)
+
+
+def rank_keys(
+    m: MethodId, e: np.ndarray, tie_tol: float, em: EmOptions = EmOptions()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank keys of method ``m`` for every matrix in the stack ``e``
+    (..., n, n), smaller first and equal within a tie group (see
+    ``core.relation`` and ``Ranking.from_keys``), and a mask of the
+    matrices ``method_rank`` ranks without raising.  The keys are zeros
+    for FLAT, the index for INDEX_ORDER and minus ``tie_group_max`` of the
+    weights otherwise.  For EM the mask also clears where the iteration
+    has not converged within ``em.max_iterations``; such a matrix, and one
+    with an entry that is not finite and positive, has NaN keys.  Every
+    matrix's keys carry the same bits in any stack.
+    """
+    ok = ((e > 0.0) & (e < np.inf)).all(axis=(-2, -1)) & (tie_tol >= 0.0)
     if m is MethodId.FLAT:
-        return Ranking(np.zeros(a.n, dtype=int))
+        return np.zeros(e.shape[:-1]), ok
     if m is MethodId.INDEX_ORDER:
-        return Ranking(np.arange(a.n))
-    return ranking_from_weights(method_weights(m, a, em), tie_tol)
+        return np.broadcast_to(np.arange(e.shape[-1]), e.shape[:-1]), ok
+    if m is MethodId.EM:  # NaN rows where unconverged
+        s = np.full(e.shape[:-1], np.nan)
+        s[ok] = em_weight_stack(e[ok], em)  # a bad entry would iterate NaN to the end
+    else:
+        s = closed_form_scores(m, e)
+    w = s / s.sum(axis=-1, keepdims=True)
+    # w > 0 throughout only if every score and their sum are finite and
+    # positive; the weights then sum to 1 within n ulps, far inside SUM_TOL
+    ok &= (w > 0.0).all(axis=-1)
+    return -tie_group_max(w, tie_tol), ok
 
 
 def weights_json_dict(

@@ -1,16 +1,18 @@
-"""Reference implementations kept beside the tests: the axiom checks as
-pair-by-pair loops over ``method_rank`` and ``pair_relation``, the
-union-find tie closure of ``ranking_from_weights``, witness shrinking as
+"""Reference implementations kept beside the tests: the ranking of a
+matrix composed from its weight vector, the axiom checks as pair-by-pair
+loops over that ranking and ``pair_relation``, the union-find tie
+closure of ``ranking_from_weights``, witness shrinking as
 a greedy loop of one check per step, the EM power iteration that tests
 its convergence after every step, and the matrix CSV parser that
 converts and validates one field at a time.
 
-These are the rules as first written, one pair, one step, one iterate or
-one field at a time.  The package judges every axiom over relation
-arrays, judges a witness's shrinking steps as stacks, iterates EM in
-blocks and converts a whole CSV grid in one pass instead; the tests hold
-it to these loops for verdicts, witness pairs, narratives, errors, shrunk
-witnesses, weight bits and parsed entries.
+These are the rules as first written, one matrix, one pair, one step,
+one iterate or one field at a time.  The package ranks every matrix
+through one stacked function, judges every axiom over relation arrays,
+judges a witness's shrinking steps as stacks, iterates EM in blocks and
+converts a CSV grid in one loop without a per-field helper instead; the
+tests hold it to these loops for rankings, verdicts, witness pairs,
+narratives, errors, shrunk witnesses, weight bits and parsed entries.
 """
 
 from __future__ import annotations
@@ -41,21 +43,35 @@ from pcmrank import (
     TooSmall,
     Witness,
     aggregate,
-    method_rank,
+    method_weights,
     opposite,
     pair_relation,
     permute,
     power,
+    ranking_from_weights,
 )
 from pcmrank.axioms import _SPECS, _round_to_one_significant, _run_check
-from pcmrank.core import DEFAULT_RECIPROCITY_TOL, triu_indices
-from pcmrank.weighting import EmOptions
+from pcmrank.core import DEFAULT_RECIPROCITY_TOL, DEFAULT_TIE_TOL, check_tie_tol, triu_indices
+from pcmrank.weighting import EmOptions, MethodId
 
 _REL_TEXT = {
     PairRelation.STRICTLY_ABOVE: "strictly above",
     PairRelation.TIED: "tied with",
     PairRelation.STRICTLY_BELOW: "strictly below",
 }
+
+
+def method_rank(method, a, tie_tol=DEFAULT_TIE_TOL, em=EmOptions()) -> Ranking:
+    """``weighting.method_rank`` composed from the weight vector: FLAT ties
+    everything, INDEX_ORDER ranks by index, and every other method ranks
+    ``method_weights`` through ``ranking_from_weights``; the tie tolerance
+    is checked first for every method."""
+    check_tie_tol(tie_tol)
+    if method is MethodId.FLAT:
+        return Ranking(np.zeros(a.n, dtype=int))
+    if method is MethodId.INDEX_ORDER:
+        return Ranking(np.arange(a.n))
+    return ranking_from_weights(method_weights(method, a, em), tie_tol)
 
 
 def _fail(axiom, method, matrices, auxiliary, narrative):

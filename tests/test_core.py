@@ -124,6 +124,8 @@ EDGE_FIELDS = [
     "nan", "inf", "-inf", "1e-400", "1e400", "5e-324", "0x10", "-0.0",
     "7" * 400 + "/" + "3" * 399, "1" + "0" * 4999, "1" + "0" * 4999 + "/1",
     "\uff13/\uff14", "\uff11.\uff15", "\u0663", "\u00a02\u00a0", "1\u20282",
+    # bad fields with spaces around them: each error names the field stripped
+    " -2 ", " x ", " 3/0 ", " 1/x ", " 1" + "0" * 400 + "/1 ",
 ]
 
 
@@ -181,9 +183,9 @@ def _csv_texts(draw):
 
 
 class TestParseMatchesFieldByFieldReference:
-    """``pcm_parse`` converts the whole grid in one pass and falls back to
-    the field-by-field rules on any failure: it must give the reference's
-    entries bit for bit, or its error type and text."""
+    """``pcm_parse`` converts the fields in one loop, without the
+    reference's per-field helper: it must give the reference's entries bit
+    for bit, or its error type and text."""
 
     @pytest.mark.parametrize("text", list(_edge_texts()))
     def test_edge_cases(self, text):

@@ -24,6 +24,7 @@ from pcmrank import (
     WeightVector,
     aggregate,
     equalize_pair,
+    method_rank,
     method_scores,
     opposite,
     pcm_parse,
@@ -276,6 +277,48 @@ def test_checks_on_huge_entries_warn_nothing(method, axiom):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a warning would be the outcome
                 assert outcome(_run_check, method, axiom, matrices, inputs, em) == expected
+
+
+def rank_outcome(rank, method, a, tie_tol, em):
+    try:
+        return rank(method, a, tie_tol, em).rank.tolist()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def ranked_matrices():
+    """Each distinct matrix of the "close" and "huge" draws and of the
+    underflow draws of every axiom, with the EM budgets it is ranked at:
+    the default (200 steps stand in for it on the underflow draws, 100 on
+    "huge") and starved ones."""
+    seen = set()
+    for axiom in AxiomId:
+        drawn = [("close", m) for ms, _ in cases(axiom, "close", 8) for m in ms]
+        drawn += [("huge", m) for ms, _ in cases(axiom, "huge", 8) for m in ms]
+        drawn += [("underflow", m) for ms, _ in underflow_draws(axiom) for m in ms]
+        for kind, m in drawn:
+            if m.entries.tobytes() not in seen:
+                seen.add(m.entries.tobytes())
+                full = budgets(MethodId.EM, "huge" if kind == "huge" else "close")
+                yield m, ([UNDERFLOW_EM] + full[1:]) if kind == "underflow" else full
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow
+def test_method_rank_equals_the_composed_ranking():
+    """``method_rank`` ranks through the stacked ``rank_keys``; it must give
+    the ranking of the weight vector, or the error type and text, for
+    every method, in the order a bad tie tolerance, then the weights."""
+    outcomes = set()
+    for m, em_budgets in ranked_matrices():
+        for method in MethodId:
+            for tie_tol in TIE_TOLS + [-1.0, math.nan]:
+                for em in em_budgets if method is MethodId.EM else [EmOptions()]:
+                    got = rank_outcome(method_rank, method, m, tie_tol, em)
+                    assert got == rank_outcome(oracle.method_rank, method, m, tie_tol, em), (
+                        method, tie_tol, em, m.entries.tolist()
+                    )
+                    outcomes.add(got[0] if isinstance(got, tuple) else "ranked")
+    assert outcomes == {"ranked", "InvalidParameter", "NoConvergence", "NonPositive"}
 
 
 @st.composite

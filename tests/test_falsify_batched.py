@@ -37,8 +37,9 @@ from pcmrank import (
     witness_json_dict,
 )
 from pcmrank import axioms
-from pcmrank.axioms import _draw, _flag_trials, _relations, _run_check, _shrink, _trial_rng
-from pcmrank.weighting import EmOptions, closed_form_scores, em_weight_stack, em_weights
+from pcmrank.axioms import _draw, _flag_trials, _run_check, _shrink, _trial_rng
+from pcmrank.core import relation
+from pcmrank.weighting import EmOptions, closed_form_scores, em_weight_stack, em_weights, rank_keys
 
 import oracle
 
@@ -52,6 +53,13 @@ STACKED = CLOSED_FORM + [MethodId.EM]
 RANK_ONLY = [MethodId.FLAT, MethodId.INDEX_ORDER]
 TIE_TOLS = [1e-9, 0.05, 0.3]
 SIGN = {PairRelation.STRICTLY_ABOVE: 1, PairRelation.TIED: 0, PairRelation.STRICTLY_BELOW: -1}
+
+
+def _relations(method, e, tie_tol):
+    """The relation arrays of ``method``'s rankings of the stack ``e``, and
+    the mask of the matrices it ranks (see ``rank_keys``)."""
+    keys, ok = rank_keys(method, e, tie_tol)
+    return relation(keys), ok
 
 
 def trial_inputs(axiom, cfg, trial, tie_tol):
@@ -170,7 +178,7 @@ def test_relations_match_pair_relations(tie_tol):
             rel, ok = _relations(method, stack, tie_tol)
             assert ok.all()
             for b in range(len(stack)):
-                rank = method_rank(method, PCM(stack[b]), tie_tol)
+                rank = oracle.method_rank(method, PCM(stack[b]), tie_tol)
                 expected = [[SIGN[pair_relation(rank, i, j)] if i != j else 0 for j in range(n)]
                             for i in range(n)]
                 assert rel[b].tolist() == expected
@@ -357,6 +365,20 @@ def test_overflowing_res_increase_raises_a_pcm_error(method):
     for search in (falsify, scalar_search):
         with pytest.raises(PcmError):
             search(method, AxiomId.RES, cfg, 1e-9, EmOptions())
+
+
+@pytest.mark.parametrize("method", STACKED, ids=lambda m: m.value)
+def test_a_vacuous_res_trial_is_not_flagged_though_its_image_cannot_be_built(method):
+    # both trials raise a[1][2] to inf: in trial 0 alternative 1 starts
+    # strictly below 2 (a[1][2] = 1e-160), so RES holds; in trial 7 it
+    # starts above (a[1][2] = 4e192), so the check raises: the improved
+    # matrix cannot be built
+    cfg = SearchConfig(seed=0, trials=8, n_range=(2, 2), entry_log_range=(-800.0, 800.0))
+    with np.errstate(all="ignore"):
+        flags, draws, _ = _flag_trials(method, AxiomId.RES, cfg, range(cfg.trials), 1e-9)
+    assert [draws[t][1]["increase"] for t in (0, 7)] == [math.inf, math.inf]
+    assert not flags[0] and flags[7]
+    assert check_res(method, PCM.from_upper(draws[0][0][0]), (0, 1), math.inf).holds
 
 
 def draw_digest(axiom, **config):
