@@ -10,6 +10,7 @@ reproduces the failure deterministically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -37,7 +38,7 @@ from .core import (
 )
 from .transforms import aggregate, opposite, permute, power
 from .transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
-from .weighting import EmOptions, MethodId, method_rank, rank_keys
+from .weighting import EmOptions, MethodId, em_rank_error, method_rank, rank_keys
 
 
 class AxiomId(Enum):
@@ -82,7 +83,9 @@ class SearchConfig:
 
     Entries are drawn as exp(uniform over ``entry_log_range``); the default
     span covers ratio judgments up to 9.  An entry drawn beyond the float
-    range is an input like any other: its check rejects it.
+    range is an input like any other: its check rejects it.  ``seed``
+    and ``trials`` take any integer, numpy's included, and nothing else;
+    the seed counts modulo 2**64.
     """
 
     seed: int
@@ -91,6 +94,12 @@ class SearchConfig:
     entry_log_range: tuple[float, float] = (-math.log(9.0), math.log(9.0))
 
     def __post_init__(self):
+        for name in ("seed", "trials"):  # numpy integers become Python ints
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise InvalidParameter("trials must be at least 1")
         lo, hi = self.n_range
@@ -244,6 +253,7 @@ class _Spec:
     check holds without ranking the transformed matrix and ``valid(e, x)``
     those whose inputs pass the argument rules that read an entry (IIC's
     value must change its cell, RES's value must raise its pair's entry).
+    ``vacuous`` and ``valid`` are None where an axiom has no such rule.
     """
 
     image: Callable
@@ -252,8 +262,8 @@ class _Spec:
     args: Callable
     pinned: Callable = lambda aux: set(aux["pair"])
     min_n: int = 2
-    vacuous: Callable = lambda before, x: np.zeros(len(before), dtype=bool)
-    valid: Callable = lambda e, x: True
+    vacuous: Optional[Callable] = None
+    valid: Optional[Callable] = None
 
 
 def _input_arrays(inputs: list) -> dict:
@@ -430,8 +440,8 @@ def _judge(
         if not ranked:
             if m is None:  # the image
                 m = transform()
-            if method is MethodId.EM and np.isnan(m_rel).all():
-                raise em.exhausted()  # as em_weights would, after iterating as long again
+            if method is MethodId.EM:
+                raise em_rank_error(m_rel, em)
             method_rank(method, m, tie_tol, em)  # raises: it ranks through ``rank_keys`` too
     witness = _witness(axiom, method, matrices, inputs, rel[0], broken[0], tie_tol)
     return AxiomVerdict(holds=witness is None, witness=witness)
@@ -461,7 +471,7 @@ def replay(witness: Witness, em: EmOptions = EmOptions()) -> AxiomVerdict:
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # stream depends only on (seed, trial index), so trials are order-free
-    return np.random.default_rng(np.random.SeedSequence((seed % 2**64, trial)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed % 2**64, trial))))
 
 
 def _draw_grid(rng: np.random.Generator, n: int, log_range: tuple[float, float]) -> np.ndarray:
@@ -557,7 +567,7 @@ def falsify(
         while start < cfg.trials:
             trials = range(start, min(start + size, cfg.trials))
             flags, draws, judged = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
-            for trial in np.flatnonzero(flags):
+            for trial in flags.nonzero()[0]:
                 grids, inputs = draws[trial]
                 matrices = [PCM.from_upper(g) for g in grids]
                 if trial in judged:
@@ -669,7 +679,10 @@ def _stack_verdicts(
     out = []
     for s, x, (keys, ok) in zip(stacks, xs, parts):
         rel = relation(keys)
-        ok[:, -1] = (ok[:, -1] | spec.vacuous(rel[:, :-1], x)) & spec.valid(s, x)
+        if spec.vacuous is not None:
+            ok[:, -1] |= spec.vacuous(rel[:, :-1], x)
+        if spec.valid is not None:
+            ok[:, -1] &= spec.valid(s, x)
         out.append((rel, spec.broken(rel[:, :-1], rel[:, -1], x), ok))
     return out
 

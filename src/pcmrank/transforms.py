@@ -25,7 +25,7 @@ def aggregate_entries(e: np.ndarray) -> np.ndarray:
     a single matrix (k = 1) is returned unchanged, bit for bit."""
     if e.shape[-3] == 1:
         return e[..., 0, :, :]
-    return reciprocal_fill(np.exp(np.mean(np.log(e), axis=-3)))
+    return reciprocal_fill(np.exp(np.add.reduce(np.log(e), axis=-3) / e.shape[-3]))
 
 
 def opposite_entries(e: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ from .core import (
     InvalidParameter,
     NoConvergence,
     NoWeightForm,
+    NonPositive,
+    PcmError,
     Ranking,
     WeightVector,
     check_tie_tol,
@@ -189,7 +191,7 @@ def closed_form_scores(m: MethodId, e: np.ndarray) -> np.ndarray:
     defined).
     """
     if m is MethodId.RGM:
-        return np.exp(np.mean(np.log(e), axis=-1))
+        return np.exp(np.add.reduce(np.log(e), axis=-1) / e.shape[-1])
     if m is MethodId.ROW_ARITHMETIC_MEAN:
         return e.sum(axis=-1)
     if m is MethodId.FIRST_COLUMN:
@@ -216,16 +218,27 @@ def method_rank(
     FLAT ties everything; INDEX_ORDER ranks alternatives by their index
     regardless of the matrix; every other method ranks by its weights.
     The tie tolerance is checked for every method.  Where the weights
-    cannot be ranked, the error is the one ``method_weights`` raises, and
-    an EM iteration that has not converged raises after one budget.
+    cannot be ranked, the error is the one ``method_weights`` raises; for
+    EM it is read from the one iteration already run (``em_rank_error``).
     """
     check_tie_tol(tie_tol)
     keys, ok = rank_keys(m, a.entries, tie_tol, em)
     if not ok:
-        if m is MethodId.EM and np.isnan(keys).all():
-            raise em.exhausted()
+        if m is MethodId.EM:
+            raise em_rank_error(keys, em)
         method_weights(m, a, em)  # raises what the weights alone raise
     return Ranking.from_keys(keys)
+
+
+def em_rank_error(keys: np.ndarray, em: EmOptions) -> PcmError:
+    """The error ``em_weights`` raises on a valid matrix whose EM row of
+    ``rank_keys`` was rejected, read from that row's ``keys`` (or its
+    relation array) without iterating again: NoConvergence where they are
+    all NaN, else the weights' NonPositive, since a converged weight
+    underflowed to 0."""
+    if np.isnan(keys).all():
+        return em.exhausted()
+    return NonPositive("weights must be finite and strictly positive")
 
 
 def rank_keys(

@@ -34,9 +34,10 @@ from pcmrank import (
     ranking_from_weights,
     witness_json_dict,
 )
-from pcmrank.axioms import _draw, _run_check, _trial_rng
+from pcmrank import weighting
+from pcmrank.axioms import _draw, _run_check, _trial_rng, check_inv
 from pcmrank.cli import main
-from pcmrank.weighting import EmOptions, em_weights
+from pcmrank.weighting import EmOptions, em_weight_stack, em_weights
 
 import oracle
 
@@ -232,6 +233,39 @@ def test_em_weights_that_underflow_raise_before_they_warn(axiom):
             warnings.simplefilter("error")
             with pytest.raises(NonPositive):
                 em_weights(m, UNDERFLOW_EM)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow
+def test_em_weights_that_underflow_raise_from_the_stack_already_run(monkeypatch):
+    # a rejected EM row whose weights converged tells the weights' error
+    # apart from NoConvergence, so neither a check nor a ranking iterates
+    # that matrix again just to raise
+    def first_underflowing():
+        for matrices, _ in underflow_draws(AxiomId.INV):
+            try:
+                em_weights(matrices[0], UNDERFLOW_EM)
+            except NonPositive as exc:
+                return matrices[0], exc
+            except NoConvergence:
+                pass
+
+    m, error = first_underflowing()
+    stacks = []
+
+    def counted(e, opts=EmOptions()):
+        stacks.append(len(e))
+        return em_weight_stack(e, opts)
+
+    monkeypatch.setattr(weighting, "em_weight_stack", counted)
+    for rank in (
+        lambda: check_inv(MethodId.EM, m, 1e-9, UNDERFLOW_EM),
+        lambda: method_rank(MethodId.EM, m, 1e-9, UNDERFLOW_EM),
+    ):
+        stacks.clear()
+        with pytest.raises(NonPositive) as raised:
+            rank()
+        assert str(raised.value) == str(error)
+        assert len(stacks) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow

@@ -514,3 +514,25 @@ def test_an_overflowing_res_factor_is_judged_as_an_infinite_increase(method):
 def test_search_config_rejects_degenerate_entry_log_ranges(log_range):
     with pytest.raises(InvalidParameter):
         SearchConfig(seed=0, trials=5, entry_log_range=log_range)
+
+
+@pytest.mark.parametrize("seed, trials", [
+    (np.int64(3), np.int32(40)), (np.uint64(2**64 - 1), np.int64(40)), (-5, 40),
+])
+def test_search_config_takes_numpy_integers_as_python_ints(seed, trials):
+    cfg = SearchConfig(seed=seed, trials=trials)
+    assert (type(cfg.seed), type(cfg.trials)) == (int, int)
+    twin = SearchConfig(seed=int(seed), trials=int(trials))
+    for method, axiom in ((MethodId.RGM, AxiomId.INV), (MethodId.ROW_ARITHMETIC_MEAN, AxiomId.AI)):
+        assert outcome(falsify, method, axiom, cfg, 1e-9) == outcome(
+            falsify, method, axiom, twin, 1e-9
+        )
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": 1.5}, {"seed": 3.0}, {"seed": np.float64(3.0)}, {"seed": "3"}, {"seed": None},
+    {"seed": 0, "trials": 2.5}, {"seed": 0, "trials": 5.0}, {"seed": 0, "trials": "5"},
+])
+def test_search_config_rejects_seeds_and_trials_that_are_not_integers(kwargs):
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        SearchConfig(**kwargs)

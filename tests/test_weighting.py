@@ -24,7 +24,8 @@ from pcmrank import (
 )
 from pcmrank.core import reciprocal_fill
 from pcmrank.registry import ARITH_AI_A1, FAVPROD_AI_A1, IIC4, KENDALL6
-from pcmrank.weighting import _power_iteration, em_weight_stack
+from pcmrank.transforms import aggregate_entries
+from pcmrank.weighting import _power_iteration, closed_form_scores, em_weight_stack
 
 import oracle
 
@@ -260,3 +261,19 @@ def test_em_iterations_carry_the_bits_of_the_stepwise_loops(n):
                     )
                     assert (got is None) == (want is None), (span, budget)
                     assert got is None or np.array_equal(got, want), (span, budget)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 9, 16, 31, 64])
+def test_rgm_scores_and_aggregates_carry_the_bits_of_numpy_mean(n):
+    # both divide a sum of logs by its count, as np.mean does; from n = 8 on
+    # numpy sums each row pairwise, beyond the sizes the golden inputs hold
+    rng = np.random.default_rng(n)
+    for shape in ((n, n), (5, n, n), (3, 4, n, n)):
+        e = np.exp(rng.uniform(-20.0, 20.0, shape))
+        want = np.exp(np.mean(np.log(e), axis=-1))
+        assert np.array_equal(closed_form_scores(MethodId.RGM, e), want)
+    for k in (2, 3, 4, 9):
+        e = np.exp(rng.uniform(-20.0, 20.0, (6, k, n, n)))
+        want = reciprocal_fill(np.exp(np.mean(np.log(e), axis=-3)))
+        assert np.array_equal(aggregate_entries(e), want)
+        assert np.array_equal(aggregate_entries(e[0]), want[0])
