@@ -10,11 +10,10 @@ reproduces the failure deterministically.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +29,9 @@ from .core import (
     OverlappingIndices,
     Permutation,
     RationalExponent,
+    as_float,
+    as_int,
+    as_pair,
     check_tie_tol,
     reciprocal_fill,
     relation,
@@ -83,9 +85,11 @@ class SearchConfig:
 
     Entries are drawn as exp(uniform over ``entry_log_range``); the default
     span covers ratio judgments up to 9.  An entry drawn beyond the float
-    range is an input like any other: its check rejects it.  ``seed``
-    and ``trials`` take any integer, numpy's included, and nothing else;
-    the seed counts modulo 2**64.
+    range is an input like any other: its check rejects it.  ``seed``,
+    ``trials`` and the bounds of ``n_range`` take any integer, numpy's
+    included, and nothing else; the seed counts modulo 2**64.  The bounds
+    of ``entry_log_range`` take any real number.  Both ranges are stored
+    as tuples of two Python numbers.
     """
 
     seed: int
@@ -93,13 +97,14 @@ class SearchConfig:
     n_range: tuple[int, int] = (2, 6)
     entry_log_range: tuple[float, float] = (-math.log(9.0), math.log(9.0))
 
-    def __post_init__(self):
-        for name in ("seed", "trials"):  # numpy integers become Python ints
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+    def __post_init__(self):  # numpy numbers become Python ones
+        for name, value in (
+            ("seed", as_int("seed", self.seed)),
+            ("trials", as_int("trials", self.trials)),
+            ("n_range", as_pair("n_range", self.n_range, as_int)),
+            ("entry_log_range", as_pair("entry_log_range", self.entry_log_range, as_float)),
+        ):
+            object.__setattr__(self, name, value)
         if self.trials < 1:
             raise InvalidParameter("trials must be at least 1")
         lo, hi = self.n_range
@@ -546,7 +551,8 @@ def falsify(
 
     Each trial's random stream is derived from (seed, trial index) alone,
     so results are reproducible and independent of evaluation order.
-    Trials are drawn in chunks and judged as stacks (see ``_flag_trials``).
+    Trials are drawn in the chunks of ``_chunks`` and judged as stacks
+    (see ``_flag_trials``).
     A flagged trial whose stack row its check accepts gets its witness from
     that row's relation arrays; a trial flagged because its row was
     rejected (a bad input or tie tolerance, or an EM matrix unconverged
@@ -561,11 +567,8 @@ def falsify(
     without a RuntimeWarning.
     """
     per_trial = _AI_K_RANGE[1] if axiom is AxiomId.AI else 1
-    cap = max(1, _CHUNK_MATRICES // per_trial)
-    start, size = 0, 1
     with np.errstate(all="ignore"):
-        while start < cfg.trials:
-            trials = range(start, min(start + size, cfg.trials))
+        for trials in _chunks(cfg.trials, max(1, _CHUNK_MATRICES // per_trial)):
             flags, draws, judged = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
             for trial in flags.nonzero()[0]:
                 grids, inputs = draws[trial]
@@ -577,16 +580,36 @@ def falsify(
                     witness = _run_check(method, axiom, matrices, aux, em).witness
                 if witness is not None:
                     return _shrink(witness, em)
-            start, size = start + len(flags), min(2 * size, cap)
     return None
 
 
 # --- batched search ----------------------------------------------------------
 
-#: chunks start at one trial, since many searches fail on their first, and
-#: double up to this many drawn matrices: 8 MB of draws at n = 64, ranked
-#: beside their transformed images in a stack of twice that
+#: a search's chunks hold at most this many drawn matrices (see
+#: ``_chunks``): 8 MB of draws at n = 64, ranked beside their transformed
+#: images in a stack of twice that
 _CHUNK_MATRICES = 256
+
+
+def _chunks(trials: int, cap: int) -> Iterator[range]:
+    """Split a budget of ``trials`` into consecutive ranges of trials.
+
+    The first chunk holds one trial, since many searches fail on their
+    first, and each next chunk doubles up to ``cap`` trials.  A chunk after
+    the first takes the whole rest of the budget when the trials left after
+    it would be fewer than the next chunk would hold and the rest fits
+    within ``cap``: 12 trials run as 1, 2 and 9.  A search whose witness
+    lies in that last chunk has then drawn at most about four times the
+    trials before the witness.
+    """
+    start, size = 0, 1
+    while start < trials:
+        rest = trials - start
+        if start and rest < size + min(2 * size, cap) and rest <= cap:
+            size = rest
+        yield range(start, start + size)
+        start, size = start + size, min(2 * size, cap)
+
 
 #: a stacked EM iteration in the search stops after this many steps (or
 #: fewer, within ``EmOptions.max_iterations``); a matrix still unconverged

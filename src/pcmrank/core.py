@@ -8,6 +8,8 @@ renumbers them 1-based for display.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -86,6 +88,31 @@ class UnequalRowProducts(PcmError, ValueError):
 
 class InvalidParameter(PcmError, ValueError):
     """A setting or argument lies outside its documented range."""
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as a Python int, from any integer, numpy's included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_float(name: str, value) -> float:
+    """``value`` as a Python float, from any real number, numpy's included."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def as_pair(name: str, value, convert) -> tuple:
+    """``value``, a sequence of two numbers, as a tuple of ``convert``'s
+    results for each."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{name} must be a pair of numbers, got {value!r}") from None
+    return convert(name, lo), convert(name, hi)
 
 
 # ---------------------------------------------------------------------------

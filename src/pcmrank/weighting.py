@@ -19,6 +19,8 @@ from .core import (
     PcmError,
     Ranking,
     WeightVector,
+    as_float,
+    as_int,
     check_tie_tol,
     tie_group_max,
 )
@@ -44,7 +46,9 @@ class EmOptions:
     max_iterations: int = 10_000
     convergence_tol: float = 1e-12
 
-    def __post_init__(self):
+    def __post_init__(self):  # numpy numbers become Python ones
+        for name, convert in (("max_iterations", as_int), ("convergence_tol", as_float)):
+            object.__setattr__(self, name, convert(name, getattr(self, name)))
         if self.max_iterations < 1:
             raise InvalidParameter("max_iterations must be at least 1")
         if not self.convergence_tol > 0.0:

@@ -37,7 +37,7 @@ from pcmrank import (
     witness_json_dict,
 )
 from pcmrank import axioms
-from pcmrank.axioms import _draw, _flag_trials, _run_check, _shrink, _trial_rng
+from pcmrank.axioms import _chunks, _draw, _flag_trials, _run_check, _shrink, _trial_rng
 from pcmrank.core import relation
 from pcmrank.weighting import EmOptions, closed_form_scores, em_weight_stack, em_weights, rank_keys
 
@@ -316,6 +316,72 @@ def test_ai_chunks_mixing_pool_sizes_end_as_the_reference_loop(method):
         )
 
 
+DOUBLING = [1, 2, 4, 8, 16, 32, 64, 128]
+
+
+@pytest.mark.parametrize("trials, cap, sizes", [
+    (1, 256, [1]), (2, 256, [1, 1]), (3, 256, [1, 2]), (7, 256, [1, 2, 4]),
+    (12, 256, [1, 2, 9]), (13, 256, [1, 2, 10]), (24, 256, [1, 2, 4, 17]),
+    (60, 256, [1, 2, 4, 8, 45]), (255, 256, DOUBLING), (256, 256, DOUBLING[:-1] + [129]),
+    (257, 256, DOUBLING[:-1] + [130]), (2000, 256, DOUBLING + [256] * 6 + [209]),
+    (10_000, 256, DOUBLING + [256] * 38 + [17]),
+    (1, 64, [1]), (2, 64, [1, 1]), (3, 64, [1, 2]), (7, 64, [1, 2, 4]),
+    (12, 64, [1, 2, 9]), (13, 64, [1, 2, 10]), (24, 64, [1, 2, 4, 17]),
+    (60, 64, [1, 2, 4, 8, 45]), (255, 64, DOUBLING[:-1] + [64] * 2),
+    (256, 64, DOUBLING[:-1] + [64] * 2 + [1]), (257, 64, DOUBLING[:-1] + [64] * 2 + [2]),
+    (2000, 64, DOUBLING[:-1] + [64] * 29 + [17]), (10_000, 64, DOUBLING[:-1] + [64] * 154 + [17]),
+])
+def test_chunks_double_and_the_last_takes_the_rest_within_the_cap(trials, cap, sizes):
+    chunks = list(_chunks(trials, cap))
+    assert [len(c) for c in chunks] == sizes
+    assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
+    assert chunks[-1].stop == trials
+    assert chunks[0] == range(1)
+    assert max(sizes) <= cap
+
+
+def test_every_budget_is_covered_by_chunks_within_the_cap():
+    for cap in (1, 2, 64, 256):
+        for trials in range(1, 1100):
+            chunks = list(_chunks(trials, cap))
+            assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
+            assert chunks[-1].stop == trials and len(chunks[0]) == 1
+            assert max(map(len, chunks)) <= cap, (trials, cap)
+
+
+@pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+def test_falsify_equals_the_reference_loop_where_the_last_chunk_takes_the_rest(method):
+    # em's IIC witnesses at seeds 42 and 0 are trials 8 and 9, inside the
+    # last chunk of 9 trials ([1, 2, 6]) and of 12 ([1, 2, 9]); AI's come
+    # from trials 2 to 51, inside merged chunks at cap 256 and at AI's 64
+    for trials in (9, 12, 21, 45):
+        for seed in (0, 42):
+            cfg = SearchConfig(seed=seed, trials=trials)
+            assert outcome(falsify, method, AxiomId.IIC, cfg, 1e-9) == outcome(
+                reference_search, method, AxiomId.IIC, cfg, 1e-9
+            ), (trials, seed)
+    for trials in (60, 100, 130):
+        for seed in (0, 1, 42):
+            cfg = SearchConfig(seed=seed, trials=trials)
+            assert outcome(falsify, method, AxiomId.AI, cfg, 1e-9) == outcome(
+                reference_search, method, AxiomId.AI, cfg, 1e-9
+            ), (trials, seed)
+
+
+@pytest.mark.parametrize("method", [MethodId.EM, MethodId.ROW_ARITHMETIC_MEAN,
+                                    MethodId.FAVOURABLE_PRODUCT], ids=lambda m: m.value)
+def test_small_chunk_caps_end_as_the_reference_loop(method, monkeypatch):
+    # caps of 8 and, for AI, 2 trials: full chunks before the last, and a
+    # last chunk that does not fit the cap and is not merged
+    monkeypatch.setattr(axioms, "_CHUNK_MATRICES", 8)
+    for axiom, trials in ((AxiomId.IIC, 45), (AxiomId.AI, 60)):
+        for seed in (0, 1, 42):
+            cfg = SearchConfig(seed=seed, trials=trials)
+            assert outcome(falsify, method, axiom, cfg, 1e-9) == outcome(
+                reference_search, method, axiom, cfg, 1e-9
+            ), (axiom, seed)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("log_range", [(-800.0, 800.0), (-720.0, 720.0), (-300.0, 300.0)])
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
@@ -536,3 +602,25 @@ def test_search_config_takes_numpy_integers_as_python_ints(seed, trials):
 def test_search_config_rejects_seeds_and_trials_that_are_not_integers(kwargs):
     with pytest.raises(InvalidParameter, match="must be an integer"):
         SearchConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_range": (2, 6, 7)}, {"n_range": ("2", "6")}, {"n_range": (2.5, 6)}, {"n_range": 6},
+    {"entry_log_range": ("a", 1)}, {"entry_log_range": (-1.0,)}, {"entry_log_range": None},
+])
+def test_search_config_rejects_ranges_that_are_not_pairs_of_numbers(kwargs):
+    with pytest.raises(InvalidParameter, match="must be a"):
+        SearchConfig(seed=0, **kwargs)
+
+
+def test_search_config_stores_its_ranges_as_tuples_of_python_numbers():
+    # a list once built a config that could not be hashed
+    cfg = SearchConfig(seed=0, trials=40, n_range=[np.int64(3), np.int32(5)],
+                       entry_log_range=np.array([-1.5, 2.0]))
+    twin = SearchConfig(seed=0, trials=40, n_range=(3, 5), entry_log_range=(-1.5, 2.0))
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert [type(v) for v in cfg.n_range + cfg.entry_log_range] == [int, int, float, float]
+    for method, axiom in ((MethodId.RGM, AxiomId.INV), (MethodId.ROW_ARITHMETIC_MEAN, AxiomId.AI)):
+        assert outcome(falsify, method, axiom, cfg, 1e-9) == outcome(
+            falsify, method, axiom, twin, 1e-9
+        )

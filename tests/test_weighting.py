@@ -6,6 +6,7 @@ import pytest
 from pcmrank import (
     PCM,
     EmOptions,
+    InvalidParameter,
     MethodId,
     NoConvergence,
     NoWeightForm,
@@ -161,6 +162,31 @@ class TestEm:
             EmOptions(max_iterations=0)
         with pytest.raises(ValueError):
             EmOptions(convergence_tol=0.0)
+
+    def test_a_true_budget_is_one_iteration(self):
+        # bool is an integer; as a budget it once sliced the iteration's
+        # history with a boolean index
+        opts = EmOptions(max_iterations=True)
+        assert opts == EmOptions(max_iterations=1)
+        assert type(opts.max_iterations) is int
+        with pytest.raises(NoConvergence, match=" in 1 iterations"):
+            em_weights(KENDALL6, opts)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iterations": 2.5}, {"max_iterations": 10.0}, {"max_iterations": "10"},
+        {"convergence_tol": "1e-9"}, {"convergence_tol": None},
+    ])
+    def test_options_reject_values_that_are_not_numbers(self, kwargs):
+        with pytest.raises(InvalidParameter, match="must be an? (integer|real number)"):
+            EmOptions(**kwargs)
+
+    def test_options_take_numpy_numbers_as_python_ones(self):
+        opts = EmOptions(max_iterations=np.int32(500), convergence_tol=np.float64(1e-10))
+        assert (type(opts.max_iterations), type(opts.convergence_tol)) == (int, float)
+        twin_opts = EmOptions(500, 1e-10)
+        assert opts == twin_opts
+        (w, lam), (twin, twin_lam) = em_weights(KENDALL6, opts), em_weights(KENDALL6, twin_opts)
+        assert np.array_equal(w.w, twin.w) and lam == twin_lam
 
 
 class TestAgreementProperties:
