@@ -40,7 +40,7 @@ from .core import (
 )
 from .transforms import aggregate, opposite, permute, power
 from .transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
-from .weighting import EmOptions, MethodId, em_rank_error, method_rank, rank_keys
+from .weighting import EmOptions, MethodId, rank_error, rank_keys
 
 
 class AxiomId(Enum):
@@ -431,23 +431,21 @@ def _judge(
     """Verdict of one check: ``_stack_verdicts`` on a stack of one trial,
     ``matrices`` with the inputs as ``_draw`` records them.  Where that
     row is rejected, the first rejected matrix, in the order matrices then
-    image, raises what ranking it alone raises.  ``transform()`` builds the
-    image through its validating ``PCM`` function only when the image is
-    rejected, so an image it cannot build raises the transform's own
-    error; a vacuous check's image counts as ranked, so it raises none.
+    image, raises what ``rank_error`` reads from its relation array, after
+    ``transform()`` builds a rejected image through its validating ``PCM``
+    function: an image it cannot build raises the transform's own error.
+    A vacuous check's image counts as ranked, so it raises none.
     Floating-point errors are ignored: an input near the float range is
     judged without a RuntimeWarning."""
-    check_tie_tol(tie_tol)  # the first error any ranking raises
+    tie_tol = check_tie_tol(tie_tol)  # the first error any ranking raises
     x = _input_arrays([inputs])
     e = np.array([m.entries for m in matrices])[None]
     [(rel, broken, ok)] = _stack_verdicts(method, axiom, [e], [x], tie_tol, em)
     for m, m_rel, ranked in zip((*matrices, None), rel[0], ok[0]):
         if not ranked:
             if m is None:  # the image
-                m = transform()
-            if method is MethodId.EM:
-                raise em_rank_error(m_rel, em)
-            method_rank(method, m, tie_tol, em)  # raises: it ranks through ``rank_keys`` too
+                transform()
+            raise rank_error(method, m_rel, em)
     witness = _witness(axiom, method, matrices, inputs, rel[0], broken[0], tie_tol)
     return AxiomVerdict(holds=witness is None, witness=witness)
 
@@ -566,6 +564,7 @@ def falsify(
     ignored throughout, so inputs beyond the float range are judged
     without a RuntimeWarning.
     """
+    tie_tol = as_float("tie_tol", tie_tol)  # checked where a trial ranks
     per_trial = _AI_K_RANGE[1] if axiom is AxiomId.AI else 1
     with np.errstate(all="ignore"):
         for trials in _chunks(cfg.trials, max(1, _CHUNK_MATRICES // per_trial)):

@@ -412,10 +412,11 @@ class PairRelation(Enum):
         return PairRelation.TIED
 
 
-def check_tie_tol(tie_tol: float) -> None:
-    """Reject a tie tolerance that is negative or NaN."""
-    if not tie_tol >= 0.0:
+def check_tie_tol(tie_tol: float) -> float:
+    """``tie_tol`` as a Python float; reject one that is not a number >= 0."""
+    if not as_float("tie_tol", tie_tol) >= 0.0:
         raise InvalidParameter(f"tie_tol must be a non-negative number, got {tie_tol!r}")
+    return float(tie_tol)
 
 
 def tie_group_max(w: np.ndarray, tie_tol: float) -> np.ndarray:
@@ -463,8 +464,7 @@ def ranking_from_weights(w: WeightVector, tie_tol: float = DEFAULT_TIE_TOL) -> R
     order even across chains of near-ties; a group's label is the dense
     rank of its largest weight.
     """
-    check_tie_tol(tie_tol)
-    return Ranking.from_keys(-tie_group_max(w.w, tie_tol))
+    return Ranking.from_keys(-tie_group_max(w.w, check_tie_tol(tie_tol)))
 
 
 def pair_relation(r: Ranking, i: int, j: int) -> PairRelation:

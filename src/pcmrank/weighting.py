@@ -222,27 +222,26 @@ def method_rank(
     FLAT ties everything; INDEX_ORDER ranks alternatives by their index
     regardless of the matrix; every other method ranks by its weights.
     The tie tolerance is checked for every method.  Where the weights
-    cannot be ranked, the error is the one ``method_weights`` raises; for
-    EM it is read from the one iteration already run (``em_rank_error``).
+    cannot be ranked, the error is read from the row already ranked
+    (``rank_error``).
     """
-    check_tie_tol(tie_tol)
+    tie_tol = check_tie_tol(tie_tol)
     keys, ok = rank_keys(m, a.entries, tie_tol, em)
     if not ok:
-        if m is MethodId.EM:
-            raise em_rank_error(keys, em)
-        method_weights(m, a, em)  # raises what the weights alone raise
+        raise rank_error(m, keys, em)
     return Ranking.from_keys(keys)
 
 
-def em_rank_error(keys: np.ndarray, em: EmOptions) -> PcmError:
-    """The error ``em_weights`` raises on a valid matrix whose EM row of
-    ``rank_keys`` was rejected, read from that row's ``keys`` (or its
-    relation array) without iterating again: NoConvergence where they are
-    all NaN, else the weights' NonPositive, since a converged weight
-    underflowed to 0."""
-    if np.isnan(keys).all():
+def rank_error(m: MethodId, keys: np.ndarray, em: EmOptions) -> PcmError:
+    """The error of a valid matrix whose row of ``rank_keys`` was rejected,
+    read from that row's ``keys`` or relation array: a NaN is an EM
+    iteration that has not converged or a score that overflowed (inf /
+    inf), and a row without one has a weight of 0."""
+    if not np.isnan(keys).any():
+        return NonPositive("weights must be finite and strictly positive")
+    if m is MethodId.EM:
         return em.exhausted()
-    return NonPositive("weights must be finite and strictly positive")
+    return NonPositive("scores must be finite and strictly positive")
 
 
 def rank_keys(

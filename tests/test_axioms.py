@@ -9,6 +9,7 @@ from pcmrank import (
     AxiomVerdict,
     DimensionMismatch,
     DimensionTooSmall,
+    InvalidParameter,
     MethodId,
     NotAnIncrease,
     OverlappingIndices,
@@ -114,6 +115,10 @@ class TestInv:
         witness = falsify(MethodId.EM, AxiomId.INV, SearchConfig(seed=42, trials=2000))
         assert witness is not None
         assert not replay(witness).holds
+
+    def test_a_tie_tolerance_that_is_not_a_number_is_invalid(self):
+        with pytest.raises(InvalidParameter, match="tie_tol must be a real number"):
+            check_inv(MethodId.RGM, KENDALL6, tie_tol=None)
 
 
 def exponent_one_near_ties():

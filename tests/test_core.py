@@ -314,6 +314,11 @@ class TestRanking:
         r = ranking_from_weights(WeightVector.from_scores(base), 0.0)
         assert r.rank.tolist() == [2, 1, 0]
 
+    def test_a_tie_tolerance_that_is_not_a_number_is_invalid(self):
+        w = WeightVector.from_scores([1.0, 2.0, 3.0])
+        with pytest.raises(InvalidParameter, match="tie_tol must be a real number"):
+            ranking_from_weights(w, "0.1")
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(21)
         for _ in range(100):

@@ -351,8 +351,34 @@ def test_method_rank_equals_the_composed_ranking():
                     assert got == rank_outcome(oracle.method_rank, method, m, tie_tol, em), (
                         method, tie_tol, em, m.entries.tolist()
                     )
-                    outcomes.add(got[0] if isinstance(got, tuple) else "ranked")
-    assert outcomes == {"ranked", "InvalidParameter", "NoConvergence", "NonPositive"}
+                    outcomes.add(got if isinstance(got, tuple) else "ranked")
+    kinds = {got if got == "ranked" else got[0] for got in outcomes}
+    assert kinds == {"ranked", "InvalidParameter", "NoConvergence", "NonPositive"}
+    assert {  # an overflowed score, and a weight of 0
+        ("NonPositive", "scores must be finite and strictly positive"),
+        ("NonPositive", "weights must be finite and strictly positive"),
+    } <= outcomes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the product overflows
+def test_a_rejected_matrix_is_ranked_once(monkeypatch):
+    # the error is read from the row already ranked: no second ranking
+    a = np.ones((3, 3))
+    a[0, 1:] = 1e300  # the favourable product of row 1 overflows
+    a = PCM.from_upper(a)
+    calls, scores = [], weighting.closed_form_scores
+
+    def counted(*args):
+        calls.append(args)
+        return scores(*args)
+
+    monkeypatch.setattr(weighting, "closed_form_scores", counted)
+    method = MethodId.FAVOURABLE_PRODUCT
+    for rank in (method_rank, check_inv):
+        calls.clear()
+        with pytest.raises(NonPositive, match="scores must be finite"):
+            rank(method, a)
+        assert len(calls) == 1, rank.__name__
 
 
 @st.composite

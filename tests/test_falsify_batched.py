@@ -396,13 +396,29 @@ def test_rejected_inputs_raise_at_the_same_trial(method, axiom, log_range):
         )
 
 
-@pytest.mark.parametrize("tie_tol", [-1.0, float("nan")])
+@pytest.mark.parametrize("tie_tol", [-1.0, float("nan"), "0.1"])
 @pytest.mark.parametrize("method", CLOSED_FORM + RANK_ONLY, ids=lambda m: m.value)
 def test_bad_tie_tolerance_raises_as_on_the_scalar_path(method, tie_tol):
     cfg = SearchConfig(seed=42, trials=20)
     batched = outcome(falsify, method, AxiomId.INV, cfg, tie_tol)
     assert batched == outcome(scalar_search, method, AxiomId.INV, cfg, tie_tol)
     assert batched[0] == InvalidParameter.__name__
+
+
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_a_numpy_tie_tolerance_judges_as_a_python_float(axiom):
+    cfg, tols = SearchConfig(seed=0, trials=20), (np.float64(0.3), 0.3)
+
+    def as_json(witness):
+        return None if witness is None else json.dumps(witness_json_dict(witness))
+
+    for method in STACKED + RANK_ONLY:
+        for t in range(cfg.trials):
+            twins = [_run_check(method, axiom, *trial_inputs(axiom, cfg, t, tol)) for tol in tols]
+            assert as_json(twins[0].witness) == as_json(twins[1].witness)
+        found = [falsify(method, axiom, cfg, tol) for tol in tols]
+        assert as_json(found[0]) == as_json(found[1])
+        assert found[0] is None or type(found[0].auxiliary["tie_tol"]) is float
 
 
 def test_em_no_convergence_aborts_both_paths_at_the_same_trial():

@@ -256,6 +256,10 @@ class TestMethodRank:
         assert pair_relation(before, 0, 1) is PairRelation.STRICTLY_ABOVE
         assert pair_relation(after, 0, 1) is PairRelation.STRICTLY_BELOW
 
+    def test_a_tie_tolerance_that_is_not_a_number_is_invalid(self):
+        with pytest.raises(InvalidParameter, match="tie_tol must be a real number"):
+            method_rank(MethodId.RGM, KENDALL6, tie_tol="0.1")
+
 
 def test_weights_json_shape():
     w, lam = em_weights(PCM.ones(3))
