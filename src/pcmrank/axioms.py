@@ -170,6 +170,8 @@ def check_rsi(
 ) -> AxiomVerdict:
     """Rational scale invariance: raising every entry to kappa must leave
     every pairwise relation unchanged."""
+    if not isinstance(kappa, RationalExponent):
+        raise InvalidParameter(f"kappa must be a RationalExponent, got {kappa!r}")
     inputs = {"kappa": str(kappa)}
     return _judge(AxiomId.RSI, method, [a], lambda: power(a, kappa), inputs, tie_tol, em)
 
@@ -185,10 +187,10 @@ def check_iic(
 ) -> AxiomVerdict:
     """Independence of irrelevant comparisons: rewriting the comparison of
     two other alternatives must not move the (i, j) relation."""
-    k, l = cell
-    i, j = pair
+    (k, l), (i, j) = cell, pair
     if a.n < 4:
         raise DimensionTooSmall("needs at least 4 alternatives")
+    k, l, i, j = (as_int("index", idx) for idx in (k, l, i, j))
     for idx in (k, l, i, j):
         if not 0 <= idx < a.n:
             raise IndexOutOfRange(f"index {idx} invalid for n={a.n}")
@@ -196,11 +198,12 @@ def check_iic(
         raise IndexOutOfRange("cell and pair must each name two alternatives")
     if {k, l} & {i, j}:
         raise OverlappingIndices(f"cell {cell} overlaps pair {pair}")
+    new_value = as_float("value", new_value)
     if not np.isfinite(new_value) or new_value <= 0.0:
         raise NonPositive("replacement value must be positive")
     if new_value == a.entries[k, l]:
         raise InvalidParameter("replacement value must differ from the current entry")
-    inputs = {"cell": [k, l], "value": float(new_value), "pair": [i, j]}
+    inputs = {"cell": [k, l], "value": new_value, "pair": [i, j]}
     return _judge(
         AxiomId.IIC, method, [a], lambda: a.with_entry(k, l, new_value), inputs, tie_tol, em
     )
@@ -218,16 +221,18 @@ def check_res(
     a_ij must leave i strictly above j.  Vacuously holds when i starts
     strictly below j, and then no error of the improved matrix is raised."""
     i, j = pair
+    i, j = as_int("index", i), as_int("index", j)
     if i == j or not (0 <= i < a.n and 0 <= j < a.n):
         raise IndexOutOfRange(f"pair {pair} invalid for n={a.n}")
-    if not increased_value > a.entries[i, j]:
+    increase = as_float("increase", increased_value)
+    if not increase > a.entries[i, j]:
         raise NotAnIncrease(
             f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = "
             f"{a.entries[i, j]!r}"
         )
-    inputs = {"pair": [i, j], "increase": float(increased_value)}
+    inputs = {"pair": [i, j], "increase": increase}
     return _judge(
-        AxiomId.RES, method, [a], lambda: a.with_entry(i, j, increased_value), inputs, tie_tol, em
+        AxiomId.RES, method, [a], lambda: a.with_entry(i, j, increase), inputs, tie_tol, em
     )
 
 

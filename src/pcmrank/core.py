@@ -105,6 +105,14 @@ def as_float(name: str, value) -> float:
     return float(value)
 
 
+def as_ints(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as a new int array, each element through ``as_int``
+    unless numpy already holds them as integers."""
+    if values.dtype.kind in "biu":
+        return values.astype(int)
+    return np.array([as_int(name, v) for v in values.tolist()], dtype=int)
+
+
 def as_pair(name: str, value, convert) -> tuple:
     """``value``, a sequence of two numbers, as a tuple of ``convert``'s
     results for each."""
@@ -370,9 +378,10 @@ class Ranking:
     rank: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rank, dtype=int)
+        r = np.asarray(self.rank)
         if r.ndim != 1 or len(r) < 1:
             raise NonSquare("ranks must form a non-empty vector")
+        r = as_ints("rank", r)
         labels = set(r.tolist())
         if labels != set(range(max(labels) + 1)):
             raise ValueError(f"rank labels {sorted(labels)} are not dense from 0")
@@ -494,9 +503,10 @@ class Permutation:
     map: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.map, dtype=int)
+        m = np.asarray(self.map)
         if m.ndim != 1 or len(m) < 1:
             raise NonSquare("permutation must be a non-empty vector")
+        m = as_ints("permutation", m)
         if sorted(int(x) for x in m) != list(range(len(m))):
             raise InvalidParameter(f"{m.tolist()} is not a permutation of 0..{len(m) - 1}")
         m.flags.writeable = False
@@ -528,11 +538,14 @@ class RationalExponent:
     q: int
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise InvalidParameter(f"exponent {self.p}/{self.q} must have p, q >= 1")
-        g = gcd(self.p, self.q)
-        object.__setattr__(self, "p", self.p // g)
-        object.__setattr__(self, "q", self.q // g)
+        p, q = self.p, self.q
+        # a number below 1 breaks the range rule; anything else must be an integer
+        if (isinstance(p, numbers.Real) and p < 1) or (isinstance(q, numbers.Real) and q < 1):
+            raise InvalidParameter(f"exponent {p}/{q} must have p, q >= 1")
+        p, q = as_int("exponent p", p), as_int("exponent q", q)
+        g = gcd(p, q)
+        object.__setattr__(self, "p", p // g)
+        object.__setattr__(self, "q", q // g)
         try:
             self.value  # p / q must be a float
         except OverflowError:

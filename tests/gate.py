@@ -7,13 +7,14 @@ For each pair it checks, trial by trial, that the stacked flags of
 ``_flag_trials`` equal the verdicts of the pair loops (for EM, whose
 stacked iteration is capped, that the flags include them), that the
 package's check returns the pair loop's outcome, and that the first
-witness shrinks as ``oracle.shrink`` shrinks it.  It also checks that
-``falsify`` ends as the pair loops do: with the error of the first trial
-whose reference check does not hold, or with its witness shrunk by
-``oracle.shrink``, or with None when every trial holds.  It prints one
-line per pair and exits with status 1 on any mismatch.  pytest does not
-collect this file; the tests run the same comparisons at smaller
-budgets.
+witness shrinks as ``oracle.shrink`` shrinks the pair loop's.  It also
+checks that ``falsify`` ends as the pair loops do: with the error of the
+first trial whose reference check does not hold, or with its witness
+shrunk by ``oracle.shrink``, or with None when every trial holds.  It
+prints one line per pair and exits with status 1 on any mismatch.
+pytest does not collect this file; ``test_gate.py`` runs it, and the
+tests run the same comparisons at smaller budgets, through the same
+reference runs of ``harness``.
 """
 
 from __future__ import annotations
@@ -23,60 +24,31 @@ import sys
 
 import numpy as np
 
-from pcmrank import PCM, AxiomId, MethodId, SearchConfig, falsify, witness_json_dict
+from pcmrank import AxiomId, MethodId, SearchConfig, Witness, falsify
 from pcmrank.axioms import _flag_trials, _run_check, _shrink
-from pcmrank.weighting import EmOptions
 
-import oracle
-
-
-def outcome(check, method, axiom, matrices, aux):
-    try:
-        verdict = check(method, axiom, matrices, aux, EmOptions())
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-    return None if verdict.holds else witness_json_dict(verdict.witness)
-
-
-def shrunk(shrink, witness):
-    try:
-        return witness_json_dict(shrink(witness, EmOptions()))
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
-def searched(method, axiom, cfg, tie_tol):
-    try:
-        witness = falsify(method, axiom, cfg, tie_tol)
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-    return None if witness is None else witness_json_dict(witness)
+from harness import as_outcome, outcome, reference, settle, trial_inputs
 
 
 def gate_pair(method: MethodId, axiom: AxiomId, cfg: SearchConfig, tie_tol: float) -> list[str]:
     """The mismatches of one pair, and a one-line summary last."""
-    flags, draws, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
-    problems, expected, witness = [], np.zeros(cfg.trials, dtype=bool), None
-    first = None  # the outcome of the first trial that does not hold
-    for trial, (grids, aux) in enumerate(draws):
-        matrices, aux = [PCM.from_upper(g) for g in grids], {**aux, "tie_tol": tie_tol}
-        reference = outcome(oracle.run_check, method, axiom, matrices, aux)
-        if outcome(_run_check, method, axiom, matrices, aux) != reference:
+    run = reference(method, axiom, cfg, tie_tol)
+    flags, _, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
+    problems, witness = [], None  # the first witness of a check, and its trial
+    for trial in range(cfg.trials):
+        found = settle(_run_check, method, axiom, *trial_inputs(axiom, cfg, trial, tie_tol))
+        if as_outcome(found) != as_outcome(run.result(trial)):
             problems.append(f"trial {trial}: the check differs from the pair loops")
-        expected[trial] = reference is not None
-        if first is None and reference is not None:
-            first = reference if not isinstance(reference, dict) else shrunk(
-                oracle.shrink, oracle.run_check(method, axiom, matrices, aux, EmOptions()).witness
-            )
-        if witness is None and isinstance(reference, dict):
-            witness = _run_check(method, axiom, matrices, aux).witness
+        if witness is None and isinstance(run.result(trial), Witness):
+            witness = trial, found
+    expected = run.flagged(cfg.trials)
     exact = np.array_equal(flags, expected)
     if not (exact or (method is MethodId.EM and np.all(flags >= expected))):
         problems.append(f"flags differ from the verdicts at trials "
                         f"{np.flatnonzero(flags != expected)[:10].tolist()}")
-    if witness is not None and shrunk(_shrink, witness) != shrunk(oracle.shrink, witness):
+    if witness is not None and outcome(_shrink, witness[1]) != run.shrunk(witness[0]):
         problems.append("the first witness shrinks unlike the greedy loop")
-    if searched(method, axiom, cfg, tie_tol) != first:
+    if outcome(falsify, method, axiom, cfg, tie_tol) != run.search(cfg.trials):
         problems.append("falsify ends unlike the loop of reference checks")
     summary = (f"{method.value}/{axiom.value}: {int(flags.sum())} flags, "
                f"{int(expected.sum())} verdicts, "

@@ -231,7 +231,7 @@ def check_res(method, a, pair, increased_value, tie_tol, em):
     return AxiomVerdict(holds=True)
 
 
-def run_check(method, axiom, matrices, aux, em):
+def run_check(method, axiom, matrices, aux, em=EmOptions()):
     """The reference check of ``axiom`` on a witness's inputs."""
     tie_tol = aux["tie_tol"]
     a = matrices[0]

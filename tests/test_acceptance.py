@@ -30,7 +30,7 @@ from pcmrank import (
 from pcmrank.cli import main as cli_main
 from pcmrank.registry import IIC4, KENDALL6
 
-LOG9 = np.log(9.0)
+from harness import random_pcm
 
 
 def _conclude(name: str, ok: bool, detail: str = ""):
@@ -39,10 +39,6 @@ def _conclude(name: str, ok: bool, detail: str = ""):
         line += f" — {detail}"
     print(line)
     assert ok, line
-
-
-def random_pcm(rng, n):
-    return PCM.from_upper(np.exp(rng.uniform(-LOG9, LOG9, (n, n))))
 
 
 def test_criterion_1_kendall_weights_and_rsi_flip():

@@ -35,11 +35,7 @@ from pcmrank import (
 from pcmrank.core import DEFAULT_TIE_TOL
 from pcmrank.registry import ARITH_AI_A1, ARITH_AI_A2, FAVPROD_AI_A1, FAVPROD_AI_A2, IIC4, KENDALL6
 
-LOG9 = np.log(9.0)
-
-
-def random_pcm(rng, n):
-    return PCM.from_upper(np.exp(rng.uniform(-LOG9, LOG9, (n, n))))
+from harness import LOG9, random_pcm
 
 
 class TestAno:
@@ -214,6 +210,37 @@ class TestRes:
     def test_not_an_increase(self):
         with pytest.raises(NotAnIncrease):
             check_res(MethodId.RGM, PCM.ones(3), (0, 1), 1.0)
+
+
+class TestArgumentTypes:
+    """Each case raised numpy's or Python's own error, or none at all."""
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_iic(MethodId.RGM, IIC4, (2.0, 3), 4.0, (0, 1)),
+        lambda: check_iic(MethodId.RGM, IIC4, (2, 3), 4.0, (0, 1.5)),
+        lambda: check_res(MethodId.RGM, PCM.ones(3), (0.0, 1.0), 2.0),
+    ])
+    def test_a_float_index_is_invalid(self, check):
+        with pytest.raises(InvalidParameter, match="index must be an integer"):
+            check()
+
+    def test_boolean_indices_are_the_alternatives_they_count(self):
+        # numpy read (True, False) as a mask, which selects no entry
+        found = [check_res(MethodId.FLAT, PCM.ones(3), p, 2.0) for p in ((True, False), (1, 0))]
+        assert witness_json_dict(found[0].witness) == witness_json_dict(found[1].witness)
+
+    @pytest.mark.parametrize("value", ["4", None, np.array([4.0])])
+    def test_a_value_that_is_not_a_number_is_invalid(self, value):
+        with pytest.raises(InvalidParameter, match="value must be a real number"):
+            check_iic(MethodId.RGM, IIC4, (2, 3), value, (0, 1))
+        with pytest.raises(InvalidParameter, match="increase must be a real number"):
+            check_res(MethodId.RGM, PCM.ones(3), (0, 1), value)
+
+    @pytest.mark.parametrize("kappa", ["2/1", "2000/1", 2.0])
+    def test_an_exponent_that_is_not_a_rational_exponent_is_invalid(self, kappa):
+        # "2000/1" raised AttributeError, where 4**2000 overflows the image
+        with pytest.raises(InvalidParameter, match="kappa must be a RationalExponent"):
+            check_rsi(MethodId.RGM, pcm_parse("1,2,4\n1/2,1,2\n1/4,1/2,1"), kappa)
 
 
 class TestNearTieBand:

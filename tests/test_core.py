@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from harness import random_pcm
 from pcmrank import (
     PCM,
     IndexOutOfRange,
@@ -29,12 +30,6 @@ from pcmrank import (
     ranking_json_dict,
 )
 from pcmrank.core import reciprocal_fill, tie_group_max, triu_indices
-
-LOG9 = np.log(9.0)
-
-
-def random_pcm(rng, n):
-    return PCM.from_upper(np.exp(rng.uniform(-LOG9, LOG9, (n, n))))
 
 
 class TestParse:
@@ -336,6 +331,11 @@ class TestRanking:
         with pytest.raises(ValueError):
             Ranking(np.array([0, 2]))
 
+    @pytest.mark.parametrize("rank", [[0.5, 1.5], ["0", "1"], [0.0, 1.0]])
+    def test_labels_that_are_not_integers_are_invalid(self, rank):
+        with pytest.raises(InvalidParameter, match="rank must be an integer"):  # were truncated
+            Ranking(rank)
+
     def test_groups_and_json(self):
         r = Ranking(np.array([0, 2, 1, 3, 2, 2]))
         assert r.groups() == [[0], [2], [1, 4, 5], [3]]
@@ -487,6 +487,18 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize("m", [[0.5, 1.2, 2.7], ["0", "1"], np.array([1.0, 0.0])])
+    def test_elements_that_are_not_integers_are_invalid(self, m):
+        with pytest.raises(InvalidParameter, match="permutation must be an integer"):  # identities
+            Permutation(m)
+
+    @pytest.mark.parametrize("m", [[], [[0, 1], [1, 0]], [[0.5]], 3])
+    def test_a_shape_that_is_no_vector_raises_before_the_elements_are_read(self, m):
+        with pytest.raises(NonSquare, match="^permutation must be a non-empty vector$"):
+            Permutation(m)
+        with pytest.raises(NonSquare, match="^ranks must form a non-empty vector$"):
+            Ranking(m)
+
     def test_inverse(self):
         sigma = Permutation(np.array([2, 0, 1]))
         assert sigma.inverse().map.tolist() == [1, 2, 0]
@@ -500,8 +512,8 @@ class TestPermutation:
 
 class TestRationalExponent:
     def test_reduces_to_lowest_terms(self):
-        k = RationalExponent(4, 6)
-        assert (k.p, k.q) == (2, 3)
+        for k in (RationalExponent(4, 6), RationalExponent(np.int64(4), np.uint8(6))):
+            assert (k.p, k.q) == (2, 3) and (type(k.p), type(k.q)) == (int, int)
 
     def test_parse_forms(self):
         assert str(RationalExponent.parse("2/4")) == "1/2"
@@ -510,11 +522,19 @@ class TestRationalExponent:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             RationalExponent(0, 2)
+        with pytest.raises(InvalidParameter, match=r"^exponent 0.5/1 must have p, q >= 1$"):
+            RationalExponent(0.5, 1)
         with pytest.raises(ValueError):
             RationalExponent.parse("-1/2")
 
     def test_value(self):
         assert RationalExponent(1, 2).value == 0.5
+
+    @pytest.mark.parametrize("p, q", [(1.5, 1), ("2", 1), (2, 1.0), (2, None), (math.nan, 1)])
+    def test_p_and_q_that_are_not_integers_are_invalid(self, p, q):
+        # a float or a string raised a bare TypeError, and 2/1.0 became 2.0/1.0
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            RationalExponent(p, q)
 
     def test_rejects_a_value_beyond_float_range(self):
         with pytest.raises(InvalidParameter):

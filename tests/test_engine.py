@@ -32,7 +32,6 @@ from pcmrank import (
     permute,
     power,
     ranking_from_weights,
-    witness_json_dict,
 )
 from pcmrank import weighting
 from pcmrank.axioms import _draw, _run_check, _trial_rng, check_inv
@@ -40,6 +39,7 @@ from pcmrank.cli import main
 from pcmrank.weighting import EmOptions, em_weight_stack, em_weights
 
 import oracle
+from harness import outcome, settle, trial_inputs
 
 TIE_TOLS = [0.0, 1e-9, 0.05, 0.3]
 # default entries; near-ties at the scale of the default tolerance;
@@ -64,14 +64,6 @@ def budgets(method, kind):
         return [EmOptions()]
     full = EmOptions(max_iterations=100) if kind == "huge" else EmOptions()
     return [full] + [EmOptions(max_iterations=b) for b in range(1, 6)]
-
-
-def outcome(check, method, axiom, matrices, aux, em=EmOptions()):
-    try:
-        verdict = check(method, axiom, matrices, aux, em)
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-    return None if verdict.holds else witness_json_dict(verdict.witness)
 
 
 def cases(axiom, kind, count):
@@ -189,15 +181,12 @@ def test_inv_decides_last_bit_tie_tolerances_as_the_pair_loop():
             )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
 def underflow_draws(axiom):
     """Trials with entries up to e**700: EM may converge with a weight that
     underflows to zero, which is rejected as a weight, not as NoConvergence."""
     cfg = SearchConfig(seed=50, n_range=(4, 6), entry_log_range=(-700.0, 700.0))
     for trial in range(40):
-        grids, aux = _draw(axiom, cfg, _trial_rng(cfg.seed, trial))
-        yield [PCM.from_upper(g) for g in grids], {**aux, "tie_tol": 1e-9}
+        yield trial_inputs(axiom, cfg, trial, 1e-9)
 
 
 UNDERFLOW_EM = EmOptions(max_iterations=200)
@@ -314,10 +303,8 @@ def test_checks_on_huge_entries_warn_nothing(method, axiom):
 
 
 def rank_outcome(rank, method, a, tie_tol, em):
-    try:
-        return rank(method, a, tie_tol, em).rank.tolist()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
+    found = settle(rank, method, a, tie_tol, em)
+    return found if isinstance(found, tuple) else found.rank.tolist()
 
 
 def ranked_matrices():

@@ -34,14 +34,22 @@ from pcmrank import (
     method_scores,
     opposite,
     pair_relation,
-    witness_json_dict,
 )
 from pcmrank import axioms
-from pcmrank.axioms import _chunks, _draw, _flag_trials, _run_check, _shrink, _trial_rng
+from pcmrank.axioms import _chunks, _draw, _flag_trials, _run_check, _trial_rng
 from pcmrank.core import relation
 from pcmrank.weighting import EmOptions, closed_form_scores, em_weight_stack, em_weights, rank_keys
 
 import oracle
+from harness import (
+    as_outcome,
+    falsify_unshrunk,
+    outcome,
+    reference_search,
+    scalar_search,
+    scalar_verdicts,
+    trial_inputs,
+)
 
 CLOSED_FORM = [
     MethodId.RGM,
@@ -60,60 +68,6 @@ def _relations(method, e, tie_tol):
     the mask of the matrices it ranks (see ``rank_keys``)."""
     keys, ok = rank_keys(method, e, tie_tol)
     return relation(keys), ok
-
-
-def trial_inputs(axiom, cfg, trial, tie_tol):
-    grids, aux = _draw(axiom, cfg, _trial_rng(cfg.seed, trial))
-    return [PCM.from_upper(g) for g in grids], {**aux, "tie_tol": tie_tol}
-
-
-def scalar_verdicts(method, axiom, cfg, tie_tol):
-    """Per trial: does the reference check fail, or abort without converging?"""
-
-    def flagged(t):
-        try:
-            matrices, aux = trial_inputs(axiom, cfg, t, tie_tol)
-            return not oracle.run_check(method, axiom, matrices, aux, EmOptions()).holds
-        except NoConvergence:
-            return True
-
-    return np.array([flagged(t) for t in range(cfg.trials)])
-
-
-def scalar_search(method, axiom, cfg, tie_tol, em=EmOptions()):
-    """The search as a loop: every trial in order through its check, and
-    the first violation shrunk."""
-    for trial in range(cfg.trials):
-        matrices, aux = trial_inputs(axiom, cfg, trial, tie_tol)
-        verdict = _run_check(method, axiom, matrices, aux, em)
-        if not verdict.holds:
-            return _shrink(verdict.witness, em)
-    return None
-
-
-def reference_search(method, axiom, cfg, tie_tol, em=EmOptions(), shrink=oracle.shrink):
-    """The search as a loop of the reference checks of ``oracle``: the
-    error of the first trial whose check does not hold, or its witness
-    shrunk by ``shrink``."""
-    for trial in range(cfg.trials):
-        matrices, aux = trial_inputs(axiom, cfg, trial, tie_tol)
-        verdict = oracle.run_check(method, axiom, matrices, aux, em)
-        if not verdict.holds:
-            return shrink(verdict.witness, em)
-    return None
-
-
-def unshrunk(witness, em):
-    return witness
-
-
-def outcome(search, method, axiom, cfg, tie_tol, em=EmOptions()):
-    """The witness as JSON, or the type and text of the error raised."""
-    try:
-        witness = search(method, axiom, cfg, tie_tol, em)
-    except Exception as exc:  # the two searches must fail alike
-        return type(exc).__name__, str(exc)
-    return None if witness is None else witness_json_dict(witness)
 
 
 def random_stack(rng, count, n, span=2.2):
@@ -269,22 +223,17 @@ def test_witness_equals_scalar_loop(method, axiom, seed, trials, tie_tol):
 
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
 @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
-def test_falsify_equals_the_reference_loop(method, axiom, monkeypatch):
+def test_falsify_equals_the_reference_loop(method, axiom):
     # a witness comes from the stack row that judged it, or from the check
     # of a trial whose row was rejected; either way the loop's outcome,
     # before shrinking as well as after
     for seed, tie_tol in ((0, 1e-9), (42, 1e-9), (7, 0.3)):
         cfg = SearchConfig(seed=seed, trials=60)
-        assert outcome(falsify, method, axiom, cfg, tie_tol) == outcome(
-            reference_search, method, axiom, cfg, tie_tol
+        assert outcome(falsify, method, axiom, cfg, tie_tol) == reference_search(
+            method, axiom, cfg, tie_tol
         ), (seed, tie_tol)
-        with monkeypatch.context() as patch:
-            patch.setattr(axioms, "_shrink", unshrunk)
-            found = outcome(falsify, method, axiom, cfg, tie_tol)
-        expected = outcome(
-            lambda *args: reference_search(*args, shrink=unshrunk), method, axiom, cfg, tie_tol
-        )
-        assert found == expected, (seed, tie_tol)
+        found = outcome(falsify_unshrunk, method, axiom, cfg, tie_tol)
+        assert found == reference_search(method, axiom, cfg, tie_tol, shrink=False), (seed, tie_tol)
 
 
 @pytest.mark.parametrize("budget", [32, 48, 64])
@@ -295,8 +244,8 @@ def test_starved_em_falsify_equals_the_reference_loop(axiom, budget):
     starved = EmOptions(max_iterations=budget)
     for seed in (0, 1, 42):
         cfg = SearchConfig(seed=seed, trials=30)
-        assert outcome(falsify, MethodId.EM, axiom, cfg, 1e-9, starved) == outcome(
-            reference_search, MethodId.EM, axiom, cfg, 1e-9, starved
+        assert outcome(falsify, MethodId.EM, axiom, cfg, 1e-9, starved) == reference_search(
+            MethodId.EM, axiom, cfg, 1e-9, starved
         ), seed
 
 
@@ -311,8 +260,8 @@ def test_ai_chunks_mixing_pool_sizes_end_as_the_reference_loop(method):
         assert len(pools) > len({n for n, _ in pools})
         assert np.array_equal(flags, scalar_verdicts(method, AxiomId.AI, cfg, 0.3)[trials])
     for tie_tol in (1e-9, 0.3):
-        assert outcome(falsify, method, AxiomId.AI, cfg, tie_tol) == outcome(
-            reference_search, method, AxiomId.AI, cfg, tie_tol
+        assert outcome(falsify, method, AxiomId.AI, cfg, tie_tol) == reference_search(
+            method, AxiomId.AI, cfg, tie_tol
         )
 
 
@@ -357,14 +306,14 @@ def test_falsify_equals_the_reference_loop_where_the_last_chunk_takes_the_rest(m
     for trials in (9, 12, 21, 45):
         for seed in (0, 42):
             cfg = SearchConfig(seed=seed, trials=trials)
-            assert outcome(falsify, method, AxiomId.IIC, cfg, 1e-9) == outcome(
-                reference_search, method, AxiomId.IIC, cfg, 1e-9
+            assert outcome(falsify, method, AxiomId.IIC, cfg, 1e-9) == reference_search(
+                method, AxiomId.IIC, cfg, 1e-9
             ), (trials, seed)
     for trials in (60, 100, 130):
         for seed in (0, 1, 42):
             cfg = SearchConfig(seed=seed, trials=trials)
-            assert outcome(falsify, method, AxiomId.AI, cfg, 1e-9) == outcome(
-                reference_search, method, AxiomId.AI, cfg, 1e-9
+            assert outcome(falsify, method, AxiomId.AI, cfg, 1e-9) == reference_search(
+                method, AxiomId.AI, cfg, 1e-9
             ), (trials, seed)
 
 
@@ -373,13 +322,13 @@ def test_falsify_equals_the_reference_loop_where_the_last_chunk_takes_the_rest(m
 def test_small_chunk_caps_end_as_the_reference_loop(method, monkeypatch):
     # caps of 8 and, for AI, 2 trials: full chunks before the last, and a
     # last chunk that does not fit the cap and is not merged
-    monkeypatch.setattr(axioms, "_CHUNK_MATRICES", 8)
     for axiom, trials in ((AxiomId.IIC, 45), (AxiomId.AI, 60)):
         for seed in (0, 1, 42):
             cfg = SearchConfig(seed=seed, trials=trials)
-            assert outcome(falsify, method, axiom, cfg, 1e-9) == outcome(
-                reference_search, method, axiom, cfg, 1e-9
-            ), (axiom, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(axioms, "_CHUNK_MATRICES", 8)
+                found = outcome(falsify, method, axiom, cfg, 1e-9)
+            assert found == reference_search(method, axiom, cfg, 1e-9), (axiom, seed)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -408,16 +357,12 @@ def test_bad_tie_tolerance_raises_as_on_the_scalar_path(method, tie_tol):
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
 def test_a_numpy_tie_tolerance_judges_as_a_python_float(axiom):
     cfg, tols = SearchConfig(seed=0, trials=20), (np.float64(0.3), 0.3)
-
-    def as_json(witness):
-        return None if witness is None else json.dumps(witness_json_dict(witness))
-
     for method in STACKED + RANK_ONLY:
         for t in range(cfg.trials):
             twins = [_run_check(method, axiom, *trial_inputs(axiom, cfg, t, tol)) for tol in tols]
-            assert as_json(twins[0].witness) == as_json(twins[1].witness)
+            assert len({json.dumps(as_outcome(v.witness)) for v in twins}) == 1
         found = [falsify(method, axiom, cfg, tol) for tol in tols]
-        assert as_json(found[0]) == as_json(found[1])
+        assert len({json.dumps(as_outcome(w)) for w in found}) == 1
         assert found[0] is None or type(found[0].auxiliary["tie_tol"]) is float
 
 
@@ -575,14 +520,9 @@ def test_an_overflowing_res_factor_is_judged_as_an_infinite_increase(method):
     cfg = SearchConfig(seed=0, trials=8, n_range=(2, 2), entry_log_range=(-800.0, 800.0))
     infinite = []
     for trial in (0, 7):
-        grids, aux = _draw(AxiomId.RES, cfg, _trial_rng(cfg.seed, trial))
+        [a], aux = trial_inputs(AxiomId.RES, cfg, trial, 1e-9)
         assert aux["increase"] == math.inf
-        try:
-            verdict = check_res(method, PCM.from_upper(grids[0]), aux["pair"], math.inf, 1e-9)
-        except PcmError as exc:
-            infinite.append((type(exc).__name__, str(exc)))
-        else:
-            infinite.append(None if verdict.holds else witness_json_dict(verdict.witness))
+        infinite.append(outcome(check_res, method, a, aux["pair"], math.inf, 1e-9))
     assert infinite == [None, ("NonPositive", "replacement entry must be finite and positive")]
     for trials, expected in ((7, infinite[0]), (8, infinite[1])):
         cfg = SearchConfig(seed=0, trials=trials, n_range=(2, 2), entry_log_range=(-800.0, 800.0))

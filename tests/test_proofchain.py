@@ -19,11 +19,7 @@ from pcmrank import (
 from pcmrank.core import Permutation
 from pcmrank.proofchain import chain_json_dict
 
-LOG9 = np.log(9.0)
-
-
-def random_pcm(rng, n):
-    return PCM.from_upper(np.exp(rng.uniform(-LOG9, LOG9, (n, n))))
+from harness import random_pcm
 
 
 def row_products(a):

@@ -10,17 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pcmrank import (
-    PCM,
-    AxiomId,
-    InvalidParameter,
-    MethodId,
-    NotAnIncrease,
-    PcmError,
-    SearchConfig,
-    falsify,
-    witness_json_dict,
-)
+from pcmrank import PCM, AxiomId, InvalidParameter, MethodId, NotAnIncrease, SearchConfig
 from pcmrank import axioms
 from pcmrank.axioms import (
     _CHUNK_MATRICES,
@@ -32,34 +22,7 @@ from pcmrank.axioms import (
 )
 from pcmrank.weighting import EmOptions
 
-import oracle
-
-
-def raw_witness(method, axiom, cfg, tie_tol=1e-9, em=EmOptions()):
-    """The first witness of a search, before shrinking, or None when the
-    search finds none or fails."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(axioms, "_shrink", lambda witness, em: witness)
-        try:
-            return falsify(method, axiom, cfg, tie_tol, em)
-        except PcmError:
-            return None
-
-
-def shrunk(shrink, witness, em=EmOptions()):
-    """The shrunk witness as JSON, or the type and text of the error raised;
-    floating-point errors are ignored, as ``falsify`` ignores them."""
-    try:
-        with np.errstate(all="ignore"):
-            return witness_json_dict(shrink(witness, em))
-    except Exception as exc:  # both must fail alike
-        return type(exc).__name__, str(exc)
-
-
-def assert_shrinks_alike(witness, em=EmOptions()):
-    assert shrunk(_shrink, witness, em) == shrunk(oracle.shrink, witness, em), (
-        witness_json_dict(witness)
-    )
+from harness import assert_shrinks_alike, raw_witness
 
 
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
@@ -199,7 +162,7 @@ def test_an_entry_that_rounds_out_of_range_is_no_step(entry, increase):
     a = PCM.from_upper(np.array([[1.0, entry], [1.0, 1.0]]))
     aux = {"pair": [0, 1], "increase": increase, "tie_tol": 1e-9}
     witness = _run_check(MethodId.FLAT, AxiomId.RES, [a], aux).witness
-    assert shrunk(_shrink, witness) == shrunk(oracle.shrink, witness)
+    assert_shrinks_alike(witness)
     with np.errstate(all="ignore"):
         assert not axioms.replay(_shrink(witness)).holds
 
@@ -212,4 +175,4 @@ def test_a_witness_shrinking_cannot_reduce_comes_back_unchanged(method, axiom, u
     a = PCM.from_upper(np.array([[1.0, upper], [1.0, 1.0]]))
     witness = _run_check(method, axiom, [a], {**aux, "tie_tol": 1e-9}).witness
     assert _shrink(witness) is witness
-    assert shrunk(_shrink, witness) == shrunk(oracle.shrink, witness)
+    assert_shrinks_alike(witness)

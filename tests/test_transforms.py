@@ -16,11 +16,7 @@ from pcmrank import (
 from pcmrank.core import rewrite_entry
 from pcmrank.transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
 
-LOG9 = np.log(9.0)
-
-
-def random_pcm(rng, n):
-    return PCM.from_upper(np.exp(rng.uniform(-LOG9, LOG9, (n, n))))
+from harness import random_pcm
 
 
 def max_rel_diff(x, y):

@@ -29,12 +29,7 @@ from pcmrank.transforms import aggregate_entries
 from pcmrank.weighting import _power_iteration, closed_form_scores, em_weight_stack
 
 import oracle
-
-LOG9 = np.log(9.0)
-
-
-def random_pcm(rng, n):
-    return PCM.from_upper(np.exp(rng.uniform(-LOG9, LOG9, (n, n))))
+from harness import random_pcm
 
 
 def consistent_pcm(rng, n):
