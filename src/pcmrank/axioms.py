@@ -127,10 +127,7 @@ def check_ano(
 ) -> AxiomVerdict:
     """Anonymity: i vs j under A must equal sigma(i) vs sigma(j) under the
     relabelled matrix, for every pair."""
-    if sigma.n != a.n:
-        raise DimensionMismatch(f"permutation on {sigma.n} labels, matrix has {a.n}")
-    inputs = {"permutation": [int(x) for x in sigma.map]}
-    return _judge(AxiomId.ANO, method, [a], lambda: permute(a, sigma), inputs, tie_tol, em)
+    return _judge(AxiomId.ANO, method, [a], (sigma,), tie_tol, em)
 
 
 def check_ai(
@@ -141,13 +138,7 @@ def check_ai(
 ) -> AxiomVerdict:
     """Aggregation invariance: a pair ranked i >= j in every matrix must
     stay so in the geometric-mean aggregate, strictly if strict anywhere."""
-    if len(matrices) < 2:
-        raise InvalidParameter("aggregation invariance needs at least two matrices")
-    n = matrices[0].n
-    for m in matrices[1:]:
-        if m.n != n:
-            raise DimensionMismatch(f"mixed sizes {n} and {m.n}")
-    return _judge(AxiomId.AI, method, matrices, lambda: aggregate(list(matrices)), {}, tie_tol, em)
+    return _judge(AxiomId.AI, method, matrices, (), tie_tol, em)
 
 
 def check_inv(
@@ -158,7 +149,7 @@ def check_inv(
 ) -> AxiomVerdict:
     """Inversion: the ranking on the opposite (transposed) matrix must be
     the exact reverse, pair by pair."""
-    return _judge(AxiomId.INV, method, [a], lambda: opposite(a), {}, tie_tol, em)
+    return _judge(AxiomId.INV, method, [a], (), tie_tol, em)
 
 
 def check_rsi(
@@ -170,10 +161,7 @@ def check_rsi(
 ) -> AxiomVerdict:
     """Rational scale invariance: raising every entry to kappa must leave
     every pairwise relation unchanged."""
-    if not isinstance(kappa, RationalExponent):
-        raise InvalidParameter(f"kappa must be a RationalExponent, got {kappa!r}")
-    inputs = {"kappa": str(kappa)}
-    return _judge(AxiomId.RSI, method, [a], lambda: power(a, kappa), inputs, tie_tol, em)
+    return _judge(AxiomId.RSI, method, [a], (kappa,), tie_tol, em)
 
 
 def check_iic(
@@ -187,26 +175,7 @@ def check_iic(
 ) -> AxiomVerdict:
     """Independence of irrelevant comparisons: rewriting the comparison of
     two other alternatives must not move the (i, j) relation."""
-    (k, l), (i, j) = cell, pair
-    if a.n < 4:
-        raise DimensionTooSmall("needs at least 4 alternatives")
-    k, l, i, j = (as_int("index", idx) for idx in (k, l, i, j))
-    for idx in (k, l, i, j):
-        if not 0 <= idx < a.n:
-            raise IndexOutOfRange(f"index {idx} invalid for n={a.n}")
-    if k == l or i == j:
-        raise IndexOutOfRange("cell and pair must each name two alternatives")
-    if {k, l} & {i, j}:
-        raise OverlappingIndices(f"cell {cell} overlaps pair {pair}")
-    new_value = as_float("value", new_value)
-    if not np.isfinite(new_value) or new_value <= 0.0:
-        raise NonPositive("replacement value must be positive")
-    if new_value == a.entries[k, l]:
-        raise InvalidParameter("replacement value must differ from the current entry")
-    inputs = {"cell": [k, l], "value": new_value, "pair": [i, j]}
-    return _judge(
-        AxiomId.IIC, method, [a], lambda: a.with_entry(k, l, new_value), inputs, tie_tol, em
-    )
+    return _judge(AxiomId.IIC, method, [a], (cell, new_value, pair), tie_tol, em)
 
 
 def check_res(
@@ -220,20 +189,7 @@ def check_res(
     """Responsiveness: if i is ranked at least as high as j, improving
     a_ij must leave i strictly above j.  Vacuously holds when i starts
     strictly below j, and then no error of the improved matrix is raised."""
-    i, j = pair
-    i, j = as_int("index", i), as_int("index", j)
-    if i == j or not (0 <= i < a.n and 0 <= j < a.n):
-        raise IndexOutOfRange(f"pair {pair} invalid for n={a.n}")
-    increase = as_float("increase", increased_value)
-    if not increase > a.entries[i, j]:
-        raise NotAnIncrease(
-            f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = "
-            f"{a.entries[i, j]!r}"
-        )
-    inputs = {"pair": [i, j], "increase": increase}
-    return _judge(
-        AxiomId.RES, method, [a], lambda: a.with_entry(i, j, increase), inputs, tie_tol, em
-    )
+    return _judge(AxiomId.RES, method, [a], (pair, increased_value), tie_tol, em)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +203,19 @@ class _Spec:
     """One axiom, shared by its check, replay, shrinking and the stacked
     search.
 
+    ``rules(matrices, *args)`` applies the check's argument rules to its
+    matrices and other arguments, whose leading ones have the types
+    ``kinds`` names, and returns the inputs as ``_draw`` records them.
+    ``transform(m, x)`` builds the image of the matrices ``m`` under the
+    inputs ``x`` through its validating ``PCM`` function, only to raise its
+    error where the image is rejected (see ``_judge``).
     ``image(e, x)`` is each trial's transformed matrix (trials, n, n),
     from its matrices ``e`` (trials, matrices, n, n) and ``x``, the trials'
-    inputs as arrays (see ``_input_arrays``), for a check as for a search;
-    a check's validating ``PCM`` transform runs only to raise its own error
-    where the image is rejected (see ``_judge``).  ``broken(before, after, x)``
-    marks the pairs (i, j) that break the axiom, (trials, n, n), from the
-    relation arrays of the matrices, ``before`` (trials, matrices, n, n),
-    and of the transformed matrix, ``after`` (trials, n, n).  A witness
+    inputs as arrays (see ``_input_arrays``), for a check as for a search.
+    ``broken(before, after, x)`` marks the pairs (i, j) that break the
+    axiom, (trials, n, n), from the relation arrays of the matrices,
+    ``before`` (trials, matrices, n, n), and of the transformed matrix,
+    ``after`` (trials, n, n).  A witness
     reports the first marked pair in row-major order, which has i < j
     wherever the mask is symmetric.  ``narrative`` tells that pair's story,
     ``args`` turns a witness back into the check's arguments, ``pinned``
@@ -266,10 +227,13 @@ class _Spec:
     ``vacuous`` and ``valid`` are None where an axiom has no such rule.
     """
 
+    rules: Callable
+    transform: Callable
     image: Callable
     broken: Callable
     narrative: Callable
     args: Callable
+    kinds: tuple = ()
     pinned: Callable = lambda aux: set(aux["pair"])
     min_n: int = 2
     vacuous: Optional[Callable] = None
@@ -358,6 +322,61 @@ def _res_narrative(method, rel, i, j, x) -> str:
     )
 
 
+def _ano_rules(m, sigma) -> dict:
+    if sigma.n != m[0].n:
+        raise DimensionMismatch(f"permutation on {sigma.n} labels, matrix has {m[0].n}")
+    return {"permutation": [int(x) for x in sigma.map]}
+
+
+def _ai_rules(m) -> dict:
+    if len(m) < 2:
+        raise InvalidParameter("aggregation invariance needs at least two matrices")
+    for b in m[1:]:
+        if b.n != m[0].n:
+            raise DimensionMismatch(f"mixed sizes {m[0].n} and {b.n}")
+    return {}
+
+
+def _iic_rules(m, cell, new_value, pair) -> dict:
+    a = m[0]
+    (k, l), (i, j) = as_pair("cell", cell, _as_is), as_pair("pair", pair, _as_is)
+    if a.n < 4:
+        raise DimensionTooSmall("needs at least 4 alternatives")
+    k, l, i, j = (as_int("index", idx) for idx in (k, l, i, j))
+    for idx in (k, l, i, j):
+        if not 0 <= idx < a.n:
+            raise IndexOutOfRange(f"index {idx} invalid for n={a.n}")
+    if k == l or i == j:
+        raise IndexOutOfRange("cell and pair must each name two alternatives")
+    if {k, l} & {i, j}:
+        raise OverlappingIndices(f"cell {cell} overlaps pair {pair}")
+    new_value = as_float("value", new_value)
+    if not np.isfinite(new_value) or new_value <= 0.0:
+        raise NonPositive("replacement value must be positive")
+    if new_value == a.entries[k, l]:
+        raise InvalidParameter("replacement value must differ from the current entry")
+    return {"cell": [k, l], "value": new_value, "pair": [i, j]}
+
+
+def _res_rules(m, pair, increased_value) -> dict:
+    a = m[0]
+    i, j = (as_int("index", idx) for idx in as_pair("pair", pair, _as_is))
+    if i == j or not (0 <= i < a.n and 0 <= j < a.n):
+        raise IndexOutOfRange(f"pair {pair} invalid for n={a.n}")
+    increase = as_float("increase", increased_value)
+    if not increase > a.entries[i, j]:
+        raise NotAnIncrease(
+            f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = "
+            f"{a.entries[i, j]!r}"
+        )
+    return {"pair": [i, j], "increase": increase}
+
+
+def _as_is(name: str, value):
+    """``as_pair``'s conversion that keeps each item as it is."""
+    return value
+
+
 @lru_cache(maxsize=128)
 def _kappa_value(kappa: str) -> float:
     """The value of an exponent as a witness records it, parsed once."""
@@ -366,38 +385,51 @@ def _kappa_value(kappa: str) -> float:
 
 _SPECS = {
     AxiomId.ANO: _Spec(
+        _ano_rules,
+        lambda m, x: permute(m[0], Permutation(x["permutation"])),
         lambda e, x: permute_entries(e[:, 0], x["permutation"]),
         _ano_broken,
         _ano_narrative,
         lambda m, x: (m[0], Permutation(x["permutation"])),
+        (("sigma", Permutation),),
         lambda x: set(x["pair"]) | {t for t, s in enumerate(x["permutation"]) if s != t},
     ),
     AxiomId.AI: _Spec(
-        lambda e, x: aggregate_entries(e), _ai_broken, _ai_narrative, lambda m, x: (m,)
+        _ai_rules, lambda m, x: aggregate(list(m)), lambda e, x: aggregate_entries(e),
+        _ai_broken, _ai_narrative, lambda m, x: (m,),
     ),
     AxiomId.INV: _Spec(
+        lambda m: {},
+        lambda m, x: opposite(m[0]),
         lambda e, x: opposite_entries(e[:, 0]),
         lambda before, after, x: after != -before[:, 0],
         _inv_narrative,
         lambda m, x: (m[0],),
     ),
     AxiomId.RSI: _Spec(
+        lambda m, kappa: {"kappa": str(kappa)},
+        lambda m, x: power(m[0], RationalExponent.parse(x["kappa"])),
         lambda e, x: power_entries(e[:, 0], [_kappa_value(k) for k in x["kappa"]]),
         lambda before, after, x: after != before[:, 0],
         _rsi_narrative,
         lambda m, x: (m[0], RationalExponent.parse(x["kappa"])),
+        (("kappa", RationalExponent),),
     ),
     AxiomId.IIC: _Spec(
+        _iic_rules,
+        lambda m, x: m[0].with_entry(*x["cell"], x["value"]),
         lambda e, x: rewrite_entry(e[:, 0], *x["cell"].T, x["value"]),
         lambda before, after, x: (after != before[:, 0]) & _one_pair(after, x["pair"]),
         _iic_narrative,
         lambda m, x: (m[0], tuple(x["cell"]), x["value"], tuple(x["pair"])),
-        lambda x: set(x["pair"]) | set(x["cell"]),
+        pinned=lambda x: set(x["pair"]) | set(x["cell"]),
         min_n=4,
         valid=lambda e, x: x["value"] != e[:, 0][_one_pair(e[:, 0], x["cell"])],
     ),
     # RES holds where i starts strictly below j or ends strictly above
     AxiomId.RES: _Spec(
+        _res_rules,
+        lambda m, x: m[0].with_entry(*x["pair"], x["increase"]),
         lambda e, x: rewrite_entry(e[:, 0], *x["pair"].T, x["increase"]),
         lambda before, after, x: (before[:, 0] >= 0) & (after <= 0) & _one_pair(after, x["pair"]),
         _res_narrative,
@@ -417,8 +449,8 @@ def _witness(
     and its broken pairs ``broken`` (n, n), or None where no pair breaks.
     It reports the first broken pair in row-major order beside the
     check's ``inputs``, as ``_draw`` or a witness records them.  A check
-    builds its witness here, and so do a search from the stack row that
-    judged a trial and shrinking from the last step it kept."""
+    and a search build their witness here through ``_judge``, and
+    shrinking from the last step it kept."""
     first = int(broken.argmax())
     if not broken.flat[first]:
         return None
@@ -430,28 +462,39 @@ def _witness(
 
 @np.errstate(all="ignore")
 def _judge(
-    axiom: AxiomId, method: MethodId, matrices: Sequence[PCM], transform: Callable[[], PCM],
-    inputs: dict, tie_tol: float, em: EmOptions,
+    axiom: AxiomId, method: MethodId, matrices: Sequence[PCM], args: tuple,
+    tie_tol: float, em: EmOptions, row: Optional[tuple] = None,
 ) -> AxiomVerdict:
-    """Verdict of one check: ``_stack_verdicts`` on a stack of one trial,
-    ``matrices`` with the inputs as ``_draw`` records them.  Where that
-    row is rejected, the first rejected matrix, in the order matrices then
-    image, raises what ``rank_error`` reads from its relation array, after
-    ``transform()`` builds a rejected image through its validating ``PCM``
-    function: an image it cannot build raises the transform's own error.
-    A vacuous check's image counts as ranked, so it raises none.
-    Floating-point errors are ignored: an input near the float range is
-    judged without a RuntimeWarning."""
+    """Verdict of a check on its ``matrices`` and other arguments ``args``:
+    every check and every search ends here.  ``row`` is the trial's row of
+    ``_stack_verdicts`` where a search's stack judged it; a check judges a
+    stack of one trial.  Errors come in order: a matrix that is not a
+    ``PCM`` or an argument not of its ``kinds``, the spec's argument
+    rules, the tie tolerance, then the first rejected matrix of the row,
+    matrices then image, with what ``rank_error`` reads from its relation
+    array, after the spec's ``transform`` raises its own error for an
+    image it cannot build.  A vacuous check's image counts as ranked, so
+    it raises none.  Floating-point errors are ignored: an input near the
+    float range is judged without a RuntimeWarning."""
+    spec = _SPECS[axiom]
+    kinds = [("matrix", PCM)] * len(matrices) + list(spec.kinds)
+    for value, (name, kind) in zip([*matrices, *args], kinds):
+        if not isinstance(value, kind):
+            raise InvalidParameter(f"{name} must be a {kind.__name__}, got {value!r}")
+    inputs = spec.rules(matrices, *args)
     tie_tol = check_tie_tol(tie_tol)  # the first error any ranking raises
-    x = _input_arrays([inputs])
-    e = np.array([m.entries for m in matrices])[None]
-    [(rel, broken, ok)] = _stack_verdicts(method, axiom, [e], [x], tie_tol, em)
-    for m, m_rel, ranked in zip((*matrices, None), rel[0], ok[0]):
-        if not ranked:
-            if m is None:  # the image
-                transform()
-            raise rank_error(method, m_rel, em)
-    witness = _witness(axiom, method, matrices, inputs, rel[0], broken[0], tie_tol)
+    if row is None:
+        x = _input_arrays([inputs])
+        e = np.array([m.entries for m in matrices])[None]
+        [(rel, broken, ok)] = _stack_verdicts(method, axiom, [e], [x], tie_tol, em)
+        row = rel[0], broken[0], ok[0]
+    rel, broken, ok = row
+    if not ok.all():
+        first = int(ok.argmin())
+        if first == len(matrices):  # the image
+            spec.transform(matrices, inputs)
+        raise rank_error(method, rel[first], em)
+    witness = _witness(axiom, method, matrices, inputs, rel, broken, tie_tol)
     return AxiomVerdict(holds=witness is None, witness=witness)
 
 
@@ -507,10 +550,10 @@ def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[
     """One trial's inputs, in stream order: the matrices as grids for
     ``PCM.from_upper`` (not yet validated) and the check's auxiliary
     values as a Witness records them, less the tie tolerance.  The
-    stacked search draws through here, and builds a flagged trial's
-    witness, or re-runs its check, from that draw.  A draw never raises: an entry beyond the float range is
-    drawn as inf or 0, a RES increase factor as inf, and the check judges
-    them; outside an ``np.errstate`` the grid's overflows warn."""
+    stacked search draws through here, and settles its first flagged trial
+    from that draw.  A draw never raises: an entry beyond the float range
+    is drawn as inf or 0, a RES increase factor as inf, and the check
+    judges them; outside an ``np.errstate`` the grid's overflows warn."""
     n_lo = max(cfg.n_range[0], _SPECS[axiom].min_n)  # four for IIC
     n = int(rng.integers(n_lo, max(cfg.n_range[1], n_lo) + 1))
     a = _draw_grid(rng, n, cfg.entry_log_range)
@@ -555,12 +598,10 @@ def falsify(
     Each trial's random stream is derived from (seed, trial index) alone,
     so results are reproducible and independent of evaluation order.
     Trials are drawn in the chunks of ``_chunks`` and judged as stacks
-    (see ``_flag_trials``).
-    A flagged trial whose stack row its check accepts gets its witness from
-    that row's relation arrays; a trial flagged because its row was
-    rejected (a bad input or tie tolerance, or an EM matrix unconverged
-    within the stack's cap) runs again through its check, which decides
-    its verdict or raises its error.
+    (see ``_flag_trials``), which flag exactly the trials whose check
+    would fail or raise.  The first flagged trial ends the search:
+    ``_judge`` settles it from its own stack row, as its check would, with
+    its witness or its check's error.
 
     The search ends as a trial-by-trial loop of checks would: at the
     first witness, or with the error of the first check that raises one,
@@ -569,21 +610,18 @@ def falsify(
     ignored throughout, so inputs beyond the float range are judged
     without a RuntimeWarning.
     """
-    tie_tol = as_float("tie_tol", tie_tol)  # checked where a trial ranks
+    tie_tol = as_float("tie_tol", tie_tol)  # checked where the first flagged trial settles
     per_trial = _AI_K_RANGE[1] if axiom is AxiomId.AI else 1
     with np.errstate(all="ignore"):
         for trials in _chunks(cfg.trials, max(1, _CHUNK_MATRICES // per_trial)):
-            flags, draws, judged = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
-            for trial in flags.nonzero()[0]:
+            flags, draws, rows = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
+            if flags.any():
+                trial = int(flags.argmax())
                 grids, inputs = draws[trial]
                 matrices = [PCM.from_upper(g) for g in grids]
-                if trial in judged:
-                    witness = _witness(axiom, method, matrices, inputs, *judged[trial], tie_tol)
-                else:
-                    aux = {**inputs, "tie_tol": tie_tol}
-                    witness = _run_check(method, axiom, matrices, aux, em).witness
-                if witness is not None:
-                    return _shrink(witness, em)
+                args = _SPECS[axiom].args(matrices, inputs)[1:]
+                verdict = _judge(axiom, method, matrices, args, tie_tol, em, rows[trial])
+                return _shrink(verdict.witness, em)
     return None
 
 
@@ -615,16 +653,6 @@ def _chunks(trials: int, cap: int) -> Iterator[range]:
         start, size = start + size, min(2 * size, cap)
 
 
-#: a stacked EM iteration in the search stops after this many steps (or
-#: fewer, within ``EmOptions.max_iterations``); a matrix still unconverged
-#: then flags its trial for the re-run through its check, so a rare slow
-#: matrix cannot hold a whole chunk for the full budget.  A matrix that
-#: converges within the cap has the weights of the full budget, since the
-#: iteration starts from the uniform vector and stops at its first
-#: converged step
-_EM_STACK_ITERATIONS = 256
-
-
 def _flag_trials(
     method: MethodId,
     axiom: AxiomId,
@@ -635,28 +663,23 @@ def _flag_trials(
 ) -> tuple[np.ndarray, list, dict]:
     """Flag each trial whose check would report a violation or reject an
     input (a non-finite or non-positive entry, score or weight, a bad tie
-    tolerance, or an EM iteration that does not converge).  Returns the
-    flags, the trials' draws, and for each flagged trial its check would
-    accept, by index in ``trials``, its relation arrays and broken pairs
-    (see ``_witness``).
+    tolerance, or an EM iteration that does not converge within
+    ``em.max_iterations``), and no other.  Returns the flags, the trials'
+    draws, and for each flagged trial, by index in ``trials``, its row of
+    ``_stack_verdicts``: its relation arrays, broken pairs and ranked mask
+    (see ``_judge``).
 
     Trials are drawn in order from their own streams, grouped by matrix
     size and judged a group at a time by ``_stack_verdicts``, so each needs
     no PCM, Ranking or check call; an aggregation-invariance group ranks
-    the trials of every pool size in one stack.
-    Flags may over-report a rejection, never under-report a violation:
-    the stacks' EM iteration stops after ``_EM_STACK_ITERATIONS`` steps,
-    and a matrix still unconverged then flags its trial even when the
-    check goes on to converge.  Rejected inputs warn unless floating-point
-    errors are ignored, as ``falsify`` does.
+    the trials of every pool size in one stack.  Rejected inputs warn
+    unless floating-point errors are ignored, as ``falsify`` does.
     """
-    if method is MethodId.EM:
-        em = EmOptions(min(em.max_iterations, _EM_STACK_ITERATIONS), em.convergence_tol)
     draws = [_draw(axiom, cfg, _trial_rng(cfg.seed, t)) for t in trials]
     by_size: dict[int, dict[int, list[int]]] = {}
     for idx, (grids, _) in enumerate(draws):
         by_size.setdefault(grids[0].shape[0], {}).setdefault(len(grids), []).append(idx)
-    flags, judged = np.empty(len(draws), dtype=bool), {}
+    flags, rows = np.empty(len(draws), dtype=bool), {}
     for by_count in by_size.values():
         groups = list(by_count.values())
         stacks = [reciprocal_fill(np.array([draws[t][0] for t in idx])) for idx in groups]
@@ -664,11 +687,11 @@ def _flag_trials(
         for idx, (rel, broken, ok) in zip(
             groups, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em)
         ):
-            flagged, ok = broken.any(axis=(1, 2)), ok.all(axis=1)
-            flags[idx] = flagged | ~ok
-            for row in (flagged & ok).nonzero()[0]:
-                judged[idx[row]] = rel[row], broken[row]
-    return flags, draws, judged
+            flagged = broken.any(axis=(1, 2)) | ~ok.all(axis=1)
+            flags[idx] = flagged
+            for row in flagged.nonzero()[0]:
+                rows[idx[row]] = rel[row], broken[row], ok[row]
+    return flags, draws, rows
 
 
 def _stack_verdicts(

@@ -4,8 +4,7 @@ of ``oracle``, over all 42 method/axiom pairs:
     PYTHONPATH=src python tests/gate.py --trials 2000 [--seed 42] [--tie-tol 1e-9]
 
 For each pair it checks, trial by trial, that the stacked flags of
-``_flag_trials`` equal the verdicts of the pair loops (for EM, whose
-stacked iteration is capped, that the flags include them), that the
+``_flag_trials`` equal the verdicts of the pair loops, that the
 package's check returns the pair loop's outcome, and that the first
 witness shrinks as ``oracle.shrink`` shrinks the pair loop's.  It also
 checks that ``falsify`` ends as the pair loops do: with the error of the
@@ -42,8 +41,7 @@ def gate_pair(method: MethodId, axiom: AxiomId, cfg: SearchConfig, tie_tol: floa
         if witness is None and isinstance(run.result(trial), Witness):
             witness = trial, found
     expected = run.flagged(cfg.trials)
-    exact = np.array_equal(flags, expected)
-    if not (exact or (method is MethodId.EM and np.all(flags >= expected))):
+    if not np.array_equal(flags, expected):
         problems.append(f"flags differ from the verdicts at trials "
                         f"{np.flatnonzero(flags != expected)[:10].tolist()}")
     if witness is not None and outcome(_shrink, witness[1]) != run.shrunk(witness[0]):

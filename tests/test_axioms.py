@@ -236,6 +236,39 @@ class TestArgumentTypes:
         with pytest.raises(InvalidParameter, match="increase must be a real number"):
             check_res(MethodId.RGM, PCM.ones(3), (0, 1), value)
 
+    @pytest.mark.parametrize("check", [
+        lambda a: check_ano(MethodId.RGM, a, Permutation(np.arange(4))),
+        lambda a: check_ai(MethodId.RGM, [IIC4, a]),
+        lambda a: check_inv(MethodId.RGM, a),
+        lambda a: check_rsi(MethodId.RGM, a, RationalExponent(2, 1)),
+        lambda a: check_iic(MethodId.RGM, a, (2, 3), 4.0, (0, 1)),
+        lambda a: check_res(MethodId.RGM, a, (0, 1), 4.0),
+    ], ids=[a.value for a in AxiomId])
+    def test_a_matrix_that_is_not_a_pcm_is_invalid(self, check):
+        # each raised AttributeError: the check read a.n or a.entries
+        with pytest.raises(InvalidParameter, match="matrix must be a PCM"):
+            check(IIC4.entries.tolist())
+
+    def test_a_sigma_that_is_not_a_permutation_is_invalid(self):
+        with pytest.raises(InvalidParameter, match="sigma must be a Permutation"):
+            check_ano(MethodId.RGM, IIC4, [1, 0, 2, 3])
+
+    @pytest.mark.parametrize("check", [
+        lambda a: check_res(MethodId.RGM, a, 5, 4.0),
+        lambda a: check_iic(MethodId.RGM, a, (2, 3, 1), 4.0, (0, 1)),
+        lambda a: check_iic(MethodId.RGM, a, (2, 3), 4.0, [0]),
+    ])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_cell_or_pair_that_is_not_two_items_is_invalid(self, check, n):
+        # a bare ValueError or TypeError from the unpack, which IIC raises
+        # before it counts the alternatives
+        with pytest.raises(InvalidParameter, match="must be a pair of numbers"):
+            check(PCM.ones(n))
+
+    def test_iic_counts_alternatives_before_it_converts_an_index(self):
+        with pytest.raises(DimensionTooSmall):
+            check_iic(MethodId.RGM, PCM.ones(3), (2.0, 3), 4.0, (0, 1))
+
     @pytest.mark.parametrize("kappa", ["2/1", "2000/1", 2.0])
     def test_an_exponent_that_is_not_a_rational_exponent_is_invalid(self, kappa):
         # "2000/1" raised AttributeError, where 4**2000 overflows the image

@@ -38,17 +38,6 @@ def test_shrink_equals_the_greedy_loop(method, axiom):
                 assert_shrinks_alike(witness)
 
 
-@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
-def test_em_shrink_with_a_two_step_stack_cap(axiom, monkeypatch):
-    # the search's cap flags nearly every EM trial for its check; it must
-    # not reach shrinking, which judges every step at the check's budget
-    monkeypatch.setattr(axioms, "_EM_STACK_ITERATIONS", 2)
-    for seed in (0, 1, 42):
-        witness = raw_witness(MethodId.EM, axiom, SearchConfig(seed=seed, trials=400))
-        if witness is not None:
-            assert_shrinks_alike(witness)
-
-
 @pytest.mark.parametrize("budget", [32, 48, 64, None], ids=lambda k: f"em{k or 'default'}")
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
 def test_em_shrink_at_starved_budgets(axiom, budget):
