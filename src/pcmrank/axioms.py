@@ -10,6 +10,7 @@ reproduces the failure deterministically.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -32,6 +33,7 @@ from .core import (
     as_float,
     as_int,
     as_pair,
+    check_kind,
     check_tie_tol,
     reciprocal_fill,
     relation,
@@ -479,8 +481,7 @@ def _judge(
     spec = _SPECS[axiom]
     kinds = [("matrix", PCM)] * len(matrices) + list(spec.kinds)
     for value, (name, kind) in zip([*matrices, *args], kinds):
-        if not isinstance(value, kind):
-            raise InvalidParameter(f"{name} must be a {kind.__name__}, got {value!r}")
+        check_kind(name, value, kind)
     inputs = spec.rules(matrices, *args)
     tie_tol = check_tie_tol(tie_tol)  # the first error any ranking raises
     if row is None:
@@ -517,12 +518,47 @@ def _run_check(
 def replay(witness: Witness, em: EmOptions = EmOptions()) -> AxiomVerdict:
     """Re-run the check a witness came from; a genuine witness must come
     back with holds == False."""
+    check_kind("witness", witness, Witness)
+    check_kind("em", em, EmOptions)
     return _run_check(witness.method, witness.axiom, witness.matrices, witness.auxiliary, em)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # stream depends only on (seed, trial index), so trials are order-free
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed % 2**64, trial))))
+
+
+#: trials below this keep their seeded PCG64 (state, inc), 3.6 MB at most (see ``_trial_streams``)
+_KEPT_TRIALS = 2**14
+_kept: tuple[int, dict] = (-1, {})  # seed mod 2**64, and trial -> (state, inc)
+_spare = threading.local()  # .rng: the thread's Generator a kept stream is restored into
+_PCG64 = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}  # as freshly seeded
+
+
+def _trial_streams(seed: int, trials: range) -> Iterator[np.random.Generator]:
+    """Each trial's stream, bit for bit as ``_trial_rng`` seeds it; draw
+    from one before taking the next.  The seeded states of the last seed
+    searched are kept: a search that follows another on its seed restores
+    them into one reused Generator, not seeding again.  A reader keeps the
+    memo it read and entries never change, so a race between threads can
+    cost a seeding but never move a stream."""
+    global _kept
+    memo = _kept
+    if memo[0] != seed % 2**64:
+        memo = _kept = (seed % 2**64, {})
+    for t in trials:
+        kept = memo[1].get(t)
+        if kept is None:
+            rng = _trial_rng(seed, t)
+            if t < _KEPT_TRIALS:
+                state = rng.bit_generator.state["state"]
+                memo[1][t] = state["state"], state["inc"]
+        else:
+            if not hasattr(_spare, "rng"):
+                _spare.rng = np.random.Generator(np.random.PCG64(0))
+            rng = _spare.rng
+            rng.bit_generator.state = dict(_PCG64, state={"state": kept[0], "inc": kept[1]})
+        yield rng
 
 
 def _draw_grid(rng: np.random.Generator, n: int, log_range: tuple[float, float]) -> np.ndarray:
@@ -596,12 +632,15 @@ def falsify(
     None when every trial passes.
 
     Each trial's random stream is derived from (seed, trial index) alone,
-    so results are reproducible and independent of evaluation order.
-    Trials are drawn in the chunks of ``_chunks`` and judged as stacks
-    (see ``_flag_trials``), which flag exactly the trials whose check
-    would fail or raise.  The first flagged trial ends the search:
-    ``_judge`` settles it from its own stack row, as its check would, with
-    its witness or its check's error.
+    so results are reproducible and independent of evaluation order and of
+    the searches run before; a search that follows another on its seed
+    restores each trial's seeded stream (see ``_trial_streams``).  Trials
+    are drawn in the chunks of ``_chunks`` and judged as stacks (see
+    ``_flag_trials``), which flag exactly the trials whose check would fail
+    or raise.  The first flagged trial ends the search: ``_judge`` settles
+    it from its own stack row, as its check would, with its witness or its
+    check's error.  A method, axiom, config or EM budget of the wrong type
+    raises InvalidParameter, after the tie tolerance is converted.
 
     The search ends as a trial-by-trial loop of checks would: at the
     first witness, or with the error of the first check that raises one,
@@ -611,6 +650,11 @@ def falsify(
     without a RuntimeWarning.
     """
     tie_tol = as_float("tie_tol", tie_tol)  # checked where the first flagged trial settles
+    for name, value, kind in (
+        ("method", method, MethodId), ("axiom", axiom, AxiomId),
+        ("cfg", cfg, SearchConfig), ("em", em, EmOptions),
+    ):
+        check_kind(name, value, kind)
     per_trial = _AI_K_RANGE[1] if axiom is AxiomId.AI else 1
     with np.errstate(all="ignore"):
         for trials in _chunks(cfg.trials, max(1, _CHUNK_MATRICES // per_trial)):
@@ -669,13 +713,15 @@ def _flag_trials(
     ``_stack_verdicts``: its relation arrays, broken pairs and ranked mask
     (see ``_judge``).
 
-    Trials are drawn in order from their own streams, grouped by matrix
-    size and judged a group at a time by ``_stack_verdicts``, so each needs
-    no PCM, Ranking or check call; an aggregation-invariance group ranks
-    the trials of every pool size in one stack.  Rejected inputs warn
-    unless floating-point errors are ignored, as ``falsify`` does.
+    Trials are drawn in order from their own streams, restored where a
+    search on the same seed has seeded them (``_trial_streams``), grouped
+    by matrix size and judged a group at a time by ``_stack_verdicts``, so
+    each needs no PCM, Ranking or check call; an aggregation-invariance
+    group ranks the trials of every pool size in one stack.  Rejected
+    inputs warn unless floating-point errors are ignored, as ``falsify``
+    does.
     """
-    draws = [_draw(axiom, cfg, _trial_rng(cfg.seed, t)) for t in trials]
+    draws = [_draw(axiom, cfg, rng) for rng in _trial_streams(cfg.seed, trials)]
     by_size: dict[int, dict[int, list[int]]] = {}
     for idx, (grids, _) in enumerate(draws):
         by_size.setdefault(grids[0].shape[0], {}).setdefault(len(grids), []).append(idx)

@@ -123,6 +123,13 @@ def as_pair(name: str, value, convert) -> tuple:
     return convert(name, lo), convert(name, hi)
 
 
+def check_kind(name: str, value, kind: type) -> None:
+    """Raise InvalidParameter unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidParameter(f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # upper-triangle helpers
 
@@ -353,7 +360,7 @@ class WeightVector:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise NonPositive("weights must be finite and strictly positive")
         if abs(w.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+            raise InvalidParameter(f"weights sum to {w.sum()!r}, not 1")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
@@ -384,7 +391,7 @@ class Ranking:
         r = as_ints("rank", r)
         labels = set(r.tolist())
         if labels != set(range(max(labels) + 1)):
-            raise ValueError(f"rank labels {sorted(labels)} are not dense from 0")
+            raise InvalidParameter(f"rank labels {sorted(labels)} are not dense from 0")
         r.flags.writeable = False
         object.__setattr__(self, "rank", r)
 

@@ -276,6 +276,43 @@ class TestArgumentTypes:
             check_rsi(MethodId.RGM, pcm_parse("1,2,4\n1/2,1,2\n1/4,1/2,1"), kappa)
 
 
+class TestSearchArgumentTypes:
+    """Each case raised AttributeError or KeyError, or none at all."""
+
+    cfg = SearchConfig(seed=0, trials=5)
+
+    @pytest.mark.parametrize("args, message", [
+        (("rgm", AxiomId.INV, cfg), "method must be a MethodId, got 'rgm'"),
+        ((MethodId.RGM, "INV", cfg), "axiom must be an AxiomId, got 'INV'"),
+        ((MethodId.RGM, AxiomId.INV, 12), "cfg must be a SearchConfig, got 12"),
+        ((MethodId.EM, AxiomId.INV, cfg, 1e-9, 5), "em must be an EmOptions, got 5"),
+    ])
+    def test_falsify_takes_its_own_kinds(self, args, message):
+        with pytest.raises(InvalidParameter, match=message):
+            falsify(*args)
+
+    def test_falsify_converts_the_tie_tolerance_first(self):
+        with pytest.raises(InvalidParameter, match="tie_tol must be a real number"):
+            falsify("rgm", AxiomId.INV, 12, "0.1")
+
+    @pytest.mark.parametrize("args, message", [
+        (("rgm", cfg), "method must be a MethodId, got 'rgm'"),
+        ((MethodId.RGM, 12), "cfg must be a SearchConfig, got 12"),
+        ((MethodId.RGM, cfg, 1e-9, 5), "em must be an EmOptions, got 5"),
+    ])
+    def test_check_implications_takes_its_own_kinds(self, args, message):
+        with pytest.raises(InvalidParameter, match=message):
+            check_implications(*args)
+
+    def test_replay_takes_a_witness_and_an_em_budget(self):
+        with pytest.raises(InvalidParameter, match="witness must be a Witness, got None"):
+            replay(None)
+        witness = falsify(MethodId.INDEX_ORDER, AxiomId.INV, self.cfg)
+        assert replay(witness).holds is False
+        with pytest.raises(InvalidParameter, match="em must be an EmOptions, got 5"):
+            replay(witness, 5)
+
+
 class TestNearTieBand:
     """A tie band of relative width ``tie_tol`` is not invariant under
     powers or small increases: two RGM weights 5.3e-10 apart tie at the

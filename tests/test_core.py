@@ -282,6 +282,12 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(np.array([0.6, 0.6]))
 
+    def test_a_bad_sum_is_an_invalid_parameter(self):
+        # a bare ValueError, which the subclass still is
+        with pytest.raises(InvalidParameter, match="weights sum to .+, not 1") as raised:
+            WeightVector([0.5, 0.6])
+        assert isinstance(raised.value, ValueError)
+
 
 class TestRanking:
     def test_uniform_all_tied(self):
@@ -330,6 +336,12 @@ class TestRanking:
     def test_labels_must_be_dense(self):
         with pytest.raises(ValueError):
             Ranking(np.array([0, 2]))
+
+    def test_labels_that_are_not_dense_are_an_invalid_parameter(self):
+        # a bare ValueError, which the subclass still is
+        with pytest.raises(InvalidParameter, match=r"rank labels \[0, 2\] are not dense from 0") as raised:
+            Ranking([0, 2])
+        assert isinstance(raised.value, ValueError)
 
     @pytest.mark.parametrize("rank", [[0.5, 1.5], ["0", "1"], [0.0, 1.0]])
     def test_labels_that_are_not_integers_are_invalid(self, rank):

@@ -8,9 +8,12 @@ witnesses and errors are those of a loop that checks every trial in
 order.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -37,12 +40,13 @@ from pcmrank import (
     pair_relation,
 )
 from pcmrank import axioms
-from pcmrank.axioms import _chunks, _draw, _flag_trials, _run_check, _trial_rng
+from pcmrank.axioms import _chunks, _draw, _flag_trials, _run_check, _trial_rng, _trial_streams
 from pcmrank.core import relation
 from pcmrank.weighting import EmOptions, closed_form_scores, em_weight_stack, em_weights, rank_keys
 
 import oracle
 from harness import (
+    LOG9,
     as_outcome,
     falsify_unshrunk,
     outcome,
@@ -580,3 +584,129 @@ def test_search_config_stores_its_ranges_as_tuples_of_python_numbers():
         assert outcome(falsify, method, axiom, cfg, 1e-9) == outcome(
             falsify, method, axiom, twin, 1e-9
         )
+
+
+# --- the memo of seeded streams ----------------------------------------------
+
+
+@pytest.fixture
+def cleared(monkeypatch):
+    """An empty memo of seeded streams, put back as it was after the test."""
+    monkeypatch.setattr(axioms, "_kept", (-1, {}))
+
+
+def alone(method, axiom, cfg):
+    """``falsify``'s outcome on an empty memo, which it leaves as it was."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axioms, "_kept", (-1, {}))
+        return outcome(falsify, method, axiom, cfg, 1e-9)
+
+
+def bits(draw):
+    """A draw's grids as shapes and bytes, and its auxiliary values as JSON,
+    where a NaN increase equals itself."""
+    grids, aux = draw
+    return [(g.shape, g.tobytes()) for g in grids], json.dumps(aux)
+
+
+def searched_bits(axiom, cfg, trials):
+    """The bits of the draws a search's ``_flag_trials`` takes for ``trials``;
+    the draws do not depend on the method, and ``flat`` ranks cheapest."""
+    with np.errstate(all="ignore"):
+        _, draws, _ = _flag_trials(MethodId.FLAT, axiom, cfg, trials, 1e-9)
+    return [bits(draw) for draw in draws]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # grids overflow at e**800
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_draws_through_the_memo_keep_the_seeded_bits(axiom, cleared):
+    # the first pass on a seed seeds trials 0 to 11 and keeps them, the
+    # second restores those and seeds 12 to 23, the third restores all;
+    # every later config on the seed restores what the first one kept
+    for seed in (0, 42, 2**32 - 1, 2**64 - 1, -5):
+        for n_range in ((2, 6), (4, 4), (2, 64)):
+            for log_range in ((-LOG9, LOG9), (-800.0, 800.0)):
+                cfg = SearchConfig(seed, 24, n_range, log_range)
+                expected = [bits(_draw(axiom, cfg, _trial_rng(seed, t))) for t in range(24)]
+                for trials in (range(12), range(24), range(24)):
+                    assert searched_bits(axiom, cfg, trials) == expected[:len(trials)], (
+                        seed, n_range, log_range, len(trials)
+                    )
+        assert axioms._kept[0] == seed % 2**64 and sorted(axioms._kept[1]) == list(range(24))
+
+
+@pytest.mark.parametrize("method", [MethodId.RGM, MethodId.EM], ids=lambda m: m.value)
+def test_searches_that_follow_one_another_end_as_on_an_empty_memo(method, cleared):
+    cfg, other = SearchConfig(seed=42, trials=60), SearchConfig(seed=7, trials=60)
+    runs = [(axiom, cfg) for axiom in AxiomId]
+    orders = {
+        "in order": runs,
+        "reversed": runs[::-1],
+        "interleaved": [run for pair in zip(runs, [(a, other) for a in AxiomId]) for run in pair],
+        "IIC on 4 to 6": [(a, dataclasses.replace(c, n_range=(4, 6)) if a is AxiomId.IIC else c)
+                          for a, c in runs],
+    }
+    for name, order in orders.items():
+        expected = [alone(method, axiom, c) for axiom, c in order]
+        assert [outcome(falsify, method, axiom, c, 1e-9) for axiom, c in order] == expected, name
+
+
+def test_a_budget_past_the_cap_ends_as_on_an_empty_memo(cleared, monkeypatch):
+    # trials from the cap on are seeded by every search and never kept
+    monkeypatch.setattr(axioms, "_KEPT_TRIALS", 5)
+    cfg = SearchConfig(seed=42, trials=40)
+    runs = [(method, axiom) for method in (MethodId.RGM, MethodId.EM) for axiom in AxiomId]
+    expected = [alone(method, axiom, cfg) for method, axiom in runs]
+    for _ in range(2):
+        assert [outcome(falsify, method, axiom, cfg, 1e-9) for method, axiom in runs] == expected
+    assert sorted(axioms._kept[1]) == list(range(5))
+    reference = [bits(_draw(AxiomId.AI, cfg, _trial_rng(cfg.seed, t))) for t in range(12)]
+    assert searched_bits(AxiomId.AI, cfg, range(12)) == reference
+
+
+def test_a_search_keeps_the_memo_it_read_when_another_seed_replaces_it(cleared):
+    cfg = SearchConfig(seed=1, trials=24)
+    expected = searched_bits(AxiomId.RES, cfg, range(24))  # kept on the first pass
+    drawn = []
+    for t, rng in enumerate(_trial_streams(cfg.seed, range(24))):
+        drawn.append(bits(_draw(AxiomId.RES, cfg, rng)))
+        if t == 11:  # seed 2 replaces the memo, midway through the search on seed 1
+            falsify(MethodId.RGM, AxiomId.RES, dataclasses.replace(cfg, seed=2))
+            assert axioms._kept[0] == 2
+    assert drawn == expected
+
+
+@pytest.mark.parametrize("seeds", [(1, 2, 1, 2), (3, 3, 3)], ids=["two seeds", "one seed"])
+def test_threads_searching_at_once_end_as_one_after_another(seeds, cleared):
+    # more threads than a 2-core machine has cores: on two seeds each
+    # search replaces the memo another thread reads, and a thread keeps
+    # drawing from the memo it read; on one seed all restore the streams
+    # any one kept into a Generator of their own
+    runs = [(MethodId.EM, axiom) for axiom in AxiomId] * 2
+    expected = {}
+    for seed in set(seeds):
+        cfg = SearchConfig(seed=seed, trials=60)
+        expected[seed] = (
+            [alone(method, axiom, cfg) for method, axiom in runs],
+            [bits(_draw(a, cfg, _trial_rng(seed, t))) for a in AxiomId for t in range(60)],
+        )
+    found, start = [None] * len(seeds), threading.Barrier(len(seeds))
+
+    def search(k, seed):
+        cfg = SearchConfig(seed=seed, trials=60)
+        start.wait()
+        outcomes = [outcome(falsify, method, axiom, cfg, 1e-9) for method, axiom in runs]
+        found[k] = outcomes, [b for a in AxiomId for b in searched_bits(a, cfg, range(60))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads take turns within a search
+    try:
+        threads = [threading.Thread(target=search, args=pair) for pair in enumerate(seeds)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == [expected[seed] for seed in seeds]
