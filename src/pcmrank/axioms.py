@@ -40,7 +40,6 @@ from .core import (
     rewrite_entry,
     triu_indices,
 )
-from .transforms import aggregate, opposite, permute, power
 from .transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
 from .weighting import EmOptions, MethodId, rank_error, rank_keys
 
@@ -202,44 +201,47 @@ _REL_TEXT = {1: "strictly above", 0: "tied with", -1: "strictly below"}
 
 @dataclass(frozen=True)
 class _Spec:
-    """One axiom, shared by its check, replay, shrinking and the stacked
-    search.
+    """One axiom, shared by its check, draw, replay, shrinking and the
+    stacked search.
 
     ``rules(matrices, *args)`` applies the check's argument rules to its
     matrices and other arguments, whose leading ones have the types
     ``kinds`` names, and returns the inputs as ``_draw`` records them.
-    ``transform(m, x)`` builds the image of the matrices ``m`` under the
-    inputs ``x`` through its validating ``PCM`` function, only to raise its
-    error where the image is rejected (see ``_judge``).
-    ``image(e, x)`` is each trial's transformed matrix (trials, n, n),
-    from its matrices ``e`` (trials, matrices, n, n) and ``x``, the trials'
-    inputs as arrays (see ``_input_arrays``), for a check as for a search.
+    ``tail(rng, n, a, cfg)`` draws a trial's other grids, at most
+    ``per_trial`` in all, and its inputs after ``_draw``'s n and grid ``a``.
+    ``image(e, x)``, the only code that builds an image, is each trial's
+    transformed matrix (trials, n, n), from its matrices ``e`` (trials,
+    matrices, n, n) and ``x``, the trials' inputs as arrays (see
+    ``_input_arrays``); ``rejected`` is the error text of an image with an
+    entry that is not finite and positive (see ``_judge``).
     ``broken(before, after, x)`` marks the pairs (i, j) that break the
     axiom, (trials, n, n), from the relation arrays of the matrices,
     ``before`` (trials, matrices, n, n), and of the transformed matrix,
-    ``after`` (trials, n, n).  A witness
-    reports the first marked pair in row-major order, which has i < j
-    wherever the mask is symmetric.  ``narrative`` tells that pair's story,
-    ``args`` turns a witness back into the check's arguments, ``pinned``
-    names the indices shrinking keeps, ``min_n`` is the fewest alternatives
-    the check accepts, ``vacuous(before, x)`` marks the trials whose
-    check holds without ranking the transformed matrix and ``valid(e, x)``
-    those whose inputs pass the argument rules that read an entry (IIC's
-    value must change its cell, RES's value must raise its pair's entry).
-    ``vacuous`` and ``valid`` are None where an axiom has no such rule.
+    ``after`` (trials, n, n).  A witness reports the first marked pair in
+    row-major order, which has i < j wherever the mask is symmetric.
+    ``narrative`` tells that pair's story, ``args`` turns a witness back
+    into the check's arguments, ``pinned`` names the indices shrinking
+    keeps, ``min_n`` is the fewest alternatives the check accepts,
+    ``vacuous(before, x)`` marks the trials whose check holds without
+    ranking the transformed matrix and ``valid(e, x)`` those whose inputs
+    pass the argument rules that read an entry (IIC's value must change
+    its cell, RES's value must raise its pair's entry).  ``vacuous`` and
+    ``valid`` are None where an axiom has no such rule.
     """
 
     rules: Callable
-    transform: Callable
     image: Callable
     broken: Callable
     narrative: Callable
     args: Callable
+    tail: Callable = lambda rng, n, a, cfg: ([], {})
     kinds: tuple = ()
     pinned: Callable = lambda aux: set(aux["pair"])
     min_n: int = 2
     vacuous: Optional[Callable] = None
     valid: Optional[Callable] = None
+    per_trial: int = 1
+    rejected: str = "entries must be finite and strictly positive"
 
 
 def _input_arrays(inputs: list) -> dict:
@@ -369,7 +371,7 @@ def _res_rules(m, pair, increased_value) -> dict:
     if not increase > a.entries[i, j]:
         raise NotAnIncrease(
             f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = "
-            f"{a.entries[i, j]!r}"
+            f"{float(a.entries[i, j])!r}"
         )
     return {"pair": [i, j], "increase": increase}
 
@@ -385,24 +387,61 @@ def _kappa_value(kappa: str) -> float:
     return RationalExponent.parse(kappa).value
 
 
+def _draw_grid(rng: np.random.Generator, n: int, log_range: tuple[float, float]) -> np.ndarray:
+    # only the strict upper triangle counts, as in PCM.from_upper
+    return np.exp(rng.uniform(log_range[0], log_range[1], size=(n, n)))
+
+
+def _entry(grid: np.ndarray, i: int, j: int) -> float:
+    """Entry (i, j) of ``PCM.from_upper(grid)``."""
+    return grid[i, j] if i < j else 1.0 / grid[j, i]
+
+
+def _draw_kappa(rng: np.random.Generator) -> RationalExponent:
+    while True:
+        kappa = RationalExponent(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        if kappa.p != kappa.q:
+            return kappa
+
+
+def _iic_tail(rng: np.random.Generator, n: int, a: np.ndarray, cfg: SearchConfig) -> tuple:
+    picks = [int(x) for x in rng.permutation(n)[:4]]
+    value = float(np.exp(rng.uniform(*cfg.entry_log_range)))
+    current = _entry(a, *picks[2:])
+    # a grid that PCM.from_upper rejects must not keep this loop spinning
+    while value == current and 0.0 < current < math.inf:
+        value = float(np.exp(rng.uniform(*cfg.entry_log_range)))
+    return [], {"cell": picks[2:], "value": value, "pair": picks[:2]}
+
+
+def _res_tail(rng: np.random.Generator, n: int, a: np.ndarray, cfg: SearchConfig) -> tuple:
+    i, j = (int(x) for x in rng.permutation(n)[:2])
+    try:
+        factor = math.exp(rng.uniform(0.1, max(cfg.entry_log_range[1], math.log(3.0))))
+    except OverflowError:  # check_res then holds vacuously or rejects the increase
+        factor = math.inf
+    return [], {"pair": [i, j], "increase": float(_entry(a, i, j) * factor)}
+
+
 _SPECS = {
     AxiomId.ANO: _Spec(
         _ano_rules,
-        lambda m, x: permute(m[0], Permutation(x["permutation"])),
         lambda e, x: permute_entries(e[:, 0], x["permutation"]),
         _ano_broken,
         _ano_narrative,
         lambda m, x: (m[0], Permutation(x["permutation"])),
+        lambda rng, n, a, cfg: ([], {"permutation": [int(x) for x in rng.permutation(n)]}),
         (("sigma", Permutation),),
         lambda x: set(x["pair"]) | {t for t, s in enumerate(x["permutation"]) if s != t},
     ),
-    AxiomId.AI: _Spec(
-        _ai_rules, lambda m, x: aggregate(list(m)), lambda e, x: aggregate_entries(e),
-        _ai_broken, _ai_narrative, lambda m, x: (m,),
+    AxiomId.AI: _Spec(  # pools 2 to 4 matrices
+        _ai_rules, lambda e, x: aggregate_entries(e), _ai_broken, _ai_narrative,
+        lambda m, x: (m,), lambda rng, n, a, cfg: (
+            [_draw_grid(rng, n, cfg.entry_log_range) for _ in range(rng.integers(2, 5) - 1)], {}
+        ), per_trial=4,
     ),
     AxiomId.INV: _Spec(
         lambda m: {},
-        lambda m, x: opposite(m[0]),
         lambda e, x: opposite_entries(e[:, 0]),
         lambda before, after, x: after != -before[:, 0],
         _inv_narrative,
@@ -410,20 +449,20 @@ _SPECS = {
     ),
     AxiomId.RSI: _Spec(
         lambda m, kappa: {"kappa": str(kappa)},
-        lambda m, x: power(m[0], RationalExponent.parse(x["kappa"])),
         lambda e, x: power_entries(e[:, 0], [_kappa_value(k) for k in x["kappa"]]),
         lambda before, after, x: after != before[:, 0],
         _rsi_narrative,
         lambda m, x: (m[0], RationalExponent.parse(x["kappa"])),
+        lambda rng, n, a, cfg: ([], {"kappa": str(_draw_kappa(rng))}),
         (("kappa", RationalExponent),),
     ),
     AxiomId.IIC: _Spec(
         _iic_rules,
-        lambda m, x: m[0].with_entry(*x["cell"], x["value"]),
         lambda e, x: rewrite_entry(e[:, 0], *x["cell"].T, x["value"]),
         lambda before, after, x: (after != before[:, 0]) & _one_pair(after, x["pair"]),
         _iic_narrative,
         lambda m, x: (m[0], tuple(x["cell"]), x["value"], tuple(x["pair"])),
+        _iic_tail,
         pinned=lambda x: set(x["pair"]) | set(x["cell"]),
         min_n=4,
         valid=lambda e, x: x["value"] != e[:, 0][_one_pair(e[:, 0], x["cell"])],
@@ -431,13 +470,14 @@ _SPECS = {
     # RES holds where i starts strictly below j or ends strictly above
     AxiomId.RES: _Spec(
         _res_rules,
-        lambda m, x: m[0].with_entry(*x["pair"], x["increase"]),
         lambda e, x: rewrite_entry(e[:, 0], *x["pair"].T, x["increase"]),
         lambda before, after, x: (before[:, 0] >= 0) & (after <= 0) & _one_pair(after, x["pair"]),
         _res_narrative,
         lambda m, x: (m[0], tuple(x["pair"]), x["increase"]),
+        _res_tail,
         vacuous=lambda before, x: before[:, 0][_one_pair(before[:, 0], x["pair"])] < 0,
         valid=lambda e, x: x["increase"] > e[:, 0][_one_pair(e[:, 0], x["pair"])],
+        rejected="replacement entry must be finite and positive",
     ),
 }
 
@@ -472,28 +512,31 @@ def _judge(
     ``_stack_verdicts`` where a search's stack judged it; a check judges a
     stack of one trial.  Errors come in order: a matrix that is not a
     ``PCM`` or an argument not of its ``kinds``, the spec's argument
-    rules, the tie tolerance, then the first rejected matrix of the row,
-    matrices then image, with what ``rank_error`` reads from its relation
-    array, after the spec's ``transform`` raises its own error for an
-    image it cannot build.  A vacuous check's image counts as ranked, so
-    it raises none.  Floating-point errors are ignored: an input near the
-    float range is judged without a RuntimeWarning."""
+    rules, the tie tolerance, a method or budget of the wrong type, then
+    the first rejected matrix of the row, matrices then image.  An image
+    with an entry that is not finite and positive raises the spec's
+    ``rejected`` text, and any other rejected matrix what ``rank_error``
+    reads from its relation array.  A vacuous check's image counts as
+    ranked, so it raises none.  Floating-point errors are ignored: an
+    input near the float range is judged without a RuntimeWarning."""
     spec = _SPECS[axiom]
     kinds = [("matrix", PCM)] * len(matrices) + list(spec.kinds)
     for value, (name, kind) in zip([*matrices, *args], kinds):
         check_kind(name, value, kind)
     inputs = spec.rules(matrices, *args)
     tie_tol = check_tie_tol(tie_tol)  # the first error any ranking raises
+    check_kind("method", method, MethodId)
+    check_kind("em", em, EmOptions)
+    x, e = _input_arrays([inputs]), np.array([m.entries for m in matrices])[None]
     if row is None:
-        x = _input_arrays([inputs])
-        e = np.array([m.entries for m in matrices])[None]
         [(rel, broken, ok)] = _stack_verdicts(method, axiom, [e], [x], tie_tol, em)
         row = rel[0], broken[0], ok[0]
     rel, broken, ok = row
     if not ok.all():
         first = int(ok.argmin())
-        if first == len(matrices):  # the image
-            spec.transform(matrices, inputs)
+        image = spec.image(e, x)  # rejected as the PCM function building it would
+        if first == len(matrices) and not ((image > 0.0) & (image < np.inf)).all():
+            raise NonPositive(spec.rejected)
         raise rank_error(method, rel[first], em)
     witness = _witness(axiom, method, matrices, inputs, rel, broken, tie_tol)
     return AxiomVerdict(holds=witness is None, witness=witness)
@@ -561,63 +604,20 @@ def _trial_streams(seed: int, trials: range) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _draw_grid(rng: np.random.Generator, n: int, log_range: tuple[float, float]) -> np.ndarray:
-    # only the strict upper triangle counts, as in PCM.from_upper
-    return np.exp(rng.uniform(log_range[0], log_range[1], size=(n, n)))
-
-
-def _entry(grid: np.ndarray, i: int, j: int) -> float:
-    """Entry (i, j) of ``PCM.from_upper(grid)``."""
-    return grid[i, j] if i < j else 1.0 / grid[j, i]
-
-
-def _draw_kappa(rng: np.random.Generator) -> RationalExponent:
-    while True:
-        kappa = RationalExponent(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        if kappa.p != kappa.q:
-            return kappa
-
-
-#: how many matrices an aggregation-invariance trial pools, both ends included
-_AI_K_RANGE = (2, 4)
-
-
 def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[list, dict]:
-    """One trial's inputs, in stream order: the matrices as grids for
-    ``PCM.from_upper`` (not yet validated) and the check's auxiliary
-    values as a Witness records them, less the tie tolerance.  The
-    stacked search draws through here, and settles its first flagged trial
-    from that draw.  A draw never raises: an entry beyond the float range
-    is drawn as inf or 0, a RES increase factor as inf, and the check
-    judges them; outside an ``np.errstate`` the grid's overflows warn."""
-    n_lo = max(cfg.n_range[0], _SPECS[axiom].min_n)  # four for IIC
+    """One trial's inputs, in stream order: n and the first grid, then the
+    spec's ``tail``.  Grids are for ``PCM.from_upper`` (not yet validated),
+    and the check's auxiliary values as a Witness records them, less the
+    tie tolerance.  The stacked search draws through here.  A draw never
+    raises: an entry beyond the float range is drawn as inf or 0, a RES
+    increase factor as inf, and the check judges them; outside an
+    ``np.errstate`` the grid's overflows warn."""
+    spec = _SPECS[axiom]
+    n_lo = max(cfg.n_range[0], spec.min_n)  # four for IIC
     n = int(rng.integers(n_lo, max(cfg.n_range[1], n_lo) + 1))
     a = _draw_grid(rng, n, cfg.entry_log_range)
-    if axiom is AxiomId.ANO:
-        return [a], {"permutation": [int(x) for x in rng.permutation(n)]}
-    if axiom is AxiomId.AI:
-        k = int(rng.integers(_AI_K_RANGE[0], _AI_K_RANGE[1] + 1))
-        return [a] + [_draw_grid(rng, n, cfg.entry_log_range) for _ in range(k - 1)], {}
-    if axiom is AxiomId.RSI:
-        return [a], {"kappa": str(_draw_kappa(rng))}
-    if axiom is AxiomId.IIC:
-        picks = [int(x) for x in rng.permutation(n)[:4]]
-        cell = (picks[2], picks[3])
-        value = float(np.exp(rng.uniform(*cfg.entry_log_range)))
-        current = _entry(a, *cell)
-        # a grid that PCM.from_upper rejects must not keep this loop spinning
-        while value == current and 0.0 < current < math.inf:
-            value = float(np.exp(rng.uniform(*cfg.entry_log_range)))
-        return [a], {"cell": list(cell), "value": value, "pair": picks[:2]}
-    if axiom is AxiomId.RES:
-        i, j = (int(x) for x in rng.permutation(n)[:2])
-        span = max(cfg.entry_log_range[1], math.log(3.0))
-        try:
-            factor = math.exp(rng.uniform(0.1, span))
-        except OverflowError:  # check_res then holds vacuously or rejects the increase
-            factor = math.inf
-        return [a], {"pair": [i, j], "increase": float(_entry(a, i, j) * factor)}
-    return [a], {}
+    more, inputs = spec.tail(rng, n, a, cfg)
+    return [a, *more], inputs
 
 
 def falsify(
@@ -655,7 +655,7 @@ def falsify(
         ("cfg", cfg, SearchConfig), ("em", em, EmOptions),
     ):
         check_kind(name, value, kind)
-    per_trial = _AI_K_RANGE[1] if axiom is AxiomId.AI else 1
+    per_trial = _SPECS[axiom].per_trial
     with np.errstate(all="ignore"):
         for trials in _chunks(cfg.trials, max(1, _CHUNK_MATRICES // per_trial)):
             flags, draws, rows = _flag_trials(method, axiom, cfg, trials, tie_tol, em)

@@ -212,7 +212,7 @@ def check_res(method, a, pair, increased_value, tie_tol, em):
         raise IndexOutOfRange(f"pair {pair} invalid for n={a.n}")
     if not increased_value > a.entries[i, j]:
         raise NotAnIncrease(
-            f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = {a.entries[i, j]!r}"
+            f"{increased_value!r} does not exceed a[{i + 1}][{j + 1}] = {float(a.entries[i, j])!r}"
         )
     rel = pair_relation(method_rank(method, a, tie_tol, em), i, j)
     if rel is PairRelation.STRICTLY_BELOW:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from pcmrank import (
     AxiomVerdict,
     DimensionMismatch,
     DimensionTooSmall,
+    EmOptions,
     InvalidParameter,
     MethodId,
     NotAnIncrease,
@@ -17,6 +20,7 @@ from pcmrank import (
     Permutation,
     RationalExponent,
     SearchConfig,
+    aggregate,
     check_ai,
     check_ano,
     check_iic,
@@ -27,15 +31,22 @@ from pcmrank import (
     falsify,
     method_rank,
     method_weights,
+    opposite,
     pair_relation,
     pcm_parse,
+    permute,
+    power,
     replay,
     witness_json_dict,
 )
+from pcmrank.axioms import _run_check
 from pcmrank.core import DEFAULT_TIE_TOL
 from pcmrank.registry import ARITH_AI_A1, ARITH_AI_A2, FAVPROD_AI_A1, FAVPROD_AI_A2, IIC4, KENDALL6
 
-from harness import LOG9, random_pcm
+from harness import LOG9, outcome, random_pcm, settle, trial_inputs
+
+M3 = pcm_parse("1,2,4\n1/2,1,2\n1/4,1/2,1")
+M4 = pcm_parse("1,2,4,8\n1/2,1,2,4\n1/4,1/2,1,2\n1/8,1/4,1/2,1")
 
 
 class TestAno:
@@ -211,6 +222,13 @@ class TestRes:
         with pytest.raises(NotAnIncrease):
             check_res(MethodId.RGM, PCM.ones(3), (0, 1), 1.0)
 
+    def test_not_an_increase_quotes_the_entry_as_a_python_float(self):
+        # numpy 2 quoted the entry as np.float64(2.0); the argument stays as given
+        for increase, quoted in ((1, "1"), (1.5, "1.5")):
+            with pytest.raises(NotAnIncrease) as raised:
+                check_res(MethodId.RGM, M3, (0, 1), increase)
+            assert str(raised.value) == f"{quoted} does not exceed a[1][2] = 2.0"
+
 
 class TestArgumentTypes:
     """Each case raised numpy's or Python's own error, or none at all."""
@@ -275,6 +293,20 @@ class TestArgumentTypes:
         with pytest.raises(InvalidParameter, match="kappa must be a RationalExponent"):
             check_rsi(MethodId.RGM, pcm_parse("1,2,4\n1/2,1,2\n1/4,1/2,1"), kappa)
 
+    @pytest.mark.parametrize("method, em, message", [
+        ("rgm", EmOptions(), "method must be a MethodId, got 'rgm'"),
+        (MethodId.EM, 5, "em must be an EmOptions, got 5"),
+        (MethodId.RGM, 5, "em must be an EmOptions, got 5"),
+    ], ids=["method-str", "em-int-for-em", "em-int-for-rgm"])
+    def test_a_method_or_budget_of_the_wrong_type_is_invalid(self, method, em, message):
+        # the first two raised AttributeError, and the last returned a verdict
+        with pytest.raises(InvalidParameter, match=message):
+            check_inv(method, M3, DEFAULT_TIE_TOL, em)
+
+    def test_the_tie_tolerance_is_checked_before_the_method(self):
+        with pytest.raises(InvalidParameter, match="tie_tol must be a non-negative number"):
+            check_inv("rgm", M3, -1.0, 5)
+
 
 class TestSearchArgumentTypes:
     """Each case raised AttributeError or KeyError, or none at all."""
@@ -311,6 +343,94 @@ class TestSearchArgumentTypes:
         assert replay(witness).holds is False
         with pytest.raises(InvalidParameter, match="em must be an EmOptions, got 5"):
             replay(witness, 5)
+
+
+def built_image(axiom, matrices, aux):
+    """How the public transform that builds a check's image ends on its
+    inputs: the image, or the type and text of the error it raises."""
+    a = matrices[0]
+    return settle({
+        AxiomId.ANO: lambda: permute(a, Permutation(aux["permutation"])),
+        AxiomId.AI: lambda: aggregate(matrices),
+        AxiomId.INV: lambda: opposite(a),
+        AxiomId.RSI: lambda: power(a, RationalExponent.parse(aux["kappa"])),
+        AxiomId.IIC: lambda: a.with_entry(*aux["cell"], aux["value"]),
+        AxiomId.RES: lambda: a.with_entry(*aux["pair"], aux["increase"]),
+    }[axiom])
+
+
+class TestImageErrors:
+    """A check or a search rejects an image exactly where the public
+    transform that builds it raises, and with that transform's error:
+    an RSI power that overflows or underflows, an IIC value whose
+    reciprocal overflows, an RES increase of inf where the pair starts
+    above.  Permuted, opposite and pooled matrices are accepted at any
+    span of valid entries."""
+
+    REJECTED = [
+        (AxiomId.RSI, [M3], {"kappa": "2000/1"}),  # 4**2000 overflows
+        (AxiomId.RSI, [opposite(M3)], {"kappa": "2000/1"}),  # (1/4)**2000 underflows
+        (AxiomId.RSI, [PCM.from_upper([[1, 0.5], [1, 1]])], {"kappa": "1030/1"}),  # subnormal
+        (AxiomId.IIC, [M4], {"cell": [2, 3], "value": 1e-320, "pair": [0, 1]}),
+        (AxiomId.IIC, [M4], {"cell": [2, 3], "value": 5e-309, "pair": [0, 1]}),
+        (AxiomId.RES, [M3], {"pair": [0, 1], "increase": math.inf}),
+    ]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the transforms overflow
+    @pytest.mark.parametrize("axiom, matrices, aux", REJECTED, ids=[
+        "rsi-overflow", "rsi-underflow", "rsi-subnormal", "iic-1e-320", "iic-5e-309", "res-inf",
+    ])
+    @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+    def test_a_check_raises_the_error_of_the_transform(self, method, axiom, matrices, aux):
+        expected = built_image(axiom, matrices, aux)
+        assert isinstance(expected, tuple)
+        for m in matrices:  # so the check reaches the image
+            method_rank(method, m)
+        inputs = {**aux, "tie_tol": DEFAULT_TIE_TOL}
+        assert outcome(_run_check, method, axiom, matrices, inputs) == expected
+
+    # (axiom, method, cfg, trial): the method holds the axiom on every
+    # image that is built, and ``trial`` is the first trial of ``cfg``
+    # whose check does not hold
+    SEARCHES = [
+        (AxiomId.RSI, MethodId.FLAT, SearchConfig(
+            seed=1, trials=15, n_range=(2, 3), entry_log_range=(-400.0, 400.0)), 14),
+        (AxiomId.IIC, MethodId.FLAT, SearchConfig(
+            seed=4, trials=27, n_range=(4, 4), entry_log_range=(-712.0, 0.0)), 26),
+        (AxiomId.RES, MethodId.INDEX_ORDER, SearchConfig(
+            seed=2, trials=2, n_range=(2, 2), entry_log_range=(-800.0, 800.0)), 1),
+    ]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow
+    @pytest.mark.parametrize("axiom, method, cfg, trial", SEARCHES, ids=["rsi", "iic", "res"])
+    def test_a_search_raises_the_error_of_the_transform(self, axiom, method, cfg, trial):
+        expected = built_image(axiom, *trial_inputs(axiom, cfg, trial, DEFAULT_TIE_TOL))
+        assert isinstance(expected, tuple)
+        assert falsify(method, axiom, dataclasses.replace(cfg, trials=trial)) is None
+        assert outcome(falsify, method, axiom, cfg) == expected
+
+    ACCEPTED = [
+        (AxiomId.RSI, MethodId.FLAT, [M3], {"kappa": "500/1"}),  # 4**500 = 2**1000
+        (AxiomId.IIC, MethodId.FLAT, [M4], {"cell": [2, 3], "value": 6e-309, "pair": [0, 1]}),
+        (AxiomId.RES, MethodId.INDEX_ORDER, [M3], {"pair": [0, 1], "increase": 1e308}),
+    ]
+
+    @pytest.mark.parametrize("axiom, method, matrices, aux", ACCEPTED, ids=["rsi", "iic", "res"])
+    def test_an_image_at_the_float_range_that_is_built_is_accepted(
+        self, axiom, method, matrices, aux
+    ):
+        assert isinstance(built_image(axiom, matrices, aux), PCM)
+        inputs = {**aux, "tie_tol": DEFAULT_TIE_TOL}
+        assert _run_check(method, axiom, matrices, inputs).holds
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow
+    @pytest.mark.parametrize("axiom", [AxiomId.ANO, AxiomId.INV, AxiomId.AI], ids=lambda a: a.value)
+    def test_permuted_opposite_and_pooled_matrices_are_accepted(self, axiom):
+        # FLAT ranks every valid matrix and holds these axioms wherever it ranks
+        cfg = SearchConfig(seed=5, trials=300, n_range=(2, 8), entry_log_range=(-709.7, 709.7))
+        for trial in range(cfg.trials):
+            assert isinstance(built_image(axiom, *trial_inputs(axiom, cfg, trial, 1e-9)), PCM)
+        assert falsify(MethodId.FLAT, axiom, cfg) is None
 
 
 class TestNearTieBand:

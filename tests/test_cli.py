@@ -130,6 +130,12 @@ class TestCheck:
                            "--input", consistent)
         assert code == 2 and "RES needs" in err
 
+    def test_res_not_an_increase_quotes_the_entry_as_a_number(self, capsys, consistent):
+        # numpy 2 quoted the entry as np.float64(2.0), numpy 1 as 2.0
+        code, out, err = run(capsys, "check", "--method", "rgm", "--axiom", "RES",
+                             "--pair", "1,2", "--increase", "1", "--input", consistent)
+        assert (code, out, err) == (2, "", "error: 1.0 does not exceed a[1][2] = 2.0\n")
+
     def test_bad_perm_length(self, capsys, consistent):
         code, _, _ = run(capsys, "check", "--method", "rgm", "--axiom", "ANO",
                          "--input", consistent, "--perm", "2,1")
