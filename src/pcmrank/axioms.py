@@ -343,7 +343,7 @@ def _ai_rules(m) -> dict:
 
 def _iic_rules(m, cell, new_value, pair) -> dict:
     a = m[0]
-    (k, l), (i, j) = as_pair("cell", cell, _as_is), as_pair("pair", pair, _as_is)
+    (k, l), (i, j) = as_pair("cell", cell), as_pair("pair", pair)
     if a.n < 4:
         raise DimensionTooSmall("needs at least 4 alternatives")
     k, l, i, j = (as_int("index", idx) for idx in (k, l, i, j))
@@ -364,7 +364,7 @@ def _iic_rules(m, cell, new_value, pair) -> dict:
 
 def _res_rules(m, pair, increased_value) -> dict:
     a = m[0]
-    i, j = (as_int("index", idx) for idx in as_pair("pair", pair, _as_is))
+    i, j = (as_int("index", idx) for idx in as_pair("pair", pair))
     if i == j or not (0 <= i < a.n and 0 <= j < a.n):
         raise IndexOutOfRange(f"pair {pair} invalid for n={a.n}")
     increase = as_float("increase", increased_value)
@@ -374,11 +374,6 @@ def _res_rules(m, pair, increased_value) -> dict:
             f"{float(a.entries[i, j])!r}"
         )
     return {"pair": [i, j], "increase": increase}
-
-
-def _as_is(name: str, value):
-    """``as_pair``'s conversion that keeps each item as it is."""
-    return value
 
 
 @lru_cache(maxsize=128)
@@ -834,29 +829,28 @@ def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
 
     Every step is a row of ``_stack_verdicts`` under ``em``, the budget
     of the check the witness came from, so a step is kept exactly where
-    that check would still fail.  A deletion round stacks its candidates,
-    highest index first, and keeps the first that falsifies.  The shrunk
+    that check would still fail.  A deletion round is one stack of all its
+    candidates, highest index first (at most 62 at the 64-alternative
+    limit), and keeps the first that falsifies.  The shrunk
     witness is built from the relation arrays of the last step kept; where
     no step is kept, the witness comes back unchanged."""
     method, axiom, spec = witness.method, witness.axiom, _SPECS[witness.axiom]
     e, aux = np.array([m.entries for m in witness.matrices]), dict(witness.auxiliary)
-    size = max(1, _CHUNK_MATRICES // (len(e) + 1))  # rows, each with its image
     kept = None  # the relation arrays and broken pairs of the last step kept
     while e.shape[-1] > spec.min_n:
         pinned = spec.pinned(aux)
-        drops = [idx for idx in range(e.shape[-1] - 1, -1, -1) if idx not in pinned]
-        for start in range(0, len(drops), size):
-            rows = [_delete_index(e, aux, idx) for idx in drops[start:start + size]]
-            stack = np.array([cand for cand, _ in rows])
-            rel, broken, falsified = _falsifying(method, axiom, stack, [a for _, a in rows], em)
-            if falsified.any():
-                p = int(falsified.argmax())
-                e, aux, kept = *rows[p], (rel[p], broken[p])
-                # the pair its check would report, so pinning tracks the live violation
-                aux["pair"] = list(divmod(int(broken[p].argmax()), e.shape[-1]))
-                break
-        else:
+        rows = [_delete_index(e, aux, idx) for idx in range(e.shape[-1] - 1, -1, -1)
+                if idx not in pinned]
+        if not rows:  # anonymity pins every label its permutation moves
             break
+        stack = np.array([cand for cand, _ in rows])
+        rel, broken, falsified = _falsifying(method, axiom, stack, [a for _, a in rows], em)
+        if not falsified.any():
+            break
+        p = int(falsified.argmax())
+        e, aux, kept = *rows[p], (rel[p], broken[p])
+        # the pair its check would report, so pinning tracks the live violation
+        aux["pair"] = list(divmod(int(broken[p].argmax()), e.shape[-1]))
 
     e, kept = _round_entries(method, axiom, e, aux, em, kept)
     for key in ("value", "increase"):

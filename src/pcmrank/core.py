@@ -113,13 +113,15 @@ def as_ints(name: str, values: np.ndarray) -> np.ndarray:
     return np.array([as_int(name, v) for v in values.tolist()], dtype=int)
 
 
-def as_pair(name: str, value, convert) -> tuple:
+def as_pair(name: str, value, convert=None) -> tuple:
     """``value``, a sequence of two numbers, as a tuple of ``convert``'s
-    results for each."""
+    results for each, or of the two items as they are without ``convert``."""
     try:
         lo, hi = value
     except (TypeError, ValueError):
         raise InvalidParameter(f"{name} must be a pair of numbers, got {value!r}") from None
+    if convert is None:
+        return lo, hi
     return convert(name, lo), convert(name, hi)
 
 
@@ -144,23 +146,6 @@ def triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-@lru_cache(maxsize=128)
-def stack_indices(shape: tuple) -> tuple:
-    """``np.indices(shape, sparse=True)``: index arrays that pick each matrix
-    of a stack with leading shape ``shape``; cached and read-only."""
-    grids = np.indices(shape, sparse=True)
-    for g in grids:
-        g.flags.writeable = False
-    return grids
-
-
-@lru_cache(maxsize=128)
-def _eye(n: int) -> np.ndarray:
-    eye = np.eye(n, dtype=bool)
-    eye.flags.writeable = False
-    return eye
-
-
 def reciprocal_fill(g: np.ndarray) -> np.ndarray:
     """New array holding the strict upper triangle of ``g`` (a matrix or a
     stack of matrices, shape (..., n, n)), its exact float reciprocals
@@ -177,7 +162,7 @@ def rewrite_entry(e: np.ndarray, i, j, value) -> np.ndarray:
     """Copy of ``e`` (..., n, n) with entry (i, j) set to ``value`` and (j, i)
     to its reciprocal; one cell and value per matrix.  Nothing is validated."""
     a = e.copy()
-    lead = stack_indices(np.shape(value))
+    lead = np.indices(np.shape(value), sparse=True)
     a[(*lead, i, j)] = value
     a[(*lead, j, i)] = 1.0 / value
     return a
@@ -251,6 +236,7 @@ class PCM:
     def with_entry(self, i: int, j: int, value: float) -> "PCM":
         """Copy with (i, j) set to ``value`` and (j, i) to its reciprocal."""
         n = self.n
+        i, j = as_int("index", i), as_int("index", j)
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise IndexOutOfRange(f"cell ({i}, {j}) invalid for n={n}")
         if not np.isfinite(value) or value <= 0.0:
@@ -369,6 +355,7 @@ class WeightVector:
         return len(self.w)
 
     @classmethod
+    @np.errstate(all="ignore")  # a sum that overflows is rejected
     def from_scores(cls, scores) -> "WeightVector":
         """Normalize positive scores to sum one."""
         s = np.asarray(scores, dtype=float)
@@ -403,9 +390,7 @@ class Ranking:
     def from_keys(cls, keys: np.ndarray) -> "Ranking":
         """Dense labels from rank keys, smaller first: equal keys share a
         label, and the smallest key is labelled 0."""
-        keys = keys.tolist()
-        label = {k: r for r, k in enumerate(sorted(set(keys)))}
-        return cls([label[k] for k in keys])
+        return cls(np.unique(keys, return_inverse=True)[1])
 
     def groups(self) -> list[list[int]]:
         """Alternative indices grouped by label, best group first."""
@@ -452,7 +437,7 @@ def tie_group_max(w: np.ndarray, tie_tol: float) -> np.ndarray:
         return w
     n = w.shape[-1]
     wi, wj = w[..., :, None], w[..., None, :]
-    tied = (np.abs(wi - wj) <= tie_tol * np.maximum(wi, wj)) | _eye(n)
+    tied = (np.abs(wi - wj) <= tie_tol * np.maximum(wi, wj)) | np.eye(n, dtype=bool)
     links = np.count_nonzero(tied)
     while links > tied.size // n:  # some tie off the diagonal
         # each squaring doubles the length of the chains it closes; a float
@@ -485,6 +470,7 @@ def ranking_from_weights(w: WeightVector, tie_tol: float = DEFAULT_TIE_TOL) -> R
 
 def pair_relation(r: Ranking, i: int, j: int) -> PairRelation:
     """How alternative i stands against j in ranking ``r``."""
+    i, j = as_int("index", i), as_int("index", j)
     if i == j or not (0 <= i < r.n and 0 <= j < r.n):
         raise IndexOutOfRange(f"pair ({i}, {j}) invalid for n={r.n}")
     if r.rank[i] < r.rank[j]:
@@ -529,6 +515,9 @@ class Permutation:
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
+        i, j = as_int("index", i), as_int("index", j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexOutOfRange(f"transposition ({i}, {j}) invalid for n={n}")
         m = np.arange(n)
         m[i], m[j] = m[j], m[i]
         return cls(m)

@@ -27,6 +27,7 @@ from .core import (
     Permutation,
     RationalExponent,
     UnequalRowProducts,
+    as_int,
     relation,
 )
 from .transforms import aggregate, aggregate_entries, opposite, permute, permute_entries, power
@@ -66,9 +67,11 @@ def _exp(x: float) -> float:
         raise NonPositive(f"exp({x:g}) overflows a float") from None
 
 
+@np.errstate(all="ignore")  # an entry that overflows is rejected
 def equalize_pair(a: PCM, i: int, j: int) -> PCM:
     """Rescale the single comparison (i, j) so rows i and j end up with
     equal products: a_ij is multiplied by sqrt(rowprod_j / rowprod_i)."""
+    i, j = as_int("index", i), as_int("index", j)
     if i == j or not (0 <= i < a.n and 0 <= j < a.n):
         raise IndexOutOfRange(f"pair ({i}, {j}) invalid for n={a.n}")
     log_rows = _log_row_sums(a)

@@ -16,7 +16,6 @@ from .core import (
     Permutation,
     RationalExponent,
     reciprocal_fill,
-    stack_indices,
 )
 
 
@@ -45,7 +44,7 @@ def power_entries(e: np.ndarray, kappa) -> np.ndarray:
 def permute_entries(e: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``result[sigma[i], sigma[j]] == e[i, j]``, one label map ``sigma`` per matrix."""
     inv = np.argsort(sigma, axis=-1)
-    lead = (x[..., None, None] for x in stack_indices(inv.shape[:-1]))
+    lead = (x[..., None, None] for x in np.indices(inv.shape[:-1], sparse=True))
     return e[(*lead, inv[..., :, None], inv[..., None, :])]
 
 
@@ -73,6 +72,7 @@ def opposite(a: PCM) -> PCM:
     return PCM(opposite_entries(a.entries))
 
 
+@np.errstate(all="ignore")  # an entry beyond the float range is rejected
 def power(a: PCM, kappa: RationalExponent) -> PCM:
     """Raise every entry to kappa = p/q.  Exponent 1 returns the input
     unchanged; otherwise the upper triangle is recomputed as

@@ -172,6 +172,7 @@ def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
     return out.reshape(e.shape[:-1])
 
 
+@np.errstate(all="ignore")  # a score beyond the float range comes back as inf
 def method_scores(m: MethodId, a: PCM, em: EmOptions = EmOptions()) -> np.ndarray:
     """Raw per-alternative scores before normalization (larger is better).
 
@@ -210,6 +211,7 @@ def method_weights(m: MethodId, a: PCM, em: EmOptions = EmOptions()) -> WeightVe
     return WeightVector.from_scores(method_scores(m, a, em))
 
 
+@np.errstate(all="ignore")  # a rejected row raises its own error
 def method_rank(
     m: MethodId,
     a: PCM,

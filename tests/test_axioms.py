@@ -12,6 +12,7 @@ from pcmrank import (
     DimensionMismatch,
     DimensionTooSmall,
     EmOptions,
+    IndexOutOfRange,
     InvalidParameter,
     MethodId,
     NotAnIncrease,
@@ -282,6 +283,17 @@ class TestArgumentTypes:
         # before it counts the alternatives
         with pytest.raises(InvalidParameter, match="must be a pair of numbers"):
             check(PCM.ones(n))
+
+    @pytest.mark.parametrize("check, text", [
+        (lambda: check_iic(MethodId.RGM, IIC4, (0, 7), 4.0, (1, 2)), "index 7 invalid for n=4"),
+        (lambda: check_iic(MethodId.RGM, IIC4, (2, 3), 4.0, (-1, 1)), "index -1 invalid for n=4"),
+        (lambda: check_res(MethodId.RGM, M3, (0, 9), 4.0), "pair (0, 9) invalid for n=3"),
+        (lambda: check_res(MethodId.RGM, M3, [2, 2], 4.0), "pair [2, 2] invalid for n=3"),
+    ])
+    def test_an_index_outside_the_matrix_is_out_of_range(self, check, text):
+        with pytest.raises(IndexOutOfRange) as exc:
+            check()
+        assert str(exc.value) == text
 
     def test_iic_counts_alternatives_before_it_converts_an_index(self):
         with pytest.raises(DimensionTooSmall):

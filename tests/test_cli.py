@@ -62,6 +62,11 @@ class TestWeights:
         assert code == 0
         assert "method: rgm" in out and "w[1] =" in out and "lambda_max" not in out
 
+    def test_em_text_reports_lambda_max(self, capsys, consistent):
+        code, out, _ = run(capsys, "weights", "--method", "em", "--input", consistent)
+        assert code == 0
+        assert out.splitlines()[-1] == "lambda_max = 3"
+
     def test_rejects_rank_only_method(self, capsys, consistent):
         code, _, _ = run(capsys, "weights", "--method", "flat", "--input", consistent)
         assert code == 2
@@ -135,6 +140,12 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--method", "rgm", "--axiom", "RES",
                              "--pair", "1,2", "--increase", "1", "--input", consistent)
         assert (code, out, err) == (2, "", "error: 1.0 does not exceed a[1][2] = 2.0\n")
+
+    def test_a_pair_that_is_not_integers(self, capsys, consistent):
+        code, out, err = run(capsys, "check", "--method", "rgm", "--axiom", "RES",
+                             "--pair", "1,x", "--increase", "3", "--input", consistent)
+        assert (code, out) == (2, "")
+        assert err == "error: bad --pair '1,x': expected 2 comma-separated integers\n"
 
     def test_bad_perm_length(self, capsys, consistent):
         code, _, _ = run(capsys, "check", "--method", "rgm", "--axiom", "ANO",

@@ -223,6 +223,19 @@ class TestPcmType:
     def test_ones(self):
         assert np.all(PCM.ones(4).entries == 1.0)
 
+    @pytest.mark.parametrize("make, error, text", [
+        (lambda: PCM(np.array([1.0, 2.0])), NonSquare, "expected a square matrix, got shape (2,)"),
+        (lambda: PCM.ones(1), TooSmall, "need at least two alternatives"),
+        (lambda: PCM.ones(3).with_entry(0, 3, 2.0), IndexOutOfRange, "cell (0, 3) invalid for n=3"),
+        (lambda: PCM.ones(3).with_entry(1, 1, 2.0), IndexOutOfRange, "cell (1, 1) invalid for n=3"),
+        (lambda: PCM.ones(3).with_entry(0.5, 1, 2.0), InvalidParameter,
+         "index must be an integer, got 0.5"),
+    ])
+    def test_construction_errors(self, make, error, text):
+        with pytest.raises(error) as exc:
+            make()
+        assert str(exc.value) == text
+
     def test_triu_indices_cached_and_read_only(self):
         iu, ju = triu_indices(6)
         assert triu_indices(6)[0] is iu
@@ -281,6 +294,15 @@ class TestWeightVector:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             WeightVector(np.array([0.6, 0.6]))
+
+    def test_an_empty_vector_is_no_weight_vector(self):
+        with pytest.raises(NonSquare, match="^weights must form a non-empty vector$"):
+            WeightVector([])
+
+    def test_scores_whose_sum_overflows_raise_without_a_warning(self):
+        # a RuntimeWarning fails the test
+        with pytest.raises(NonPositive, match="^weights must be finite and strictly positive$"):
+            WeightVector.from_scores([1e308, 1e308])
 
     def test_a_bad_sum_is_an_invalid_parameter(self):
         # a bare ValueError, which the subclass still is
@@ -493,6 +515,10 @@ class TestPairRelation:
         with pytest.raises(IndexOutOfRange):
             pair_relation(r, 0, 5)
 
+    def test_an_index_that_is_not_an_integer_is_invalid(self):
+        with pytest.raises(InvalidParameter, match=r"^index must be an integer, got 1\.5$"):
+            pair_relation(Ranking(np.array([0, 1])), 0, 1.5)
+
 
 class TestPermutation:
     def test_validation(self):
@@ -517,6 +543,16 @@ class TestPermutation:
 
     def test_transposition(self):
         assert Permutation.transposition(4, 0, 2).map.tolist() == [2, 1, 0, 3]
+
+    @pytest.mark.parametrize("i, j", [(0, -1), (0, 5), (3, 0)])
+    def test_a_transposition_outside_the_labels_is_out_of_range(self, i, j):
+        # -1 would otherwise count from the end
+        with pytest.raises(IndexOutOfRange, match=rf"^transposition \({i}, {j}\) invalid for n=3$"):
+            Permutation.transposition(3, i, j)
+
+    def test_a_transposition_index_that_is_not_an_integer_is_invalid(self):
+        with pytest.raises(InvalidParameter, match=r"^index must be an integer, got 1\.5$"):
+            Permutation.transposition(3, 0, 1.5)
 
     def test_identity(self):
         assert Permutation.identity(3).map.tolist() == [0, 1, 2]

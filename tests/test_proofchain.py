@@ -7,6 +7,8 @@ from pcmrank import (
     PCM,
     DimensionTooSmall,
     IndexOutOfRange,
+    InvalidParameter,
+    NonPositive,
     UnequalRowProducts,
     build_proof_chain,
     equalize_pair,
@@ -24,6 +26,10 @@ from harness import random_pcm
 
 def row_products(a):
     return np.exp(np.log(a.entries).sum(axis=1))
+
+
+# equalizing (1, 2) multiplies a_12 = 1e300 by 1e150
+WIDE = PCM.from_upper([[1, 1e300, 1e-300, 1], [1, 1, 1e300, 1e300], [1, 1, 1, 1], [1, 1, 1, 1]])
 
 
 class TestEqualizePair:
@@ -62,6 +68,15 @@ class TestEqualizePair:
     def test_bad_pair(self):
         with pytest.raises(IndexOutOfRange):
             equalize_pair(PCM.ones(3), 1, 1)
+
+    def test_an_index_that_is_not_an_integer_is_invalid(self):
+        with pytest.raises(InvalidParameter, match=r"^index must be an integer, got 1\.5$"):
+            equalize_pair(PCM.ones(3), 0, 1.5)
+
+    def test_an_entry_beyond_the_float_range_raises_without_a_warning(self):
+        # a RuntimeWarning fails the test
+        with pytest.raises(NonPositive, match="^replacement entry must be finite and positive$"):
+            equalize_pair(WIDE, 0, 1)
 
 
 class TestBuildChain:
@@ -153,6 +168,10 @@ class TestSmoke:
         assert report["strict_matches_row_products"]
         assert report["tie_after_equalize"]
         assert not report["tie_when_equal"]["applicable"]
+
+    def test_an_equalized_entry_beyond_the_float_range_raises_without_a_warning(self):
+        with pytest.raises(NonPositive, match="^replacement entry must be finite and positive$"):
+            row_product_smoke(WIDE)
 
     def test_equalized_instance_ties(self):
         a = pcm_parse("1,2,1/2\n1/2,1,2\n2,1/2,1")

@@ -1,7 +1,7 @@
 """Witness shrinking against the greedy loop of ``oracle.shrink``, which
 judges every step with one check: the same witness, as JSON, or the same
 error, for searches over all 42 method/axiom pairs, for EM at starved
-budgets, for rounds that span several stacks and for hand-built
+budgets, for rounding that spans several stacks and for hand-built
 witnesses whose rounding would break a check's own argument rule or
 leave the float range."""
 
@@ -117,10 +117,11 @@ def test_a_wide_witness_fills_several_rounding_stacks():
 
 @pytest.mark.parametrize("method", [MethodId.EM, MethodId.ROW_ARITHMETIC_MEAN,
                                     MethodId.FAVOURABLE_PRODUCT], ids=lambda m: m.value)
-def test_a_deletion_round_spans_several_stacks(method, monkeypatch):
-    # a stack holds at least 51 deletion candidates, and the witnesses
-    # found at n 60-64 keep their first; so AI witnesses at n 2-6, whose
-    # rounds reject candidates, are shrunk with stacks of one or two
+def test_a_deletion_round_outgrows_a_small_chunk(method, monkeypatch):
+    # a deletion round judges all its candidates in one stack, whatever the
+    # chunk size: with chunks of 6 matrices, AI witnesses at n 2-6 have
+    # rounds with more candidates than a chunk would hold, and they shrink
+    # as the greedy loop shrinks them
     judged = []
     delete = axioms._delete_index
     monkeypatch.setattr(axioms, "_delete_index",

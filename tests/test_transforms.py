@@ -5,6 +5,7 @@ from pcmrank import (
     PCM,
     DimensionMismatch,
     EmptyList,
+    NonPositive,
     Permutation,
     RationalExponent,
     aggregate,
@@ -90,6 +91,13 @@ class TestPower:
         a = pcm_parse("1,4\n1/4,1")
         assert power(a, RationalExponent(1, 1)) is a
         assert power(a, RationalExponent(3, 3)) is a  # reduces to 1
+
+    @pytest.mark.parametrize("entry", [1e300, 1e-308])
+    def test_a_power_beyond_the_float_range_raises_without_a_warning(self, entry):
+        # a RuntimeWarning fails the test
+        a = PCM.from_upper([[1, entry, entry], [1, 1, 1], [1, 1, 1]])
+        with pytest.raises(NonPositive, match="^entries must be finite and strictly positive$"):
+            power(a, RationalExponent(5, 1))
 
     def test_squaring_entries(self):
         a = pcm_parse("1,2,1/2\n1/2,1,2\n2,1/2,1")

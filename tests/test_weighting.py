@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from pcmrank import (
     PCM,
     EmOptions,
     InvalidParameter,
+    DimensionMismatch,
     MethodId,
     NoConvergence,
+    NonPositive,
     NoWeightForm,
     PairRelation,
     WeightVector,
@@ -30,6 +33,11 @@ from pcmrank.weighting import _power_iteration, closed_form_scores, em_weight_st
 
 import oracle
 from harness import random_pcm
+
+
+# a score or a weight sum beyond the float range
+OVER = PCM.from_upper([[1, 1e300, 1e300], [1, 1, 1], [1, 1, 1]])
+UNDER = PCM.from_upper([[1, 1e-308, 1e-308], [1, 1, 1], [1, 1, 1]])
 
 
 def consistent_pcm(rng, n):
@@ -93,6 +101,10 @@ class TestRgmObjective:
             direction /= np.linalg.norm(direction)
             moved = np.exp(logs + 1e-3 * direction)
             assert rgm_objective(b, WeightVector.from_scores(moved)) > at_optimum
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="^matrix has 3 alternatives, weights 2$"):
+            rgm_objective(PCM.ones(3), WeightVector.from_scores([1.0, 1.0]))
 
     def test_local_minimality_sweep(self):
         rng = np.random.default_rng(53)
@@ -223,6 +235,22 @@ class TestScoreMethods:
             method_weights(MethodId.FLAT, PCM.ones(3))
         with pytest.raises(NoWeightForm):
             method_scores(MethodId.INDEX_ORDER, PCM.ones(3))
+
+    def test_favprod_scores_that_overflow_come_back_without_a_warning(self):
+        # a RuntimeWarning fails the test
+        assert method_scores(MethodId.FAVOURABLE_PRODUCT, OVER).tolist() == [math.inf, 1.0, 1.0]
+
+    @pytest.mark.parametrize("method, a, text", [
+        (MethodId.FAVOURABLE_PRODUCT, OVER, "scores must be finite and strictly positive"),
+        (MethodId.FIRST_COLUMN, UNDER, "weights must be finite and strictly positive"),
+        (MethodId.ROW_ARITHMETIC_MEAN, UNDER, "weights must be finite and strictly positive"),
+    ], ids=["favprod-over", "col1-under", "arith-under"])
+    @pytest.mark.parametrize("run", [method_rank, method_weights], ids=["rank", "weights"])
+    def test_scores_beyond_the_float_range_raise_without_a_warning(self, run, method, a, text):
+        # a RuntimeWarning fails the test
+        with pytest.raises(NonPositive) as exc:
+            run(method, a)
+        assert str(exc.value) == text
 
     def test_all_weight_vectors_valid(self):
         rng = np.random.default_rng(58)
