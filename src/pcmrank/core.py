@@ -229,6 +229,7 @@ class PCM:
     @classmethod
     def ones(cls, n: int) -> "PCM":
         """The all-ones matrix: total indifference among n alternatives."""
+        n = as_int("n", n)
         if n < 2:
             raise TooSmall("need at least two alternatives")
         return cls(np.ones((n, n)))
@@ -321,8 +322,10 @@ def pcm_to_csv(a: PCM) -> str:
 def is_consistent(a: PCM, tol: float) -> bool:
     """Multiplicative transitivity: |a_ik - a_ij * a_jk| <= tol * a_ik for
     every triple (i, j, k)."""
+    tol = as_float("tol", tol)
     if not tol > 0.0:
         raise InvalidParameter("tol must be positive")
+    check_kind("a", a, PCM)
     e = a.entries
     chained = np.einsum("ij,jk->ijk", e, e)  # chained[i, j, k] = a_ij * a_jk
     target = e[:, None, :]
@@ -511,11 +514,11 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
+        return cls(np.arange(as_int("n", n)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        i, j = as_int("index", i), as_int("index", j)
+        i, j, n = as_int("index", i), as_int("index", j), as_int("n", n)
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"transposition ({i}, {j}) invalid for n={n}")
         m = np.arange(n)

@@ -27,10 +27,12 @@ from .core import (
     Permutation,
     RationalExponent,
     UnequalRowProducts,
+    as_float,
     as_int,
+    check_kind,
     relation,
 )
-from .transforms import aggregate, aggregate_entries, opposite, permute, permute_entries, power
+from .transforms import _exp_mean, aggregate, opposite, permute, permute_entries, power
 from .weighting import MethodId, closed_form_scores, method_rank
 
 ROW_PRODUCT_TOL = 1e-9  # on log row products; looser than the identity tol
@@ -72,6 +74,7 @@ def equalize_pair(a: PCM, i: int, j: int) -> PCM:
     """Rescale the single comparison (i, j) so rows i and j end up with
     equal products: a_ij is multiplied by sqrt(rowprod_j / rowprod_i)."""
     i, j = as_int("index", i), as_int("index", j)
+    check_kind("a", a, PCM)
     if i == j or not (0 <= i < a.n and 0 <= j < a.n):
         raise IndexOutOfRange(f"pair ({i}, {j}) invalid for n={a.n}")
     log_rows = _log_row_sums(a)
@@ -81,9 +84,13 @@ def equalize_pair(a: PCM, i: int, j: int) -> PCM:
 
 def _aggregate_relabellings(a: PCM, maps: np.ndarray) -> PCM:
     """``aggregate([permute(a, Permutation(m)) for m in maps])`` for label
-    maps ``maps`` (k, n), relabelled and averaged as one stack."""
-    moved = permute_entries(np.broadcast_to(a.entries, (len(maps), a.n, a.n)), maps)
-    return PCM(aggregate_entries(moved))
+    maps ``maps`` (k, n), bit for bit: a relabelling moves the logs as it moves
+    the entries, so the logs of ``a`` are taken once and summed in map order,
+    the order in which the stack's sum adds them."""
+    if len(maps) == 1:  # a single matrix is returned unchanged, as aggregate does
+        return PCM(permute_entries(a.entries, maps[0]))
+    logs = np.log(a.entries)
+    return PCM(_exp_mean(sum(permute_entries(logs, m) for m in maps), len(maps)))
 
 
 def build_proof_chain(a: PCM) -> ProofChain:
@@ -93,6 +100,7 @@ def build_proof_chain(a: PCM) -> ProofChain:
     ``equalize_pair`` first); every ProofChain invariant is verified
     before returning.
     """
+    check_kind("a", a, PCM)
     n = a.n
     if n < 3:
         raise DimensionTooSmall("the construction needs at least 3 alternatives")
@@ -159,6 +167,8 @@ def verify_proof_identities(chain: ProofChain, tol: float = CHAIN_TOL) -> dict:
     m = 3..n.  ``unit_row_geomeans``: every row of E has geometric mean 1.
     ``alpha_sqrt``: e_12 = sqrt(a_12).
     """
+    check_kind("chain", chain, ProofChain)
+    tol = as_float("tol", tol)
     e = chain.e
     n = e.n
     swap12 = permute(e, Permutation.transposition(n, 0, 1))
@@ -189,6 +199,7 @@ def row_product_smoke(a: PCM, tie_tol: float = DEFAULT_TIE_TOL) -> dict:
     appears, (3) a strict preference points the same way as the log
     row-product difference.
     """
+    check_kind("a", a, PCM)
     log_rows = _log_row_sums(a)
     delta = float(log_rows[0] - log_rows[1])
     # +1, 0 or -1 as alternative 1 ranks above, ties with or ranks below 2

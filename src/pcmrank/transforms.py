@@ -24,7 +24,12 @@ def aggregate_entries(e: np.ndarray) -> np.ndarray:
     a single matrix (k = 1) is returned unchanged, bit for bit."""
     if e.shape[-3] == 1:
         return e[..., 0, :, :]
-    return reciprocal_fill(np.exp(np.add.reduce(np.log(e), axis=-3) / e.shape[-3]))
+    return _exp_mean(np.add.reduce(np.log(e), axis=-3), e.shape[-3])
+
+
+def _exp_mean(total: np.ndarray, k: int) -> np.ndarray:
+    """The geometric mean of k matrices from ``total``, the sum of their logs."""
+    return reciprocal_fill(np.exp(total / k))
 
 
 def opposite_entries(e: np.ndarray) -> np.ndarray:

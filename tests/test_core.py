@@ -236,6 +236,12 @@ class TestPcmType:
             make()
         assert str(exc.value) == text
 
+    @pytest.mark.parametrize("n", ["3", 2.5, 2.0, None, [3]])
+    def test_a_size_that_is_not_an_integer_is_invalid(self, n):
+        with pytest.raises(InvalidParameter) as exc:
+            PCM.ones(n)
+        assert str(exc.value) == f"n must be an integer, got {n!r}"
+
     def test_triu_indices_cached_and_read_only(self):
         iu, ju = triu_indices(6)
         assert triu_indices(6)[0] is iu
@@ -280,6 +286,18 @@ class TestConsistency:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             is_consistent(PCM.ones(3), 0.0)
+        with pytest.raises(InvalidParameter, match="^tol must be positive$"):
+            is_consistent(None, -1.0)  # the tolerance is checked first
+
+    @pytest.mark.parametrize("tol", ["x", None, 1j, [1e-9]])
+    def test_a_tol_that_is_not_a_real_number_is_invalid(self, tol):
+        with pytest.raises(InvalidParameter) as exc:
+            is_consistent(PCM.ones(3), tol)
+        assert str(exc.value) == f"tol must be a real number, got {tol!r}"
+
+    def test_a_matrix_that_is_not_a_pcm_is_invalid(self):
+        with pytest.raises(InvalidParameter, match="^a must be a PCM, got None$"):
+            is_consistent(None, 1e-9)
 
 
 class TestWeightVector:
@@ -553,9 +571,21 @@ class TestPermutation:
     def test_a_transposition_index_that_is_not_an_integer_is_invalid(self):
         with pytest.raises(InvalidParameter, match=r"^index must be an integer, got 1\.5$"):
             Permutation.transposition(3, 0, 1.5)
+        with pytest.raises(InvalidParameter, match=r"^index must be an integer, got 1\.5$"):
+            Permutation.transposition(2.0, 0, 1.5)  # the indices are converted first
 
     def test_identity(self):
         assert Permutation.identity(3).map.tolist() == [0, 1, 2]
+        with pytest.raises(NonSquare, match="^permutation must be a non-empty vector$"):
+            Permutation.identity(0)
+
+    @pytest.mark.parametrize("n", ["3", 2.5, 2.0, None])
+    def test_a_size_that_is_not_an_integer_is_invalid(self, n):
+        # the error names the size, not an element of a map built from it
+        for make in (lambda: Permutation.identity(n), lambda: Permutation.transposition(n, 0, 1)):
+            with pytest.raises(InvalidParameter) as exc:
+                make()
+            assert str(exc.value) == f"n must be an integer, got {n!r}"
 
 
 class TestRationalExponent:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from pcmrank import (
     InvalidParameter,
     NonPositive,
     UnequalRowProducts,
+    aggregate,
     build_proof_chain,
     equalize_pair,
     opposite,
@@ -19,13 +22,32 @@ from pcmrank import (
     verify_proof_identities,
 )
 from pcmrank.core import Permutation
-from pcmrank.proofchain import chain_json_dict
+from pcmrank.proofchain import _aggregate_relabellings, chain_json_dict
 
 from harness import random_pcm
 
 
 def row_products(a):
     return np.exp(np.log(a.entries).sum(axis=1))
+
+
+MIXED64 = Path(__file__).parent / "golden" / "inputs" / "mixed64.csv"
+
+
+def cyclic_maps(n):
+    """The relabellings C averages B over: the n - 2 rotations of labels
+    2..n-1, labels 0 and 1 fixed."""
+    return [[0, 1, *(2 + (s + t) % (n - 2) for t in range(n - 2))] for s in range(n - 2)]
+
+
+def swap_maps(n):
+    """The label swaps (1, m), m = 2..n-1, whose aggregate the identity
+    ``swap_power_aggregate`` compares with a power of E."""
+    return [Permutation.transposition(n, 1, m).map.tolist() for m in range(2, n)]
+
+
+def wide_pcm(rng, n, span):
+    return PCM.from_upper(np.exp(rng.uniform(-span, span, (n, n))))
 
 
 # equalizing (1, 2) multiplies a_12 = 1e300 by 1e150
@@ -72,11 +94,58 @@ class TestEqualizePair:
     def test_an_index_that_is_not_an_integer_is_invalid(self):
         with pytest.raises(InvalidParameter, match=r"^index must be an integer, got 1\.5$"):
             equalize_pair(PCM.ones(3), 0, 1.5)
+        with pytest.raises(InvalidParameter, match=r"^index must be an integer, got 1\.5$"):
+            equalize_pair(PCM.ones(3).entries, 0, 1.5)  # the indices are converted first
 
     def test_an_entry_beyond_the_float_range_raises_without_a_warning(self):
         # a RuntimeWarning fails the test
         with pytest.raises(NonPositive, match="^replacement entry must be finite and positive$"):
             equalize_pair(WIDE, 0, 1)
+
+
+class TestAggregateRelabellings:
+    """The relabelling mean against its definition, bit for bit."""
+
+    @pytest.mark.parametrize("span", [math.log(9), 5.0, 50.0, 300.0])
+    @pytest.mark.parametrize("n", [3, 4, 5, 16, 64])
+    def test_equals_the_aggregate_of_the_relabelled_matrices(self, n, span):
+        rng = np.random.default_rng(n * 1000 + int(span))
+        for _ in range(3):
+            a = wide_pcm(rng, n, span)
+            random_maps = [rng.permutation(n).tolist() for _ in range(int(rng.integers(1, n + 1)))]
+            # one map (and n = 3's one rotation) moves the entries, taking no
+            # logs: exp(log x) misses x by an ulp now and then
+            for maps in (cyclic_maps(n), swap_maps(n), random_maps, random_maps[:1]):
+                want = aggregate([permute(a, Permutation(m)) for m in maps])
+                got = _aggregate_relabellings(a, np.array(maps))
+                assert np.array_equal(got.entries, want.entries)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 16, 64])
+    def test_c_is_b_averaged_over_the_rotations_of_the_tail(self, n):
+        rng = np.random.default_rng(82 + n)
+        for span in (math.log(9), 5.0):
+            chain = build_proof_chain(equalize_pair(wide_pcm(rng, n, span), 0, 1))
+            want = aggregate([permute(chain.b, Permutation(m)) for m in cyclic_maps(n)])
+            assert np.array_equal(chain.c.entries, want.entries)
+
+
+class TestMemory:
+    """The chain holds O(n^2) floats: no stack of n - 2 relabelled copies."""
+
+    @staticmethod
+    def peak_bytes(run, *args):
+        tracemalloc.start()
+        try:
+            run(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_the_chain_and_its_identities_on_64_alternatives_stay_below_1_mib(self):
+        a = equalize_pair(pcm_parse(MIXED64.read_text()), 0, 1)
+        chain = build_proof_chain(a)  # warm any cache before measuring
+        assert self.peak_bytes(build_proof_chain, a) < 2**20
+        assert self.peak_bytes(verify_proof_identities, chain) < 2**20
 
 
 class TestBuildChain:
@@ -177,6 +246,26 @@ class TestSmoke:
         a = pcm_parse("1,2,1/2\n1/2,1,2\n2,1/2,1")
         report = row_product_smoke(a)
         assert report["tie_when_equal"] == {"applicable": True, "passed": True}
+
+
+class TestArguments:
+    @pytest.mark.parametrize("call, text", [
+        (lambda a: build_proof_chain(a.entries), "a must be a PCM"),
+        (lambda a: build_proof_chain(None), "a must be a PCM, got None"),
+        (lambda a: equalize_pair(a.entries, 0, 1), "a must be a PCM"),
+        (lambda a: equalize_pair("a", 0, 1), "a must be a PCM, got 'a'"),
+        (lambda a: row_product_smoke(a.entries), "a must be a PCM"),
+        (lambda a: verify_proof_identities(None), "chain must be a ProofChain, got None"),
+        (lambda a: verify_proof_identities(a), "chain must be a ProofChain"),
+        (lambda a: verify_proof_identities(build_proof_chain(a), "x"),
+         "tol must be a real number, got 'x'"),
+        (lambda a: verify_proof_identities(build_proof_chain(a), None),
+         "tol must be a real number, got None"),
+    ])
+    def test_a_value_of_the_wrong_kind_is_invalid(self, call, text):
+        with pytest.raises(InvalidParameter) as exc:
+            call(PCM.ones(4))
+        assert str(exc.value).startswith(text)
 
 
 def test_chain_json_shape():
