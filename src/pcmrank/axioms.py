@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -139,6 +140,7 @@ def check_ai(
 ) -> AxiomVerdict:
     """Aggregation invariance: a pair ranked i >= j in every matrix must
     stay so in the geometric-mean aggregate, strictly if strict anywhere."""
+    check_kind("matrices", matrices, Sequence)
     return _judge(AxiomId.AI, method, matrices, (), tie_tol, em)
 
 
@@ -220,13 +222,12 @@ class _Spec:
     ``after`` (trials, n, n).  A witness reports the first marked pair in
     row-major order, which has i < j wherever the mask is symmetric.
     ``narrative`` tells that pair's story, ``args`` turns a witness back
-    into the check's arguments, ``pinned`` names the indices shrinking
-    keeps, ``min_n`` is the fewest alternatives the check accepts,
-    ``vacuous(before, x)`` marks the trials whose check holds without
-    ranking the transformed matrix and ``valid(e, x)`` those whose inputs
-    pass the argument rules that read an entry (IIC's value must change
-    its cell, RES's value must raise its pair's entry).  ``vacuous`` and
-    ``valid`` are None where an axiom has no such rule.
+    into the check's arguments, ``min_n`` is the fewest alternatives the
+    check accepts, ``vacuous(before, x)`` marks the trials whose check
+    holds without ranking the transformed matrix and ``valid(e, x)`` those
+    whose inputs pass the argument rules that read an entry (IIC's value
+    must change its cell, RES's value must raise its pair's entry).
+    ``vacuous`` and ``valid`` are None where an axiom has no such rule.
     """
 
     rules: Callable
@@ -236,7 +237,6 @@ class _Spec:
     args: Callable
     tail: Callable = lambda rng, n, a, cfg: ([], {})
     kinds: tuple = ()
-    pinned: Callable = lambda aux: set(aux["pair"])
     min_n: int = 2
     vacuous: Optional[Callable] = None
     valid: Optional[Callable] = None
@@ -427,7 +427,6 @@ _SPECS = {
         lambda m, x: (m[0], Permutation(x["permutation"])),
         lambda rng, n, a, cfg: ([], {"permutation": [int(x) for x in rng.permutation(n)]}),
         (("sigma", Permutation),),
-        lambda x: set(x["pair"]) | {t for t, s in enumerate(x["permutation"]) if s != t},
     ),
     AxiomId.AI: _Spec(  # pools 2 to 4 matrices
         _ai_rules, lambda e, x: aggregate_entries(e), _ai_broken, _ai_narrative,
@@ -458,7 +457,6 @@ _SPECS = {
         _iic_narrative,
         lambda m, x: (m[0], tuple(x["cell"]), x["value"], tuple(x["pair"])),
         _iic_tail,
-        pinned=lambda x: set(x["pair"]) | set(x["cell"]),
         min_n=4,
         valid=lambda e, x: x["value"] != e[:, 0][_one_pair(e[:, 0], x["cell"])],
     ),
@@ -550,7 +548,11 @@ def _run_check(
 ) -> AxiomVerdict:
     # the check is looked up by name when called, so a rebound one is used
     check = globals()[f"check_{axiom.value.lower()}"]
-    return check(method, *_SPECS[axiom].args(matrices, aux), aux["tie_tol"], em)
+    try:
+        args, tie_tol = _SPECS[axiom].args(matrices, aux), aux["tie_tol"]
+    except KeyError as missing:
+        raise InvalidParameter(f"witness auxiliary has no {missing}") from None
+    return check(method, *args, tie_tol, em)
 
 
 def replay(witness: Witness, em: EmOptions = EmOptions()) -> AxiomVerdict:
@@ -558,6 +560,9 @@ def replay(witness: Witness, em: EmOptions = EmOptions()) -> AxiomVerdict:
     back with holds == False."""
     check_kind("witness", witness, Witness)
     check_kind("em", em, EmOptions)
+    check_kind("axiom", witness.axiom, AxiomId)
+    check_kind("matrices", witness.matrices, Sequence)
+    check_kind("auxiliary", witness.auxiliary, Mapping)
     return _run_check(witness.method, witness.axiom, witness.matrices, witness.auxiliary, em)
 
 
@@ -780,17 +785,6 @@ def _stack_verdicts(
 
 # --- greedy witness shrinking ----------------------------------------------
 
-def _round_to_one_significant(x: float) -> float:
-    """``x`` to one significant digit, rounded exactly as a Python float
-    (numpy's rounding of a float64 is inexact far from 1), or inf where
-    the rounding overflows."""
-    exponent = math.floor(math.log10(abs(x)))
-    try:
-        return round(float(x), -exponent)
-    except OverflowError:
-        return math.inf
-
-
 def _delete_index(e: np.ndarray, aux: dict, idx: int) -> tuple[np.ndarray, dict]:
     """Drop one alternative from the matrices ``e`` (matrices, n, n),
     remapping every recorded index; entries keep their bits because
@@ -824,8 +818,11 @@ def _falsifying(
 
 def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
     """Best-effort minimization: drop alternatives outside the pinned
-    indices, then round entries (and the auxiliary value, if any) to one
-    significant digit, keeping only steps that still falsify.
+    indices, those the inputs name (``pair``, ``cell`` and each label
+    ``permutation`` moves), then round entries (and the auxiliary value,
+    if any) to one significant digit, as Python's ``.0e`` formatting
+    rounds a float (inf past the float range), keeping only steps that
+    still falsify.
 
     Every step is a row of ``_stack_verdicts`` under ``em``, the budget
     of the check the witness came from, so a step is kept exactly where
@@ -834,14 +831,15 @@ def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
     limit), and keeps the first that falsifies.  The shrunk
     witness is built from the relation arrays of the last step kept; where
     no step is kept, the witness comes back unchanged."""
-    method, axiom, spec = witness.method, witness.axiom, _SPECS[witness.axiom]
+    method, axiom = witness.method, witness.axiom
     e, aux = np.array([m.entries for m in witness.matrices]), dict(witness.auxiliary)
     kept = None  # the relation arrays and broken pairs of the last step kept
-    while e.shape[-1] > spec.min_n:
-        pinned = spec.pinned(aux)
+    while True:
+        moved = {t for t, s in enumerate(aux.get("permutation", ())) if s != t}
+        pinned = {*aux["pair"], *aux.get("cell", ()), *moved}
         rows = [_delete_index(e, aux, idx) for idx in range(e.shape[-1] - 1, -1, -1)
                 if idx not in pinned]
-        if not rows:  # anonymity pins every label its permutation moves
+        if not rows:  # every index left is pinned
             break
         stack = np.array([cand for cand, _ in rows])
         rel, broken, falsified = _falsifying(method, axiom, stack, [a for _, a in rows], em)
@@ -855,7 +853,7 @@ def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
     e, kept = _round_entries(method, axiom, e, aux, em, kept)
     for key in ("value", "increase"):
         if key in aux:
-            cand = {**aux, key: _round_to_one_significant(aux[key])}
+            cand = {**aux, key: float(f"{aux[key]:.0e}")}
             if cand[key] != aux[key] and 0.0 < cand[key] < math.inf:
                 rel, broken, falsified = _falsifying(method, axiom, e[None], [cand], em)
                 if falsified[0]:
@@ -883,7 +881,7 @@ def _round_entries(
     iu, ju = triu_indices(e.shape[-1])
     t, i, j = np.repeat(np.arange(len(e)), len(iu)), np.tile(iu, len(e)), np.tile(ju, len(e))
     original = e[t, i, j]
-    rounded = np.array([_round_to_one_significant(v) for v in original])
+    rounded = np.array([float(f"{v:.0e}") for v in original])
     step = (rounded != original) & (rounded < np.inf)
     t, i, j, rounded = t[step], i[step], j[step], rounded[step]
     size = max(1, _CHUNK_MATRICES // (len(e) + 1))  # prefixes, each with its image

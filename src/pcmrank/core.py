@@ -90,18 +90,25 @@ class InvalidParameter(PcmError, ValueError):
     """A setting or argument lies outside its documented range."""
 
 
+def _shown(value) -> str:
+    """``value``'s repr for an error text, or its type's name where the
+    repr spans lines (an array's does), so the error stays on one line."""
+    text = repr(value)
+    return type(value).__name__ if "\n" in text else text
+
+
 def as_int(name: str, value) -> int:
     """``value`` as a Python int, from any integer, numpy's included."""
     try:
         return operator.index(value)
     except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+        raise InvalidParameter(f"{name} must be an integer, got {_shown(value)}") from None
 
 
 def as_float(name: str, value) -> float:
     """``value`` as a Python float, from any real number, numpy's included."""
     if not isinstance(value, numbers.Real):
-        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+        raise InvalidParameter(f"{name} must be a real number, got {_shown(value)}")
     return float(value)
 
 
@@ -119,7 +126,7 @@ def as_pair(name: str, value, convert=None) -> tuple:
     try:
         lo, hi = value
     except (TypeError, ValueError):
-        raise InvalidParameter(f"{name} must be a pair of numbers, got {value!r}") from None
+        raise InvalidParameter(f"{name} must be a pair of numbers, got {_shown(value)}") from None
     if convert is None:
         return lo, hi
     return convert(name, lo), convert(name, hi)
@@ -129,7 +136,7 @@ def check_kind(name: str, value, kind: type) -> None:
     """Raise InvalidParameter unless ``value`` is an instance of ``kind``."""
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise InvalidParameter(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        raise InvalidParameter(f"{name} must be {article} {kind.__name__}, got {_shown(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +273,7 @@ def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PC
 
 def pcm_parse_rows(rows: list[str], reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PCM:
     """``pcm_parse`` of a text whose ``csv_rows`` are ``rows``."""
+    reciprocity_tol = as_float("reciprocity_tol", reciprocity_tol)
     if not reciprocity_tol > 0.0:
         raise InvalidParameter("reciprocity_tol must be positive")
     n = len(rows)
@@ -553,12 +561,12 @@ class RationalExponent:
     @classmethod
     def parse(cls, text: str) -> "RationalExponent":
         """Accepts "p/q" or a bare positive integer."""
-        num, _, den = text.partition("/")
         try:
+            num, _, den = text.partition("/")
             p = int(num.strip())
             q = int(den.strip()) if den else 1
-        except ValueError:
-            raise InvalidParameter(f"bad exponent {text!r}") from None
+        except (AttributeError, TypeError, ValueError):  # a non-string has no str.partition
+            raise InvalidParameter(f"bad exponent {_shown(text)}") from None
         return cls(p, q)
 
     @property

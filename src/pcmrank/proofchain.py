@@ -22,6 +22,7 @@ from .core import (
     PCM,
     DimensionTooSmall,
     IndexOutOfRange,
+    InvalidParameter,
     NonPositive,
     PcmError,
     Permutation,
@@ -169,6 +170,8 @@ def verify_proof_identities(chain: ProofChain, tol: float = CHAIN_TOL) -> dict:
     """
     check_kind("chain", chain, ProofChain)
     tol = as_float("tol", tol)
+    if not tol > 0.0:
+        raise InvalidParameter("tol must be positive")
     e = chain.e
     n = e.n
     swap12 = permute(e, Permutation.transposition(n, 0, 1))

@@ -50,7 +50,7 @@ from pcmrank import (
     power,
     ranking_from_weights,
 )
-from pcmrank.axioms import _SPECS, _round_to_one_significant, _run_check
+from pcmrank.axioms import _run_check
 from pcmrank.core import DEFAULT_RECIPROCITY_TOL, DEFAULT_TIE_TOL, check_tie_tol, triu_indices
 from pcmrank.weighting import EmOptions, MethodId
 
@@ -294,6 +294,28 @@ def _delete_index(matrices: tuple[PCM, ...], aux: dict, idx: int):
     return tuple(kept), new_aux
 
 
+def round_to_one_significant(x: float) -> float:
+    """``x`` to one significant digit, rounded exactly as a Python float
+    (numpy's rounding of a float64 is inexact far from 1), or inf where
+    the rounding overflows."""
+    exponent = math.floor(math.log10(abs(x)))
+    try:
+        return round(float(x), -exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _pinned(axiom: AxiomId, aux: dict) -> set:
+    """The indices shrinking keeps: the witness's pair, IIC's cell and
+    each label ANO's permutation moves."""
+    pinned = set(aux["pair"])
+    if axiom is AxiomId.ANO:
+        pinned |= {t for t, s in enumerate(aux["permutation"]) if s != t}
+    if axiom is AxiomId.IIC:
+        pinned |= set(aux["cell"])
+    return pinned
+
+
 def _attempt(method, axiom, matrices, aux, em) -> Optional[AxiomVerdict]:
     try:
         return _run_check(method, axiom, matrices, aux, em)
@@ -313,9 +335,9 @@ def shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
     while changed:
         changed = False
         n = matrices[0].n
-        if n <= _SPECS[axiom].min_n:
+        if n <= (4 if axiom is AxiomId.IIC else 2):  # the fewest its check accepts
             break
-        pinned = _SPECS[axiom].pinned(aux)
+        pinned = _pinned(axiom, aux)
         for idx in range(n - 1, -1, -1):
             if idx in pinned:
                 continue
@@ -333,7 +355,7 @@ def shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
         for i in range(m.n):
             for j in range(i + 1, m.n):
                 original = matrices[mat_index].entries[i, j]
-                rounded = _round_to_one_significant(original)
+                rounded = round_to_one_significant(original)
                 # a rounding that overflows to inf is no step
                 if rounded == original or not 0.0 < rounded < math.inf:
                     continue
@@ -346,7 +368,7 @@ def shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
 
     for key in ("value", "increase"):
         if key in aux:
-            rounded = _round_to_one_significant(aux[key])
+            rounded = round_to_one_significant(aux[key])
             if rounded != aux[key] and rounded > 0.0:
                 cand_aux = dict(aux)
                 cand_aux[key] = rounded

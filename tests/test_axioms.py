@@ -268,6 +268,21 @@ class TestArgumentTypes:
         with pytest.raises(InvalidParameter, match="matrix must be a PCM"):
             check(IIC4.entries.tolist())
 
+    def test_an_array_is_named_by_its_type(self):
+        # its repr ran to 4 lines
+        with pytest.raises(InvalidParameter, match="^matrix must be a PCM, got ndarray$"):
+            check_inv(MethodId.RGM, IIC4.entries)
+
+    @pytest.mark.parametrize("matrices, shown", [
+        (IIC4, "PCM"), (None, "None"), ((a for a in [IIC4, IIC4]), "<generator"),
+    ], ids=["pcm", "none", "generator"])
+    def test_ai_rejects_matrices_that_are_not_a_sequence(self, matrices, shown):
+        # each raised a bare TypeError from len()
+        with pytest.raises(InvalidParameter) as exc:
+            check_ai(MethodId.RGM, matrices)
+        assert str(exc.value).startswith(f"matrices must be a Sequence, got {shown}")
+        assert "\n" not in str(exc.value)
+
     def test_a_sigma_that_is_not_a_permutation_is_invalid(self):
         with pytest.raises(InvalidParameter, match="sigma must be a Permutation"):
             check_ano(MethodId.RGM, IIC4, [1, 0, 2, 3])
@@ -355,6 +370,21 @@ class TestSearchArgumentTypes:
         assert replay(witness).holds is False
         with pytest.raises(InvalidParameter, match="em must be an EmOptions, got 5"):
             replay(witness, 5)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"axiom": "RSI"}, "^axiom must be an AxiomId, got 'RSI'$"),
+        ({"matrices": None}, "^matrices must be a Sequence, got None$"),
+        ({"auxiliary": None}, "^auxiliary must be a Mapping, got None$"),
+        ({"auxiliary": {"kappa": "5/1", "pair": [1, 2]}}, "^witness auxiliary has no 'tie_tol'$"),
+        ({"auxiliary": {"pair": [1, 2], "tie_tol": 1e-9}}, "^witness auxiliary has no 'kappa'$"),
+        ({"auxiliary": {"kappa": 3, "pair": [1, 2], "tie_tol": 1e-9}}, "^bad exponent 3$"),
+    ], ids=["axiom", "matrices", "auxiliary", "tie_tol", "kappa", "kappa-int"])
+    def test_replay_checks_its_witness_fields(self, change, message):
+        # these raised a bare AttributeError, TypeError or KeyError
+        witness = falsify(MethodId.ROW_ARITHMETIC_MEAN, AxiomId.RSI, SearchConfig(seed=0, trials=200))
+        assert not replay(witness).holds
+        with pytest.raises(InvalidParameter, match=message):
+            replay(dataclasses.replace(witness, **change))
 
 
 def built_image(axiom, matrices, aux):

@@ -45,6 +45,15 @@ class TestParse:
         with pytest.raises(ReciprocityViolation):
             pcm_parse("1,4\n0.3,1", reciprocity_tol=1e-6)
 
+    def test_a_reciprocity_tol_that_is_not_a_positive_number_is_invalid(self):
+        # None and 'x' raised a bare TypeError from the comparison; NaN and
+        # values that are not positive keep their text
+        for tol, text in [(None, "a real number, got None"), ("x", "a real number, got 'x'"),
+                          (math.nan, "positive"), (-1.0, "positive"), (0, "positive")]:
+            with pytest.raises(InvalidParameter) as exc:
+                pcm_parse("1,4\n1/4,1", tol)
+            assert str(exc.value) == f"reciprocity_tol must be {text}"
+
     def test_reciprocity_violation_names_the_first_pair_in_row_major_order(self):
         rows = [["1"] * 64 for _ in range(64)]
         rows[40][50] = "2"
@@ -298,6 +307,11 @@ class TestConsistency:
     def test_a_matrix_that_is_not_a_pcm_is_invalid(self):
         with pytest.raises(InvalidParameter, match="^a must be a PCM, got None$"):
             is_consistent(None, 1e-9)
+
+    def test_an_array_is_named_by_its_type(self):
+        # its repr ran to 13 lines at n = 64
+        with pytest.raises(InvalidParameter, match="^a must be a PCM, got ndarray$"):
+            is_consistent(PCM.ones(64).entries, 0.1)
 
 
 class TestWeightVector:
@@ -604,6 +618,13 @@ class TestRationalExponent:
             RationalExponent(0.5, 1)
         with pytest.raises(ValueError):
             RationalExponent.parse("-1/2")
+
+    @pytest.mark.parametrize("text", [3, None, b"2/1", 2.0])
+    def test_parse_rejects_what_is_not_a_string(self, text):
+        # 3 raised a bare AttributeError from str.partition
+        with pytest.raises(InvalidParameter) as exc:
+            RationalExponent.parse(text)
+        assert str(exc.value) == f"bad exponent {text!r}"
 
     def test_value(self):
         assert RationalExponent(1, 2).value == 0.5

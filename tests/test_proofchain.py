@@ -261,11 +261,21 @@ class TestArguments:
          "tol must be a real number, got 'x'"),
         (lambda a: verify_proof_identities(build_proof_chain(a), None),
          "tol must be a real number, got None"),
+        # a tolerance that is not positive reported every identity as failing
+        (lambda a: verify_proof_identities(build_proof_chain(a), -1.0), "tol must be positive"),
+        (lambda a: verify_proof_identities(build_proof_chain(a), 0.0), "tol must be positive"),
+        (lambda a: verify_proof_identities(build_proof_chain(a), math.nan), "tol must be positive"),
     ])
     def test_a_value_of_the_wrong_kind_is_invalid(self, call, text):
         with pytest.raises(InvalidParameter) as exc:
             call(PCM.ones(4))
         assert str(exc.value).startswith(text)
+        assert "\n" not in str(exc.value)  # an array's repr ran to n lines
+
+    def test_an_array_is_named_by_its_type(self):
+        # at n = 64 the array's repr ran to 13 lines
+        with pytest.raises(InvalidParameter, match="^a must be a PCM, got ndarray$"):
+            build_proof_chain(PCM.ones(64).entries)
 
 
 def test_chain_json_shape():

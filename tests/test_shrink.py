@@ -15,14 +15,19 @@ from pcmrank import axioms
 from pcmrank.axioms import (
     _CHUNK_MATRICES,
     _input_arrays,
-    _round_to_one_significant,
     _run_check,
     _shrink,
     _stack_verdicts,
 )
 from pcmrank.weighting import EmOptions
 
+import oracle
 from harness import assert_shrinks_alike, raw_witness
+
+
+def one_digit(x: float) -> float:
+    """The rounding ``_shrink`` applies to an entry or an auxiliary value."""
+    return float(f"{x:.0e}")
 
 
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
@@ -142,7 +147,27 @@ def test_a_deletion_round_outgrows_a_small_chunk(method, monkeypatch):
 def test_an_entry_rounds_exactly_to_one_digit(entry, rounded):
     # numpy's own rounding of a float64 gives 2.9999999999999996e-300,
     # 9.999999999999998e+307 and NaN for the first three
-    assert _round_to_one_significant(np.float64(entry)) == rounded
+    assert one_digit(np.float64(entry)) == rounded
+    assert oracle.round_to_one_significant(np.float64(entry)) == rounded
+
+
+def test_formatting_rounds_as_the_reference_does():
+    # a million random positive finite bit patterns, subnormals included,
+    # and each power of ten times 1, 1.5, 2.5, 5, 9.5, 0.95 and the largest
+    # double below 10, with both neighbours: halves, carries into the next
+    # decade and the overflow to inf past 1e308
+    rng = np.random.default_rng(0)
+    bits = rng.integers(1, np.float64(np.inf).view(np.uint64), size=10**6, dtype=np.uint64)
+    with np.errstate(over="ignore", under="ignore"):
+        grid = np.outer([1.0, 1.5, 2.5, 5.0, 9.5, 0.95, 9.999999999999999],
+                        [float(f"1e{k}") for k in range(-323, 309)]).ravel()
+        grid = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)])
+    values = np.concatenate([grid[(grid > 0.0) & (grid < np.inf)], bits.view(np.float64)])
+    # Python floats, then numpy's float64 scalars, which ``_round_entries`` rounds
+    for xs in (values.tolist(), list(values[:200_000])):
+        got = [one_digit(x) for x in xs]
+        want = [oracle.round_to_one_significant(x) for x in xs]
+        assert got == want, next((x, g, w) for x, g, w in zip(xs, got, want) if g != w)
 
 
 @pytest.mark.parametrize("entry, increase", [(1.6e308, 1.7e308), (6e-309, 1e-300)])
