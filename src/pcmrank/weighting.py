@@ -104,8 +104,12 @@ def em_weights(a: PCM, opts: EmOptions = EmOptions()) -> tuple[WeightVector, flo
     return weights, float(lambda_max)
 
 
-#: the power iteration tests its convergence once per block of this many steps
+#: a stack of matrices tests its convergence once per block of this many
+#: steps, and a single matrix after blocks of 8, 16, 32 and then
+#: ``_EM_MAX_BLOCK`` steps.  Stacked blocks do not grow: their history holds
+#: (block + 1) x live x n floats, 17 MB at 64 steps, 512 matrices and n = 64
 _EM_BLOCK = 8
+_EM_MAX_BLOCK = 64
 
 
 def _power_iteration(m: np.ndarray, w: np.ndarray, steps: int, tol: float):
@@ -113,21 +117,29 @@ def _power_iteration(m: np.ndarray, w: np.ndarray, steps: int, tol: float):
     by ``tol`` or less in sup norm, or None.  Each step is v = m @ w,
     v /= v.sum(): the operations of a step of ``em_weight_stack``, in its
     order, so the same bits.  A block of steps writes its iterates into one
-    history buffer, and one test then finds its first converged step."""
-    history = np.empty((_EM_BLOCK + 1, len(w)))
+    history buffer, and one test then finds its first converged step.  The
+    blocks double from ``_EM_BLOCK`` steps to ``_EM_MAX_BLOCK``, so a slow
+    matrix pays for few tests and a converged one runs at most 63 steps it
+    does not use."""
+    # bound once; reduce takes (array, axis, dtype, out) by position
+    matmul, add, divide = np.matmul, np.add.reduce, np.true_divide
+    history = np.empty((_EM_MAX_BLOCK + 1, len(w)))
     history[0] = w
-    rows = list(history)
+    rows, total, size = [], np.empty(()), _EM_BLOCK
     while steps > 0:
-        block = min(_EM_BLOCK, steps)
+        block = min(size, steps)
+        rows.extend(history[len(rows):block + 1])  # a view per row, made once
         for w, v in zip(rows, rows[1:block + 1]):
-            np.matmul(m, w, out=v)
-            v /= np.add.reduce(v)
+            matmul(m, w, v)
+            add(v, 0, None, total)
+            divide(v, total, v)
         moved = np.maximum.reduce(np.absolute(history[1:block + 1] - history[:block]), axis=1)
         done = np.flatnonzero(moved <= tol)
         if len(done):
             return history[done[0] + 1].copy()
         history[0] = history[block]
         steps -= block
+        size = min(2 * size, _EM_MAX_BLOCK)
     return None
 
 
@@ -136,18 +148,20 @@ def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
     row of n weights per matrix, or a row of NaN for a matrix that has not
     converged within ``opts.max_iterations`` steps.
 
-    All matrices iterate together from the uniform vector, a block of
-    stacked steps at a time, as in ``_power_iteration``; a matrix leaves
-    the stack after the block in which it converges, with the iterate of
-    its first converged step, and the last one left finishes in
-    ``_power_iteration``.  Nothing is validated.
+    All matrices iterate together from the uniform vector, in blocks of
+    ``_EM_BLOCK`` stacked steps, each step as in ``_power_iteration``; a
+    matrix leaves the stack after the block in which it converges, with
+    the iterate of its first converged step, and the last one left
+    finishes in ``_power_iteration``.  Nothing is validated.
     """
+    matmul, add, divide = np.matmul, np.add.reduce, np.true_divide
     n = e.shape[-1]
     m = e.reshape(-1, n, n)  # a view for C-ordered or transposed stacks
     out = np.full(m.shape[:-1], np.nan)
     live = np.arange(len(m))
     history = np.empty((_EM_BLOCK + 1, *out.shape))
     history[0] = 1.0 / n
+    sums = np.empty((len(m), 1))
     left = opts.max_iterations
     while left > 0 and len(live):
         if len(live) == 1:  # fewer calls per step
@@ -156,10 +170,12 @@ def em_weight_stack(e: np.ndarray, opts: EmOptions = EmOptions()) -> np.ndarray:
                 out[live[0]] = last
             break
         block = min(_EM_BLOCK, left)
-        h = history[:block + 1, :len(live)]
-        for w, v in zip(h, h[1:]):
-            np.matmul(m, w[..., None], out=v[..., None])
-            v /= np.add.reduce(v, axis=-1, keepdims=True)
+        h, total = history[:block + 1, :len(live)], sums[:len(live)]
+        cols = h[..., None]  # (live, n, 1) per step, as matmul takes a stack of vectors
+        for w, v, row in zip(cols, cols[1:], h[1:]):
+            matmul(m, w, v)
+            add(row, -1, None, total, True)
+            divide(row, total, row)
         moved = np.maximum.reduce(np.absolute(h[1:] - h[:-1]), axis=-1) <= opts.convergence_tol
         done = moved.any(axis=0)
         if done.any():

@@ -6,8 +6,9 @@ tolerance and budget, and each reference run (``reference``): per
 (method, axiom, stream, tie_tol, em), the oracle's result for each trial,
 built lazily in trial order, and ``oracle.shrink``'s outcome on a trial's
 witness.  It never holds an engine result.  ``oracle.shrink`` judges its
-steps through the engine's ``_run_check`` and the oracle ranks through
-``weighting.method_weights``, so a test that patches code the oracle
+steps through the engine's ``_run_check`` and the oracle ranks the
+closed-form methods through ``weighting.method_weights`` (EM through its
+own stepwise power iteration), so a test that patches code the oracle
 reaches patches it only around the engine's call, or calls ``oracle``
 itself.  Floating-point errors are not silenced.
 ``random_pcm`` is the random matrix the tests share.

@@ -41,6 +41,7 @@ from pcmrank import (
     RationalExponent,
     ReciprocityViolation,
     TooSmall,
+    WeightVector,
     Witness,
     aggregate,
     method_weights,
@@ -63,15 +64,29 @@ _REL_TEXT = {
 
 def method_rank(method, a, tie_tol=DEFAULT_TIE_TOL, em=EmOptions()) -> Ranking:
     """``weighting.method_rank`` composed from the weight vector: FLAT ties
-    everything, INDEX_ORDER ranks by index, and every other method ranks
-    ``method_weights`` through ``ranking_from_weights``; the tie tolerance
-    is checked first for every method."""
+    everything, INDEX_ORDER ranks by index, EM ranks ``em_weights`` and
+    every other method ``method_weights``, through ``ranking_from_weights``;
+    the tie tolerance is checked first for every method."""
     check_tie_tol(tie_tol)
     if method is MethodId.FLAT:
         return Ranking(np.zeros(a.n, dtype=int))
     if method is MethodId.INDEX_ORDER:
         return Ranking(np.arange(a.n))
-    return ranking_from_weights(method_weights(method, a, em), tie_tol)
+    w = em_weights(a, em) if method is MethodId.EM else method_weights(method, a, em)
+    return ranking_from_weights(w, tie_tol)
+
+
+def em_weights(a, em):
+    """``weighting.method_weights`` for EM from ``em_power_iteration``, the
+    loop that tests every step, started from the uniform vector: the
+    iterate it stops at, checked as a weight vector and normalized again,
+    or NoConvergence."""
+    with np.errstate(all="ignore"):  # as method_scores iterates
+        v = em_power_iteration(a.entries, np.full(a.n, 1.0 / a.n), em.max_iterations,
+                               em.convergence_tol)
+    if v is None:
+        raise em.exhausted()
+    return WeightVector.from_scores(WeightVector(v).w)
 
 
 def _fail(axiom, method, matrices, auxiliary, narrative):

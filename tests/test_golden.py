@@ -7,8 +7,9 @@ JSON, ``falsify`` for every method and axiom, ``lemmas`` for every
 method, ``repro --all``, ``rank`` on a 64-alternative near-tie file, and
 ``weights --format json``, ``aggregate`` and ``proof-chain`` on a 6- and
 a 64-alternative file, the latter mixing rationals and 17-digit decimals
-as hand-written CSV files do.  An argument ``@name`` stands for the input
-file ``name``.
+as hand-written CSV files do, and EM's ``rank`` and ``weights --format
+json`` on a 3-alternative file whose power iteration first converges at
+step 485.  An argument ``@name`` stands for the input file ``name``.
 
 Rewrite the transcripts (and the inputs) only when a change of output is
 intended:
@@ -74,10 +75,14 @@ def _rank_argvs():
     for method in ALL_METHOD_TOKENS:
         for tail in ([], ["--format", "json"], ["--tie-tol", "0.05"], ["--tie-tol", "0"]):
             yield ["rank", "--method", method, "--input", "@near_tie64.csv", *tail]
+    yield ["rank", "--method", "em", "--input", LATE_EM]
 
 
 #: one small and one large input
 MATRIX_INPUTS = ("@a6.csv", "@mixed64.csv")
+#: its entries are a random draw's to the fifth power: EM mixes slowly and
+#: first moves by at most its tolerance at step 485, inside a block
+LATE_EM = "@em_late3.csv"
 
 
 def _proof_chain_argvs():
@@ -99,6 +104,7 @@ def _weights_argvs():
     for path in MATRIX_INPUTS:
         for method in WEIGHT_METHOD_TOKENS:
             yield ["weights", "--method", method, "--input", path, "--format", "json"]
+    yield ["weights", "--method", "em", "--input", LATE_EM, "--format", "json"]
 
 
 TRANSCRIPTS = {
@@ -183,6 +189,9 @@ def write_inputs() -> None:
         "ai_fav2": FAVPROD_AI_A2,
         "near_tie64": PCM.from_upper(w[:, None] / w[None, :]),
         "equal6": equalize_pair(PCM.from_upper(a6), 0, 1),
+        "em_late3": PCM.from_upper(
+            np.exp(5.0 * np.random.default_rng(7).uniform(-np.log(9.0), np.log(9.0), (3, 3)))
+        ),
     }
     for name, m in mats.items():
         (INPUTS / f"{name}.csv").write_text(pcm_to_csv(m))

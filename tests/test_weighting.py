@@ -32,7 +32,7 @@ from pcmrank.transforms import aggregate_entries
 from pcmrank.weighting import _power_iteration, closed_form_scores, em_weight_stack
 
 import oracle
-from harness import random_pcm
+from harness import LOG9, random_pcm
 
 
 # a score or a weight sum beyond the float range
@@ -291,29 +291,43 @@ def test_weights_json_shape():
     assert payload["method"] == "em" and payload["n"] == 3
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 16, 64])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 16, 64])
 def test_em_iterations_carry_the_bits_of_the_stepwise_loops(n):
-    """The power iteration tests its convergence once per block of steps;
-    its iterates, its stopping step and so its weights, or NaN where it
-    does not converge, must be those of the loops that test every step,
-    for matrices in C order and transposed, and entries up to e**720."""
+    """The power iteration tests its convergence once per block of steps,
+    and a single matrix's blocks grow; its iterates, its stopping step and
+    so its weights, or NaN where it does not converge, must be those of the
+    loops that test every step, for matrices in C order and transposed,
+    and entries up to e**720.  Entries raised to the fifth power, as RSI's
+    image at kappa = 5, mix slowly: for 3 <= n <= 6 some of those matrices
+    first converge after step 184, the end of the fifth single-matrix block,
+    and some not within 10 000 steps.  Their budgets end on and beside
+    each block end."""
     rng = np.random.default_rng(n)
     spans = ((0.05, (1, 2, 7, 8, 9, 10_000)), (2.2, (1, 8, 17, 10_000)),
              (40.0, (3, 16, 300)), (720.0, (5, 64)))
+    block_ends = [end + d for end in (8, 24, 56, 120, 184) for d in (-1, 0, 1)]
     with np.errstate(all="ignore"):
-        for span, budgets in spans:
-            stack = reciprocal_fill(np.exp(rng.uniform(-span, span, (6, n, n))))
+        stacks = [(reciprocal_fill(np.exp(rng.uniform(-span, span, (6, n, n)))), budgets)
+                  for span, budgets in spans]
+        slow = reciprocal_fill(np.exp(rng.uniform(-LOG9, LOG9, (12, n, n)))) ** 5
+        stacks.append((slow, (*block_ends, 10_000)))
+        for k, (stack, budgets) in enumerate(stacks):
             for view, budget in itertools.product((stack, stack.transpose(0, 2, 1)), budgets):
                 opts = EmOptions(max_iterations=budget)
                 got, want = em_weight_stack(view, opts), oracle.em_weight_stack(view, opts)
-                assert np.array_equal(got, want, equal_nan=True), (span, budget)
+                assert np.array_equal(got, want, equal_nan=True), (k, budget)
                 for m in view:
                     got, want = (
                         run(m, np.full(n, 1.0 / n), budget, opts.convergence_tol)
                         for run in (_power_iteration, oracle.em_power_iteration)
                     )
-                    assert (got is None) == (want is None), (span, budget)
-                    assert got is None or np.array_equal(got, want), (span, budget)
+                    assert (got is None) == (want is None), (k, budget)
+                    assert got is None or np.array_equal(got, want), (k, budget)
+    if 3 <= n <= 6:
+        unconverged = [np.isnan(oracle.em_weight_stack(slow, EmOptions(max_iterations=budget)))
+                       .any(axis=1) for budget in (184, 10_000)]
+        assert unconverged[1].any()
+        assert (unconverged[0] & ~unconverged[1]).any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 9, 16, 31, 64])
