@@ -682,16 +682,16 @@ def _chunks(trials: int, cap: int) -> Iterator[range]:
 
     The first chunk holds one trial, since many searches fail on their
     first, and each next chunk doubles up to ``cap`` trials.  A chunk after
-    the first takes the whole rest of the budget when the trials left after
-    it would be fewer than the next chunk would hold and the rest fits
-    within ``cap``: 12 trials run as 1, 2 and 9.  A search whose witness
-    lies in that last chunk has then drawn at most about four times the
-    trials before the witness.
+    the first takes the whole rest of the budget when that rest fits within
+    ``cap`` and within what this chunk and the next two would hold, 7 times
+    its size: 12 trials run as 1 and 11.  Every chunk after the first stops
+    before 8 times (its start + 1), so a search whose witness lies in that
+    last chunk has drawn at most about eight times the trials before it.
     """
     start, size = 0, 1
     while start < trials:
         rest = trials - start
-        if start and rest < size + min(2 * size, cap) and rest <= cap:
+        if start and rest < 7 * size and rest <= cap:
             size = rest
         yield range(start, start + size)
         start, size = start + size, min(2 * size, cap)

@@ -266,14 +266,15 @@ DOUBLING = [1, 2, 4, 8, 16, 32, 64, 128]
 
 
 @pytest.mark.parametrize("trials, cap, sizes", [
-    (1, 256, [1]), (2, 256, [1, 1]), (3, 256, [1, 2]), (7, 256, [1, 2, 4]),
-    (12, 256, [1, 2, 9]), (13, 256, [1, 2, 10]), (24, 256, [1, 2, 4, 17]),
-    (60, 256, [1, 2, 4, 8, 45]), (255, 256, DOUBLING), (256, 256, DOUBLING[:-1] + [129]),
-    (257, 256, DOUBLING[:-1] + [130]), (2000, 256, DOUBLING + [256] * 6 + [209]),
+    (1, 256, [1]), (2, 256, [1, 1]), (3, 256, [1, 2]), (7, 256, [1, 6]),
+    (12, 256, [1, 11]), (13, 256, [1, 12]), (24, 256, [1, 2, 21]),
+    (60, 256, [1, 2, 4, 53]), (200, 256, DOUBLING[:5] + [169]),
+    (255, 256, DOUBLING[:6] + [192]), (256, 256, DOUBLING[:6] + [193]),
+    (257, 256, DOUBLING[:6] + [194]), (2000, 256, DOUBLING + [256] * 6 + [209]),
     (10_000, 256, DOUBLING + [256] * 38 + [17]),
-    (1, 64, [1]), (2, 64, [1, 1]), (3, 64, [1, 2]), (7, 64, [1, 2, 4]),
-    (12, 64, [1, 2, 9]), (13, 64, [1, 2, 10]), (24, 64, [1, 2, 4, 17]),
-    (60, 64, [1, 2, 4, 8, 45]), (255, 64, DOUBLING[:-1] + [64] * 2),
+    (1, 64, [1]), (2, 64, [1, 1]), (3, 64, [1, 2]), (7, 64, [1, 6]),
+    (12, 64, [1, 11]), (13, 64, [1, 12]), (24, 64, [1, 2, 21]),
+    (60, 64, [1, 2, 4, 53]), (255, 64, DOUBLING[:-1] + [64] * 2),
     (256, 64, DOUBLING[:-1] + [64] * 2 + [1]), (257, 64, DOUBLING[:-1] + [64] * 2 + [2]),
     (2000, 64, DOUBLING[:-1] + [64] * 29 + [17]), (10_000, 64, DOUBLING[:-1] + [64] * 154 + [17]),
 ])
@@ -293,12 +294,16 @@ def test_every_budget_is_covered_by_chunks_within_the_cap():
             assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
             assert chunks[-1].stop == trials and len(chunks[0]) == 1
             assert max(map(len, chunks)) <= cap, (trials, cap)
+            for before, chunk in zip(chunks, chunks[1:-1]):
+                assert len(chunk) == min(2 * len(before), cap), (trials, cap)
+            for chunk in chunks[1:]:
+                assert chunk.stop < 8 * (chunk.start + 1), (trials, cap)
 
 
 @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
 def test_falsify_equals_the_reference_loop_where_the_last_chunk_takes_the_rest(method):
     # em's IIC witnesses at seeds 42 and 0 are trials 8 and 9, inside the
-    # last chunk of 9 trials ([1, 2, 6]) and of 12 ([1, 2, 9]); AI's come
+    # last chunk of 9 trials ([1, 8]) and of 12 ([1, 11]); AI's come
     # from trials 2 to 51, inside merged chunks at cap 256 and at AI's 64
     for trials in (9, 12, 21, 45):
         for seed in (0, 42):
@@ -312,6 +317,20 @@ def test_falsify_equals_the_reference_loop_where_the_last_chunk_takes_the_rest(m
             assert outcome(falsify, method, AxiomId.AI, cfg, 1e-9) == reference_search(
                 method, AxiomId.AI, cfg, 1e-9
             ), (trials, seed)
+
+
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+@pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+def test_chunking_never_changes_a_result(method, axiom, monkeypatch):
+    # falsify ends with the same witness or error as when every chunk holds
+    # one trial, at budgets whose last chunk takes the rest (1 + 11 and
+    # 1, 2, 4 + 38), and for em also within a starved budget
+    ems = [EmOptions()] + ([EmOptions(max_iterations=5)] if method is MethodId.EM else [])
+    cases = [(SearchConfig(seed=seed, trials=trials), em)
+             for em in ems for trials in (12, 45) for seed in range(3)]
+    chunked = [outcome(falsify, method, axiom, cfg, 1e-9, em) for cfg, em in cases]
+    monkeypatch.setattr(axioms, "_chunks", lambda n, cap: (range(t, t + 1) for t in range(n)))
+    assert [outcome(falsify, method, axiom, cfg, 1e-9, em) for cfg, em in cases] == chunked
 
 
 @pytest.mark.parametrize("method", [MethodId.EM, MethodId.ROW_ARITHMETIC_MEAN,

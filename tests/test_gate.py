@@ -1,6 +1,8 @@
 """The differential gate, ``gate.py``, which pytest does not collect, run
 in-process at a small budget: every pair passes, one line each."""
 
+from pcmrank import axioms
+
 import gate
 
 
@@ -15,3 +17,17 @@ def test_the_gate_passes_every_pair_at_twenty_trials(capsys):
 def test_the_gate_passes_every_pair_at_a_starved_em_budget(capsys):
     assert gate.main(["--trials", "20", "--em-max-iterations", "100"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 42 pairs mismatched"
+
+
+def test_the_gate_passes_every_pair_at_the_audit_budget(capsys, monkeypatch):
+    # audit_rgm's budget, at which every pair's search runs as 1 + 11 trials
+    chunks, schedules = axioms._chunks, []
+
+    def recorded(trials, cap):
+        schedules.append([len(c) for c in chunks(trials, cap)])
+        return chunks(trials, cap)
+
+    monkeypatch.setattr(axioms, "_chunks", recorded)
+    assert gate.main(["--trials", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 of 42 pairs mismatched"
+    assert schedules == [[1, 11]] * 42
