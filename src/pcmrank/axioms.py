@@ -947,6 +947,7 @@ def witness_json_dict(witness: Witness) -> dict:
     """JSON fragment with stable field order:
     {"axiom": ..., "method": ..., "matrices": [...], "aux": {...},
     "narrative": ...}."""
+    check_kind("witness", witness, Witness)
     return {
         "axiom": witness.axiom.value,
         "method": witness.method.value,

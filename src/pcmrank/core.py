@@ -268,6 +268,7 @@ def pcm_parse(text: str, reciprocity_tol: float = DEFAULT_RECIPROCITY_TOL) -> PC
     after which the lower triangle is replaced with exact reciprocals and
     the diagonal forced to 1.
     """
+    check_kind("text", text, str)
     return pcm_parse_rows(csv_rows(text), reciprocity_tol)
 
 
@@ -280,25 +281,29 @@ def pcm_parse_rows(rows: list[str], reciprocity_tol: float = DEFAULT_RECIPROCITY
     if n < 2:
         raise TooSmall(f"matrix needs at least 2 rows, got {n}")
     values = []
+    rationals = {}  # each distinct rational field, once it passed every check
     for line in rows:  # row-major order, so the first bad row or field raises
         fields = line.split(",")
         if len(fields) != n:
             raise NonSquare(f"{n} rows but a row with {len(fields)} fields")
         for field in fields:  # int() and float() strip whitespace as str.strip does
             if "/" in field:
-                num, _, den = field.partition("/")
-                try:
-                    p, q = int(num), int(den)
-                except ValueError:
-                    raise NonPositive(f"bad rational literal {field.strip()!r}") from None
-                if p <= 0 or q <= 0:
-                    raise NonPositive(f"rational literal {field.strip()!r} must have p, q > 0")
-                try:
-                    values.append(p / q)  # int division is correctly rounded
-                except OverflowError:
-                    raise NonPositive(
-                        f"rational literal {field.strip()!r} overflows a float"
-                    ) from None
+                value = rationals.get(field)
+                if value is None:
+                    num, _, den = field.partition("/")
+                    try:
+                        p, q = int(num), int(den)
+                    except ValueError:
+                        raise NonPositive(f"bad rational literal {field.strip()!r}") from None
+                    if p <= 0 or q <= 0:
+                        raise NonPositive(f"rational literal {field.strip()!r} must have p, q > 0")
+                    try:
+                        value = rationals[field] = p / q  # int division is correctly rounded
+                    except OverflowError:
+                        raise NonPositive(
+                            f"rational literal {field.strip()!r} overflows a float"
+                        ) from None
+                values.append(value)
             else:
                 try:
                     value = float(field)
@@ -323,6 +328,7 @@ def pcm_parse_rows(rows: list[str], reciprocity_tol: float = DEFAULT_RECIPROCITY
 
 def pcm_to_csv(a: PCM) -> str:
     """Matrix CSV with 17-significant-digit decimals (round-trip exact)."""
+    check_kind("a", a, PCM)
     line = ",".join(["%.17g"] * a.n) + "\n"  # one format per row, the bytes of f"{v:.17g}"
     return "".join(line % tuple(row) for row in a.entries.tolist())
 
@@ -476,6 +482,7 @@ def ranking_from_weights(w: WeightVector, tie_tol: float = DEFAULT_TIE_TOL) -> R
     order even across chains of near-ties; a group's label is the dense
     rank of its largest weight.
     """
+    check_kind("w", w, WeightVector)
     return Ranking.from_keys(-tie_group_max(w.w, check_tie_tol(tie_tol)))
 
 

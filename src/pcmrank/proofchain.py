@@ -86,12 +86,13 @@ def equalize_pair(a: PCM, i: int, j: int) -> PCM:
 def _aggregate_relabellings(a: PCM, maps: np.ndarray) -> PCM:
     """``aggregate([permute(a, Permutation(m)) for m in maps])`` for label
     maps ``maps`` (k, n), bit for bit: a relabelling moves the logs as it moves
-    the entries, so the logs of ``a`` are taken once and summed in map order,
-    the order in which the stack's sum adds them."""
+    the entries, so the logs of ``a`` are taken once, each relabelling's are
+    gathered by its inverse map with two ``take``s, and they are summed in map
+    order, the order in which the stack's sum adds them."""
     if len(maps) == 1:  # a single matrix is returned unchanged, as aggregate does
         return PCM(permute_entries(a.entries, maps[0]))
-    logs = np.log(a.entries)
-    return PCM(_exp_mean(sum(permute_entries(logs, m) for m in maps), len(maps)))
+    logs, inverses = np.log(a.entries), np.argsort(maps, axis=-1)
+    return PCM(_exp_mean(sum(logs.take(v, 0).take(v, 1) for v in inverses), len(maps)))
 
 
 def build_proof_chain(a: PCM) -> ProofChain:

@@ -15,6 +15,7 @@ from .core import (
     EmptyList,
     Permutation,
     RationalExponent,
+    check_kind,
     reciprocal_fill,
 )
 
@@ -60,12 +61,13 @@ def aggregate(matrices: Sequence[PCM]) -> PCM:
     independent of operand order and safe from overflow.  A single matrix
     is returned unchanged (bit for bit).
     """
+    check_kind("matrices", matrices, Sequence)
     if len(matrices) == 0:
         raise EmptyList("nothing to aggregate")
-    n = matrices[0].n
-    for m in matrices[1:]:
-        if m.n != n:
-            raise DimensionMismatch(f"mixed sizes {n} and {m.n}")
+    for m in matrices:
+        check_kind("matrix", m, PCM)
+        if m.n != matrices[0].n:
+            raise DimensionMismatch(f"mixed sizes {matrices[0].n} and {m.n}")
     if len(matrices) == 1:
         return matrices[0]
     return PCM(aggregate_entries(np.array([m.entries for m in matrices])))
@@ -74,6 +76,7 @@ def aggregate(matrices: Sequence[PCM]) -> PCM:
 def opposite(a: PCM) -> PCM:
     """Transpose: every preference reversed, as a C-ordered copy.  Entries
     move bit for bit, so opposite(opposite(a)) == a exactly."""
+    check_kind("a", a, PCM)
     return PCM(opposite_entries(a.entries))
 
 
@@ -82,6 +85,8 @@ def power(a: PCM, kappa: RationalExponent) -> PCM:
     """Raise every entry to kappa = p/q.  Exponent 1 returns the input
     unchanged; otherwise the upper triangle is recomputed as
     exp((p/q) * ln a_ij) and mirrored."""
+    check_kind("a", a, PCM)
+    check_kind("kappa", kappa, RationalExponent)
     if kappa.p == kappa.q:  # lowest terms, so this is exactly 1
         return a
     return PCM(power_entries(a.entries, kappa.value))
@@ -90,6 +95,8 @@ def power(a: PCM, kappa: RationalExponent) -> PCM:
 def permute(a: PCM, sigma: Permutation) -> PCM:
     """Relabel alternatives: the data of alternative i moves to label
     sigma(i), i.e. result[sigma(i)][sigma(j)] == a[i][j] bit for bit."""
+    check_kind("a", a, PCM)
+    check_kind("sigma", sigma, Permutation)
     if sigma.n != a.n:
         raise DimensionMismatch(f"permutation on {sigma.n} labels, matrix has {a.n}")
     return PCM(permute_entries(a.entries, sigma.map))

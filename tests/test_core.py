@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +24,17 @@ from pcmrank import (
     ReciprocityViolation,
     TooSmall,
     WeightVector,
+    aggregate,
     is_consistent,
+    opposite,
     pair_relation,
     pcm_parse,
     pcm_to_csv,
+    permute,
+    power,
     ranking_from_weights,
     ranking_json_dict,
+    witness_json_dict,
 )
 from pcmrank.core import reciprocal_fill, tie_group_max, triu_indices
 
@@ -206,6 +213,63 @@ class TestParseMatchesFieldByFieldReference:
 
     def test_mixed_64_alternative_file(self):
         text = (Path(__file__).parent / "golden" / "inputs" / "mixed64.csv").read_text()
+        assert _parsed(pcm_parse, text) == _parsed(oracle.pcm_parse, text)
+
+
+#: a few literals, each repeated many times in a grid: one rational in four
+#: whitespace variants, good and bad rationals, and decimals, good and bad
+REPEATED_GOOD = ["3/4", " 3/4", "3/4\t", "\u00a03/4", "4/3", "1/9", "9/1", "5/7", "2/1", "1/1"]
+REPEATED_BAD = ["3/0", "x/2", "-1/-2", "7" * 400 + "/3"]
+REPEATED_DECIMALS = ["0.5", "2", " 1.25 ", "0.8", "1e-3", "abc", "-2"]  # the last two bad
+
+
+@st.composite
+def _repeated_field_texts(draw):
+    """CSV text of up to 64 alternatives over a small vocabulary, so the
+    same rational field recurs: reciprocal grids, which parse unless a bad
+    literal was drawn, or grids of any of the fields, now and then with a
+    row one field short."""
+    pool = REPEATED_GOOD + REPEATED_DECIMALS[:5]
+    if draw(st.booleans()):
+        pool += REPEATED_BAD + REPEATED_DECIMALS[5:]
+    vocabulary = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    vocabulary.append(draw(st.sampled_from([f for f in pool if "/" in f])))
+    n = draw(st.integers(3, 64))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # "1/1" on the diagonal
+        rows = [["1/1"] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rng.choice(vocabulary)
+                rows[j][i] = _reciprocal(rows[i][j])
+    else:  # the drawn rational in at least two cells that no short row loses
+        rows = [[rng.choice(vocabulary) for _ in range(n)] for _ in range(n)]
+        for k in rng.sample(range(n * (n - 1)), 2):
+            rows[k // (n - 1)][k % (n - 1)] = vocabulary[-1]
+    if rng.random() < 0.15:
+        rows[rng.randrange(n)].pop()
+    return _grid_text(rows)
+
+
+class TestRepeatedFieldsMatchReference:
+    """``pcm_parse`` converts each distinct rational field once per file: a
+    repeated field must give the reference's entries bit for bit, and the
+    first bad field in row-major order the reference's error type and text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_repeated_field_texts())
+    def test_grids_of_few_distinct_fields(self, text):
+        fields = Counter(f for line in text.splitlines() for f in line.split(",") if "/" in f)
+        assert max(fields.values()) >= 2
+        assert _parsed(pcm_parse, text) == _parsed(oracle.pcm_parse, text)
+
+    def test_a_bad_rational_raises_at_its_first_occurrence(self):
+        text = _grid_text([["1", "3/0", "2"], ["3/0", "1", "x/2"], ["1/2", "3/0", "1"]])
+        error = (NonPositive, "rational literal '3/0' must have p, q > 0")
+        assert _parsed(pcm_parse, text) == error
+
+    def test_saaty_64_alternative_file(self):
+        text = (Path(__file__).parent / "golden" / "inputs" / "saaty64.csv").read_text()
         assert _parsed(pcm_parse, text) == _parsed(oracle.pcm_parse, text)
 
 
@@ -639,3 +703,24 @@ class TestRationalExponent:
         with pytest.raises(InvalidParameter):
             RationalExponent(10**400, 1)
         assert RationalExponent(10**400, 10**400 - 1).value == 1.0
+
+
+class TestWrongKindsAreInvalid:
+    @pytest.mark.parametrize("call, text", [
+        (lambda: pcm_parse(None), "text must be a str, got None"),
+        (lambda: pcm_parse(b"1,2\n0.5,1\n"), "text must be a str, got b'1,2\\n0.5,1\\n'"),
+        (lambda: pcm_to_csv(None), "a must be a PCM, got None"),
+        (lambda: aggregate(PCM.ones(3)), "matrices must be a Sequence, got PCM"),
+        (lambda: aggregate(None), "matrices must be a Sequence, got None"),
+        (lambda: aggregate([PCM.ones(3), None]), "matrix must be a PCM, got None"),
+        (lambda: opposite(PCM.ones(3).entries), "a must be a PCM, got ndarray"),
+        (lambda: permute(PCM.ones(3), None), "sigma must be a Permutation, got None"),
+        (lambda: power(PCM.ones(3), 2), "kappa must be a RationalExponent, got 2"),
+        (lambda: ranking_from_weights([0.5, 0.5]), "w must be a WeightVector, got [0.5, 0.5]"),
+        (lambda: witness_json_dict(None), "witness must be a Witness, got None"),
+    ])
+    def test_entry_points_raise_one_line(self, call, text):
+        # each raised a bare AttributeError or TypeError from its first use
+        with pytest.raises(InvalidParameter) as exc:
+            call()
+        assert str(exc.value) == text

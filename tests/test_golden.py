@@ -7,9 +7,11 @@ JSON, ``falsify`` for every method and axiom, ``lemmas`` for every
 method, ``repro --all``, ``rank`` on a 64-alternative near-tie file, and
 ``weights --format json``, ``aggregate`` and ``proof-chain`` on a 6- and
 a 64-alternative file, the latter mixing rationals and 17-digit decimals
-as hand-written CSV files do, and EM's ``rank`` and ``weights --format
-json`` on a 3-alternative file whose power iteration first converges at
-step 485.  An argument ``@name`` stands for the input file ``name``.
+as hand-written CSV files do, the same three on a 64-alternative file of
+Saaty-scale rationals only, a few literals each repeated many times, and
+EM's ``rank`` and ``weights --format json`` on a 3-alternative file whose
+power iteration first converges at step 485.  An argument ``@name``
+stands for the input file ``name``.
 
 Rewrite the transcripts (and the inputs) only when a change of output is
 intended:
@@ -83,6 +85,8 @@ MATRIX_INPUTS = ("@a6.csv", "@mixed64.csv")
 #: its entries are a random draw's to the fifth power: EM mixes slowly and
 #: first moves by at most its tolerance at step 485, inside a block
 LATE_EM = "@em_late3.csv"
+#: every field a rational p/q of the 1-9 scale, so most repeat an earlier one
+SAATY = "@saaty64.csv"
 
 
 def _proof_chain_argvs():
@@ -92,11 +96,12 @@ def _proof_chain_argvs():
         for tail in ([], ["--equalize"]):
             for fmt in ("text", "json"):
                 yield ["proof-chain", "--input", path, *tail, "--format", fmt]
+    yield ["proof-chain", "--input", SAATY, "--equalize", "--format", "json"]
 
 
 def _aggregate_argvs():
     for paths in (["@a6.csv"], ["@a6.csv", "@kendall6.csv"],
-                  ["@mixed64.csv"], ["@mixed64.csv", "@near_tie64.csv"]):
+                  ["@mixed64.csv"], ["@mixed64.csv", "@near_tie64.csv"], [SAATY, "@mixed64.csv"]):
         yield ["aggregate", *(arg for p in paths for arg in ("--input", p))]
 
 
@@ -105,6 +110,7 @@ def _weights_argvs():
         for method in WEIGHT_METHOD_TOKENS:
             yield ["weights", "--method", method, "--input", path, "--format", "json"]
     yield ["weights", "--method", "em", "--input", LATE_EM, "--format", "json"]
+    yield ["weights", "--method", "rgm", "--input", SAATY, "--format", "json"]
 
 
 TRANSCRIPTS = {
@@ -175,6 +181,19 @@ def _mixed_csv(rng: np.random.Generator, n: int) -> str:
     return "\n".join(",".join(row) for row in text) + "\n"
 
 
+def _saaty_csv(rng: np.random.Generator, n: int) -> str:
+    """A reciprocal matrix on Saaty's 1-9 scale, every field a rational:
+    each upper cell k/1 or 1/k for k in 1..9, its lower cell the literal
+    turned over, and 1/1 on the diagonal."""
+    text = [["1/1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = int(rng.integers(1, 10))
+            p, q = (k, 1) if rng.random() < 0.5 else (1, k)
+            text[i][j], text[j][i] = f"{p}/{q}", f"{q}/{p}"
+    return "\n".join(",".join(row) for row in text) + "\n"
+
+
 def write_inputs() -> None:
     INPUTS.mkdir(parents=True, exist_ok=True)
     a6 = np.exp(np.random.default_rng(0).uniform(-2.2, 2.2, (6, 6)))
@@ -196,6 +215,7 @@ def write_inputs() -> None:
     for name, m in mats.items():
         (INPUTS / f"{name}.csv").write_text(pcm_to_csv(m))
     (INPUTS / "mixed64.csv").write_text(_mixed_csv(np.random.default_rng(64), 64))
+    (INPUTS / "saaty64.csv").write_text(_saaty_csv(np.random.default_rng(9), 64))
 
 
 def write_transcripts() -> None:
