@@ -637,10 +637,12 @@ def falsify(
     restores each trial's seeded stream (see ``_trial_streams``).  Trials
     are drawn in the chunks of ``_chunks`` and judged as stacks (see
     ``_flag_trials``), which flag exactly the trials whose check would fail
-    or raise.  The first flagged trial ends the search: ``_judge`` settles
-    it from its own stack row, as its check would, with its witness or its
-    check's error.  A method, axiom, config or EM budget of the wrong type
-    raises InvalidParameter, after the tie tolerance is converted.
+    or raise; a matrix size that starts after a flagged trial is not
+    judged (see ``_judged_groups``).  The first flagged trial ends the
+    search: ``_judge`` settles it from its own stack row, as its check
+    would, with its witness or its check's error.  A method, axiom,
+    config or EM budget of the wrong type raises InvalidParameter, after
+    the tie tolerance is converted.
 
     The search ends as a trial-by-trial loop of checks would: at the
     first witness, or with the error of the first check that raises one,
@@ -658,9 +660,14 @@ def falsify(
     per_trial = _SPECS[axiom].per_trial
     with np.errstate(all="ignore"):
         for trials in _chunks(cfg.trials, max(1, _CHUNK_MATRICES // per_trial)):
-            flags, draws, rows = _flag_trials(method, axiom, cfg, trials, tie_tol, em)
-            if flags.any():
-                trial = int(flags.argmax())
+            draws = [_draw(axiom, cfg, rng) for rng in _trial_streams(cfg.seed, trials)]
+            rows: dict = {}
+            for flagged, start in _judged_groups(method, axiom, draws, tie_tol, em):
+                rows.update(flagged)
+                if rows and start > min(rows):  # the sizes left hold later trials
+                    break
+            if rows:
+                trial = min(rows)
                 grids, inputs = draws[trial]
                 matrices = [PCM.from_upper(g) for g in grids]
                 args = _SPECS[axiom].args(matrices, inputs)[1:]
@@ -715,29 +722,47 @@ def _flag_trials(
 
     Trials are drawn in order from their own streams, restored where a
     search on the same seed has seeded them (``_trial_streams``), grouped
-    by matrix size and judged a group at a time by ``_stack_verdicts``, so
+    by matrix size and judged a group at a time (``_judged_groups``), so
     each needs no PCM, Ranking or check call; an aggregation-invariance
     group ranks the trials of every pool size in one stack.  Rejected
     inputs warn unless floating-point errors are ignored, as ``falsify``
     does.
     """
     draws = [_draw(axiom, cfg, rng) for rng in _trial_streams(cfg.seed, trials)]
+    rows: dict = {}
+    for flagged, _ in _judged_groups(method, axiom, draws, tie_tol, em):
+        rows.update(flagged)
+    flags = np.zeros(len(draws), dtype=bool)
+    flags[list(rows)] = True
+    return flags, draws, rows
+
+
+def _judged_groups(
+    method: MethodId, axiom: AxiomId, draws: list, tie_tol: float, em: EmOptions
+) -> Iterator[tuple[dict, int]]:
+    """Judge a chunk's ``draws`` a matrix size at a time, in the order of
+    each size's first trial, by ``_stack_verdicts``.  Yields per size, by
+    index in ``draws``, each flagged trial's row of verdicts, and the first
+    trial of the next size (``len(draws)`` after the last), which is judged
+    only when the caller asks: it and every later size hold only later
+    trials."""
     by_size: dict[int, dict[int, list[int]]] = {}
     for idx, (grids, _) in enumerate(draws):
         by_size.setdefault(grids[0].shape[0], {}).setdefault(len(grids), []).append(idx)
-    flags, rows = np.empty(len(draws), dtype=bool), {}
-    for by_count in by_size.values():
-        groups = list(by_count.values())
+    sizes = [list(by_count.values()) for by_count in by_size.values()]
+    # the first pool size drawn holds a size's first trial
+    starts = [groups[0][0] for groups in sizes[1:]] + [len(draws)]
+    for groups, start in zip(sizes, starts):
         stacks = [reciprocal_fill(np.array([draws[t][0] for t in idx])) for idx in groups]
         xs = [_input_arrays([draws[t][1] for t in idx]) for idx in groups]
+        rows = {}
         for idx, (rel, broken, ok) in zip(
             groups, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em)
         ):
             flagged = broken.any(axis=(1, 2)) | ~ok.all(axis=1)
-            flags[idx] = flagged
             for row in flagged.nonzero()[0]:
                 rows[idx[row]] = rel[row], broken[row], ok[row]
-    return flags, draws, rows
+        yield rows, start
 
 
 def _stack_verdicts(
@@ -804,16 +829,41 @@ def _delete_index(e: np.ndarray, aux: dict, idx: int) -> tuple[np.ndarray, dict]
     return kept, new_aux
 
 
+#: EM steps within which ``_falsifying`` first judges a shrinking stack
+_SHORT_EM_STEPS = 256
+
+
 def _falsifying(
-    method: MethodId, axiom: AxiomId, stack: np.ndarray, auxes: list, em: EmOptions
+    method: MethodId, axiom: AxiomId, stack: np.ndarray, auxes: list, em: EmOptions,
+    decide: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The relation arrays and broken pairs of each row of a shrinking
     stack (rows, matrices, n, n) with its auxiliary values ``auxes``, and
     whether the row still falsifies: its check under ``em`` fails exactly
-    there."""
-    x = _input_arrays(auxes)
-    [(rel, broken, ok)] = _stack_verdicts(method, axiom, [stack], [x], auxes[0]["tie_tol"], em)
-    return rel, broken, broken.any(axis=(1, 2)) & ok.all(axis=1)
+    there.  Only the rows up to the first whose verdict is ``decide`` are
+    exact, the row the caller keeps or stops at; no later row is read.
+
+    EM first judges the stack within ``_SHORT_EM_STEPS`` steps.  A matrix
+    converges at the same step, to the same iterate, under any larger
+    budget, so a row whose check ranks every matrix there is settled (a
+    vacuous RES image counts as ranked, but then the row holds under any
+    budget).  The other rows before the first settled row whose verdict
+    is ``decide`` are judged again under ``em``."""
+    x, tie_tol = _input_arrays(auxes), auxes[0]["tie_tol"]
+    short = em
+    if method is MethodId.EM and em.max_iterations > _SHORT_EM_STEPS:
+        short = EmOptions(_SHORT_EM_STEPS, em.convergence_tol)
+    [(rel, broken, ok)] = _stack_verdicts(method, axiom, [stack], [x], tie_tol, short)
+    ranked = ok.all(axis=1)
+    falsified = broken.any(axis=(1, 2)) & ranked
+    if short is not em:
+        stop = np.append(ranked & (falsified == decide), True).argmax()
+        redo = np.flatnonzero(~ranked[:stop])
+        if len(redo):
+            xr = {k: v[redo] for k, v in x.items()}
+            [(r, b, o)] = _stack_verdicts(method, axiom, [stack[redo]], [xr], tie_tol, em)
+            rel[redo], broken[redo], falsified[redo] = r, b, b.any(axis=(1, 2)) & o.all(axis=1)
+    return rel, broken, falsified
 
 
 def _shrink(witness: Witness, em: EmOptions = EmOptions()) -> Witness:
@@ -893,7 +943,7 @@ def _round_entries(
         stack = np.repeat(e[None], rows, axis=0)
         stack[:, t[s], i[s], j[s]] = np.where(prefix, rounded[s], e[t[s], i[s], j[s]])
         stack[:, t[s], j[s], i[s]] = np.where(prefix, 1.0 / rounded[s], e[t[s], j[s], i[s]])
-        rel, broken, falsified = _falsifying(method, axiom, stack, [aux] * rows, em)
+        rel, broken, falsified = _falsifying(method, axiom, stack, [aux] * rows, em, False)
         accepted = rows if falsified.all() else int(falsified.argmin())
         if accepted:
             e, kept = stack[accepted - 1], (rel[accepted - 1], broken[accepted - 1])

@@ -373,12 +373,17 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         # an overflow is reported once, as the rejected value it leads to
         with np.errstate(all="ignore"):
-            return args.func(args)
+            status = args.func(args)
+        sys.stdout.flush()  # a reader that left raises here, not at exit
+        return status
     except SystemExit as exc:  # argparse printed the help already
         return int(exc.code or 0)
     except PcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # Python's status for it, without the traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

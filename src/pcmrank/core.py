@@ -489,6 +489,7 @@ def ranking_from_weights(w: WeightVector, tie_tol: float = DEFAULT_TIE_TOL) -> R
 def pair_relation(r: Ranking, i: int, j: int) -> PairRelation:
     """How alternative i stands against j in ranking ``r``."""
     i, j = as_int("index", i), as_int("index", j)
+    check_kind("r", r, Ranking)
     if i == j or not (0 <= i < r.n and 0 <= j < r.n):
         raise IndexOutOfRange(f"pair ({i}, {j}) invalid for n={r.n}")
     if r.rank[i] < r.rank[j]:
@@ -500,6 +501,7 @@ def pair_relation(r: Ranking, i: int, j: int) -> PairRelation:
 
 def ranking_json_dict(r: Ranking) -> dict:
     """JSON fragment: {"rank": [...], "groups": [[...], ...]} (0-based)."""
+    check_kind("r", r, Ranking)
     return {"rank": [int(x) for x in r.rank], "groups": r.groups()}
 
 

@@ -21,6 +21,7 @@ from .core import (
     WeightVector,
     as_float,
     as_int,
+    check_kind,
     check_tie_tol,
     tie_group_max,
 )
@@ -67,11 +68,14 @@ def rgm_weights(a: PCM) -> WeightVector:
     Means are taken in log space; this is the closed-form minimizer of the
     log least squares objective (see ``rgm_objective``).
     """
+    check_kind("a", a, PCM)
     return WeightVector.from_scores(closed_form_scores(MethodId.RGM, a.entries))
 
 
 def rgm_objective(a: PCM, w: WeightVector) -> float:
     """Sum over all ordered pairs of [ln a_ij - ln(w_i / w_j)]^2."""
+    check_kind("a", a, PCM)
+    check_kind("w", w, WeightVector)
     if w.n != a.n:
         raise DimensionMismatch(f"matrix has {a.n} alternatives, weights {w.n}")
     lw = np.log(w.w)
@@ -92,6 +96,8 @@ def em_weights(a: PCM, opts: EmOptions = EmOptions()) -> tuple[WeightVector, flo
     above n for any reciprocal matrix, up to iteration error; where a
     ratio passes the float range it is sum(Aw) instead, w summing to one.
     """
+    check_kind("a", a, PCM)
+    check_kind("opts", opts, EmOptions)
     m = a.entries
     v = em_weight_stack(m, opts)
     if np.isnan(v).any():
@@ -195,6 +201,8 @@ def method_scores(m: MethodId, a: PCM, em: EmOptions = EmOptions()) -> np.ndarra
     EM: the Perron vector; the closed-form methods: see
     ``closed_form_scores``.  FLAT and INDEX_ORDER rank without scores.
     """
+    for name, value, kind in (("m", m, MethodId), ("a", a, PCM), ("em", em, EmOptions)):
+        check_kind(name, value, kind)
     if m is MethodId.EM:
         w, _ = em_weights(a, em)
         return w.w
@@ -244,6 +252,8 @@ def method_rank(
     (``rank_error``).
     """
     tie_tol = check_tie_tol(tie_tol)
+    for name, value, kind in (("m", m, MethodId), ("a", a, PCM), ("em", em, EmOptions)):
+        check_kind(name, value, kind)
     keys, ok = rank_keys(m, a.entries, tie_tol, em)
     if not ok:
         raise rank_error(m, keys, em)
@@ -297,6 +307,8 @@ def weights_json_dict(
 ) -> dict:
     """JSON fragment: {"method": ..., "n": ..., "weights": [...],
     "lambda_max": ... | null}."""
+    check_kind("m", m, MethodId)
+    check_kind("w", w, WeightVector)
     return {
         "method": m.value,
         "n": w.n,

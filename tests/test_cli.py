@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pcmrank
 from pcmrank.cli import main
 
 KENDALL_CSV = (
@@ -414,3 +419,22 @@ class TestHelp:
         listed = {flag for line in out.splitlines() if line.startswith("  -")
                   for flag in re.findall(r"--[a-z0-9-]+", line)}
         assert listed == options | {"--help"}
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path):
+    # the witness of 64 alternatives, 85 kB, outgrows a pipe, so the check
+    # is still writing when its reader closes the pipe after ten bytes;
+    # the index order breaks inversion on any matrix
+    grid = np.exp(np.random.default_rng(0).uniform(-20.0, 20.0, (64, 64)))
+    path = tmp_path / "long64.csv"
+    path.write_text(pcmrank.pcm_to_csv(pcmrank.PCM.from_upper(grid)))
+    src = str(Path(pcmrank.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["check", "--method", "index", "--axiom", "INV", "--input", str(path)]
+    proc = subprocess.Popen([sys.executable, "-m", "pcmrank.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    with proc.stderr:
+        assert proc.stdout.read(10) == b"axiom INV "
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""

@@ -14,6 +14,7 @@ from pcmrank import (
     PCM,
     IndexOutOfRange,
     InvalidParameter,
+    MethodId,
     NonPositive,
     NonSquare,
     PairRelation,
@@ -25,7 +26,11 @@ from pcmrank import (
     TooSmall,
     WeightVector,
     aggregate,
+    em_weights,
     is_consistent,
+    method_rank,
+    method_scores,
+    method_weights,
     opposite,
     pair_relation,
     pcm_parse,
@@ -34,6 +39,9 @@ from pcmrank import (
     power,
     ranking_from_weights,
     ranking_json_dict,
+    rgm_objective,
+    rgm_weights,
+    weights_json_dict,
     witness_json_dict,
 )
 from pcmrank.core import reciprocal_fill, tie_group_max, triu_indices
@@ -718,6 +726,23 @@ class TestWrongKindsAreInvalid:
         (lambda: power(PCM.ones(3), 2), "kappa must be a RationalExponent, got 2"),
         (lambda: ranking_from_weights([0.5, 0.5]), "w must be a WeightVector, got [0.5, 0.5]"),
         (lambda: witness_json_dict(None), "witness must be a Witness, got None"),
+        (lambda: em_weights(None), "a must be a PCM, got None"),
+        (lambda: em_weights(PCM.ones(3), None), "opts must be an EmOptions, got None"),
+        (lambda: method_weights("rgm", PCM.ones(3)), "m must be a MethodId, got 'rgm'"),
+        (lambda: method_scores(MethodId.RGM, None), "a must be a PCM, got None"),
+        (lambda: method_rank(MethodId.RGM, None), "a must be a PCM, got None"),
+        (lambda: rgm_weights(None), "a must be a PCM, got None"),
+        (lambda: rgm_objective(PCM.ones(3), None), "w must be a WeightVector, got None"),
+        (lambda: weights_json_dict(MethodId.RGM, None), "w must be a WeightVector, got None"),
+        (lambda: ranking_json_dict(None), "r must be a Ranking, got None"),
+        (lambda: pair_relation(None, 0, 1), "r must be a Ranking, got None"),
+        # this one returned a ranking without reading its EM budget
+        (lambda: method_rank(MethodId.RGM, PCM.ones(3), 1e-9, None),
+         "em must be an EmOptions, got None"),
+        # the tie tolerance and the indices are still checked first
+        (lambda: method_rank(MethodId.RGM, None, -1.0),
+         "tie_tol must be a non-negative number, got -1.0"),
+        (lambda: pair_relation(None, "x", 1), "index must be an integer, got 'x'"),
     ])
     def test_entry_points_raise_one_line(self, call, text):
         # each raised a bare AttributeError or TypeError from its first use

@@ -729,3 +729,40 @@ def test_threads_searching_at_once_end_as_one_after_another(seeds, cleared):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert found == [expected[seed] for seed in seeds]
+
+
+def test_a_search_judges_no_size_group_that_starts_after_its_first_flag(monkeypatch):
+    # one chunk of 40 trials: _flag_trials judges every size group, one
+    # _stack_verdicts call each in the order of their first trials, and
+    # falsify stops before the first group that starts after the first
+    # flagged trial, which may come after a group that flags a later one
+    sizes = []
+    stack_verdicts = axioms._stack_verdicts
+
+    def counted(method, axiom, stacks, *rest):
+        sizes.append(stacks[0].shape[-1])
+        return stack_verdicts(method, axiom, stacks, *rest)
+
+    monkeypatch.setattr(axioms, "_stack_verdicts", counted)
+    monkeypatch.setattr(axioms, "_chunks", lambda trials, cap: iter([range(trials)]))
+    method, axiom = MethodId.ROW_ARITHMETIC_MEAN, AxiomId.INV
+    skipped = past_a_flagging_group = 0
+    for seed in range(30):
+        cfg = SearchConfig(seed=seed, trials=40)
+        flags, draws, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), 1e-9)
+        first = {}  # each size's first trial, in trial order
+        for trial, (grids, _) in enumerate(draws):
+            first.setdefault(grids[0].shape[0], trial)
+        assert sizes == list(first)
+        t = int(flags.argmax())
+        assert flags[t]
+        expected = outcome(_run_check, method, axiom, *trial_inputs(axiom, cfg, t, 1e-9))
+        sizes.clear()
+        assert as_outcome(falsify_unshrunk(method, axiom, cfg, 1e-9)) == expected
+        assert sizes == [n for n in first if first[n] <= t]
+        skipped += len(first) - len(sizes)
+        flagging = [n for n in sizes if any(flags[i] for i, (g, _) in enumerate(draws)
+                                            if g[0].shape[0] == n)]
+        past_a_flagging_group += sizes[-1] != flagging[0]
+        sizes.clear()
+    assert skipped and past_a_flagging_group

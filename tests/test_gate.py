@@ -19,6 +19,14 @@ def test_the_gate_passes_every_pair_at_a_starved_em_budget(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 42 pairs mismatched"
 
 
+def test_the_gate_passes_every_pair_just_above_the_short_em_pass(capsys):
+    # shrinking judges EM stacks within _SHORT_EM_STEPS first, then the
+    # rows that did not converge there under a full budget barely above it
+    budget = axioms._SHORT_EM_STEPS + 44
+    assert gate.main(["--trials", "20", "--em-max-iterations", str(budget)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 of 42 pairs mismatched"
+
+
 def test_the_gate_passes_every_pair_at_the_audit_budget(capsys, monkeypatch):
     # audit_rgm's budget, at which every pair's search runs as 1 + 11 trials
     chunks, schedules = axioms._chunks, []

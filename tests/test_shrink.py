@@ -10,7 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from pcmrank import PCM, AxiomId, InvalidParameter, MethodId, NotAnIncrease, SearchConfig
+from pcmrank import (
+    PCM,
+    AxiomId,
+    InvalidParameter,
+    MethodId,
+    NotAnIncrease,
+    SearchConfig,
+    falsify,
+)
 from pcmrank import axioms
 from pcmrank.axioms import (
     _CHUNK_MATRICES,
@@ -22,7 +30,7 @@ from pcmrank.axioms import (
 from pcmrank.weighting import EmOptions
 
 import oracle
-from harness import assert_shrinks_alike, raw_witness
+from harness import assert_shrinks_alike, outcome, raw_witness
 
 
 def one_digit(x: float) -> float:
@@ -191,3 +199,30 @@ def test_a_witness_shrinking_cannot_reduce_comes_back_unchanged(method, axiom, u
     witness = _run_check(method, axiom, [a], {**aux, "tie_tol": 1e-9}).witness
     assert _shrink(witness) is witness
     assert_shrinks_alike(witness)
+
+
+SHORT = axioms._SHORT_EM_STEPS
+
+
+@pytest.mark.parametrize("budget", [100, SHORT - 1, SHORT, SHORT + 1, 300, 10_000],
+                         ids=lambda k: f"em{k}")
+@pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
+def test_em_ends_as_without_the_short_pass_and_the_group_skipping(axiom, budget, monkeypatch):
+    # shrinking's first pass within SHORT steps and the search's stop after
+    # the size group of its first flagged trial change no witness and no
+    # error: the same code with both switched off ends alike
+    em, tie_tol = EmOptions(max_iterations=budget), 1e-9
+    configs = [SearchConfig(seed=seed, trials=40) for seed in range(20)]
+    with np.errstate(all="ignore"):
+        witnesses = [raw_witness(MethodId.EM, axiom, cfg, tie_tol, em) for cfg in configs]
+        witnesses = [w for w in witnesses if w is not None]
+
+        def ends():
+            return ([outcome(falsify, MethodId.EM, axiom, cfg, tie_tol, em) for cfg in configs],
+                    [outcome(_shrink, w, em) for w in witnesses])
+
+        fast = ends()
+        judged = axioms._judged_groups
+        monkeypatch.setattr(axioms, "_SHORT_EM_STEPS", math.inf)
+        monkeypatch.setattr(axioms, "_judged_groups", lambda *args: iter(list(judged(*args))))
+        assert fast == ends()
