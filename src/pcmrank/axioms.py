@@ -201,6 +201,10 @@ def check_res(
 _REL_TEXT = {1: "strictly above", 0: "tied with", -1: "strictly below"}
 
 
+def _no_tail(rng: Optional[np.random.Generator], n: int, a: np.ndarray, cfg: SearchConfig) -> tuple:
+    return [], {}
+
+
 @dataclass(frozen=True)
 class _Spec:
     """One axiom, shared by its check, draw, replay, shrinking and the
@@ -210,7 +214,9 @@ class _Spec:
     matrices and other arguments, whose leading ones have the types
     ``kinds`` names, and returns the inputs as ``_draw`` records them.
     ``tail(rng, n, a, cfg)`` draws a trial's other grids, at most
-    ``per_trial`` in all, and its inputs after ``_draw``'s n and grid ``a``.
+    ``per_trial`` in all, and its inputs after ``_draw``'s n and grid
+    ``a``, in as few Generator calls as their bits allow; INV's draws
+    nothing (``_no_tail``).
     ``image(e, x)``, the only code that builds an image, is each trial's
     transformed matrix (trials, n, n), from its matrices ``e`` (trials,
     matrices, n, n) and ``x``, the trials' inputs as arrays (see
@@ -235,7 +241,7 @@ class _Spec:
     broken: Callable
     narrative: Callable
     args: Callable
-    tail: Callable = lambda rng, n, a, cfg: ([], {})
+    tail: Callable = _no_tail
     kinds: tuple = ()
     min_n: int = 2
     vacuous: Optional[Callable] = None
@@ -382,9 +388,9 @@ def _kappa_value(kappa: str) -> float:
     return RationalExponent.parse(kappa).value
 
 
-def _draw_grid(rng: np.random.Generator, n: int, log_range: tuple[float, float]) -> np.ndarray:
-    # only the strict upper triangle counts, as in PCM.from_upper
-    return np.exp(rng.uniform(log_range[0], log_range[1], size=(n, n)))
+def _draw_grids(rng: np.random.Generator, shape: tuple, log_range: tuple[float, float]) -> np.ndarray:
+    # only the strict upper triangle of each grid counts, as in PCM.from_upper
+    return np.exp(rng.uniform(log_range[0], log_range[1], size=shape))
 
 
 def _entry(grid: np.ndarray, i: int, j: int) -> float:
@@ -392,15 +398,21 @@ def _entry(grid: np.ndarray, i: int, j: int) -> float:
     return grid[i, j] if i < j else 1.0 / grid[j, i]
 
 
-def _draw_kappa(rng: np.random.Generator) -> RationalExponent:
-    while True:
-        kappa = RationalExponent(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        if kappa.p != kappa.q:
-            return kappa
+def _ai_tail(rng: np.random.Generator, n: int, a: np.ndarray, cfg: SearchConfig) -> tuple:
+    k = int(rng.integers(2, 5))  # pools 2 to 4 matrices
+    return list(_draw_grids(rng, (k - 1, n, n), cfg.entry_log_range)), {}
+
+
+def _rsi_tail(rng: np.random.Generator, n: int, a: np.ndarray, cfg: SearchConfig) -> tuple:
+    while True:  # p/q with p, q in 1..5, reduced as RationalExponent reduces it
+        p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))  # faster than one size=2 call
+        if p != q:
+            g = math.gcd(p, q)
+            return [], {"kappa": f"{p // g}/{q // g}"}
 
 
 def _iic_tail(rng: np.random.Generator, n: int, a: np.ndarray, cfg: SearchConfig) -> tuple:
-    picks = [int(x) for x in rng.permutation(n)[:4]]
+    picks = rng.permutation(n)[:4].tolist()
     value = float(np.exp(rng.uniform(*cfg.entry_log_range)))
     current = _entry(a, *picks[2:])
     # a grid that PCM.from_upper rejects must not keep this loop spinning
@@ -410,7 +422,7 @@ def _iic_tail(rng: np.random.Generator, n: int, a: np.ndarray, cfg: SearchConfig
 
 
 def _res_tail(rng: np.random.Generator, n: int, a: np.ndarray, cfg: SearchConfig) -> tuple:
-    i, j = (int(x) for x in rng.permutation(n)[:2])
+    i, j = rng.permutation(n)[:2].tolist()
     try:
         factor = math.exp(rng.uniform(0.1, max(cfg.entry_log_range[1], math.log(3.0))))
     except OverflowError:  # check_res then holds vacuously or rejects the increase
@@ -425,14 +437,12 @@ _SPECS = {
         _ano_broken,
         _ano_narrative,
         lambda m, x: (m[0], Permutation(x["permutation"])),
-        lambda rng, n, a, cfg: ([], {"permutation": [int(x) for x in rng.permutation(n)]}),
+        lambda rng, n, a, cfg: ([], {"permutation": rng.permutation(n).tolist()}),
         (("sigma", Permutation),),
     ),
-    AxiomId.AI: _Spec(  # pools 2 to 4 matrices
+    AxiomId.AI: _Spec(
         _ai_rules, lambda e, x: aggregate_entries(e), _ai_broken, _ai_narrative,
-        lambda m, x: (m,), lambda rng, n, a, cfg: (
-            [_draw_grid(rng, n, cfg.entry_log_range) for _ in range(rng.integers(2, 5) - 1)], {}
-        ), per_trial=4,
+        lambda m, x: (m,), _ai_tail, per_trial=4,
     ),
     AxiomId.INV: _Spec(
         lambda m: {},
@@ -447,7 +457,7 @@ _SPECS = {
         lambda before, after, x: after != before[:, 0],
         _rsi_narrative,
         lambda m, x: (m[0], RationalExponent.parse(x["kappa"])),
-        lambda rng, n, a, cfg: ([], {"kappa": str(_draw_kappa(rng))}),
+        _rsi_tail,
         (("kappa", RationalExponent),),
     ),
     AxiomId.IIC: _Spec(
@@ -571,53 +581,149 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed % 2**64, trial))))
 
 
-#: trials below this keep their seeded PCG64 (state, inc), 3.6 MB at most (see ``_trial_streams``)
+#: trials below this keep their seeded stream and, where there is room,
+#: their prefix (see ``_Memo``)
 _KEPT_TRIALS = 2**14
-_kept: tuple[int, dict] = (-1, {})  # seed mod 2**64, and trial -> (state, inc)
-_spare = threading.local()  # .rng: the thread's Generator a kept stream is restored into
-_PCG64 = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}  # as freshly seeded
+#: the prefixes of one seed take at most this many float entries' worth of
+#: memory, 16 MiB (see ``_Memo.keep``)
+_KEPT_ENTRIES = 2**21
 
 
-def _trial_streams(seed: int, trials: range) -> Iterator[np.random.Generator]:
-    """Each trial's stream, bit for bit as ``_trial_rng`` seeds it; draw
-    from one before taking the next.  The seeded states of the last seed
-    searched are kept: a search that follows another on its seed restores
-    them into one reused Generator, not seeding again.  A reader keeps the
-    memo it read and entries never change, so a race between threads can
-    cost a seeding but never move a stream."""
+class _Memo:
+    """What searches on one seed share, so that a search that follows
+    another on its seed draws less (see ``_trial_draws``): each kept
+    trial's seeded PCG64 (state, inc), and per prefix key (``_prefix_key``)
+    two dicts by trial, each kept trial's prefix and its first matrix
+    filled by ``reciprocal_fill``, once a search has built it.  A prefix
+    is n, the first grid and the stream's state right after them, as
+    (state, inc, has_uint32, uinteger): the buffered 32-bit half of the
+    draw of n is part of the stream.  Grids and filled matrices are
+    read-only, entries never change once made, and a search keeps the memo
+    it read, so threads race only for work."""
+
+    def __init__(self, seed: int):
+        self.seed, self.seeded, self.prefixes = seed, {}, {}
+        self.room = _KEPT_ENTRIES  # what the prefixes may still take
+        self.lock = threading.Lock()
+
+    def keep(self, drawn: dict, t: int, n: int, a: np.ndarray, rng: np.random.Generator):
+        """Keep trial ``t``'s prefix, n and grid ``a`` just drawn from
+        ``rng``, in ``drawn`` where no prefix of ``t`` is and its charge fits
+        in ``room``: 2 n**2 entries for its grid and filled matrix, and 128
+        (1 KiB) for the rest of what keeping it takes."""
+        charge = 2 * n * n + 128
+        if t >= _KEPT_TRIALS or self.room < charge:
+            return
+        s = rng.bit_generator.state
+        a.flags.writeable = False
+        prefix = n, a, (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
+        with self.lock:
+            if t not in drawn and self.room >= charge:
+                self.room -= charge
+                drawn[t] = prefix
+
+
+_kept = _Memo(-1)  # the last seed searched, mod 2**64
+_spare = threading.local()  # .rng: the thread's Generator a kept state is restored into
+
+
+def _memo(seed: int) -> _Memo:
+    """The memo of ``seed``, which replaces that of the last seed searched."""
     global _kept
     memo = _kept
-    if memo[0] != seed % 2**64:
-        memo = _kept = (seed % 2**64, {})
+    if memo.seed != seed % 2**64:
+        memo = _kept = _Memo(seed % 2**64)
+    return memo
+
+
+def _restored(state: int, inc: int, has_uint32: int = 0, uinteger: int = 0) -> np.random.Generator:
+    """The thread's spare Generator with its PCG64 set to a kept state;
+    draw from it before restoring the next."""
+    rng = getattr(_spare, "rng", None)
+    if rng is None:
+        rng = _spare.rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32, "uinteger": uinteger,
+    }
+    return rng
+
+
+def _trial_streams(seed: int, trials: Sequence[int]) -> Iterator[np.random.Generator]:
+    """Each trial's stream, bit for bit as ``_trial_rng`` seeds it; draw
+    from one before taking the next.  A trial below ``_KEPT_TRIALS`` keeps
+    its seeded state in the memo of its seed, and a later search restores
+    it, not seeding again."""
+    memo = _memo(seed)
     for t in trials:
-        kept = memo[1].get(t)
+        kept = memo.seeded.get(t)
         if kept is None:
             rng = _trial_rng(seed, t)
             if t < _KEPT_TRIALS:
                 state = rng.bit_generator.state["state"]
-                memo[1][t] = state["state"], state["inc"]
+                memo.seeded[t] = state["state"], state["inc"]
         else:
-            if not hasattr(_spare, "rng"):
-                _spare.rng = np.random.Generator(np.random.PCG64(0))
-            rng = _spare.rng
-            rng.bit_generator.state = dict(_PCG64, state={"state": kept[0], "inc": kept[1]})
+            rng = _restored(*kept)
         yield rng
 
 
+def _prefix_key(spec: _Spec, cfg: SearchConfig) -> tuple:
+    """What a trial's prefix depends on besides its stream: the bounds of
+    n after the spec's ``min_n`` (four for IIC), and the entry range."""
+    n_lo = max(cfg.n_range[0], spec.min_n)
+    return n_lo, max(cfg.n_range[1], n_lo), cfg.entry_log_range
+
+
+def _draw_prefix(rng: np.random.Generator, key: tuple) -> tuple[int, np.ndarray]:
+    n_lo, n_hi, log_range = key
+    n = int(rng.integers(n_lo, n_hi + 1))
+    return n, _draw_grids(rng, (n, n), log_range)
+
+
 def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[list, dict]:
-    """One trial's inputs, in stream order: n and the first grid, then the
-    spec's ``tail``.  Grids are for ``PCM.from_upper`` (not yet validated),
-    and the check's auxiliary values as a Witness records them, less the
-    tie tolerance.  The stacked search draws through here.  A draw never
-    raises: an entry beyond the float range is drawn as inf or 0, a RES
-    increase factor as inf, and the check judges them; outside an
-    ``np.errstate`` the grid's overflows warn."""
+    """One trial's inputs, in stream order: its prefix, n and the first
+    grid, then the spec's ``tail``.  Grids are for ``PCM.from_upper`` (not
+    yet validated), and the check's auxiliary values as a Witness records
+    them, less the tie tolerance.  A search's draws (``_trial_draws``)
+    equal this one's bit for bit.  A draw never raises: an entry beyond
+    the float range is drawn as inf or 0, a RES increase factor as inf,
+    and the check judges them; outside an ``np.errstate`` the grid's
+    overflows warn."""
     spec = _SPECS[axiom]
-    n_lo = max(cfg.n_range[0], spec.min_n)  # four for IIC
-    n = int(rng.integers(n_lo, max(cfg.n_range[1], n_lo) + 1))
-    a = _draw_grid(rng, n, cfg.entry_log_range)
+    n, a = _draw_prefix(rng, _prefix_key(spec, cfg))
     more, inputs = spec.tail(rng, n, a, cfg)
     return [a, *more], inputs
+
+
+def _trial_draws(axiom: AxiomId, cfg: SearchConfig, trials: range) -> tuple[list, tuple]:
+    """Each trial's draw, as ``_draw`` makes it from ``_trial_rng(cfg.seed,
+    t)``, and the memo's filled first matrices of the draws' prefix key
+    with, per draw, its trial where the memo keeps its prefix, else None
+    (see ``_filled_stack``).
+
+    A trial whose prefix the memo of the seed keeps under the search's
+    prefix key takes n and its grid from there, and draws its tail from
+    its stream restored as it stood after them, where the spec has one.
+    Any other trial draws its prefix from its seeded stream
+    (``_trial_streams``), and the memo keeps it where there is room."""
+    spec = _SPECS[axiom]
+    key = _prefix_key(spec, cfg)
+    memo = _memo(cfg.seed)
+    drawn, filled = memo.prefixes.setdefault(key, ({}, {}))
+    found = [drawn.get(t) for t in trials]
+    streams = _trial_streams(cfg.seed, [t for t, prefix in zip(trials, found) if prefix is None])
+    draws = []
+    for t, prefix in zip(trials, found):
+        if prefix is None:
+            rng = next(streams)
+            n, a = _draw_prefix(rng, key)
+            memo.keep(drawn, t, n, a, rng)
+        else:
+            n, a, state = prefix
+            rng = _restored(*state) if spec.tail is not _no_tail else None
+        more, inputs = spec.tail(rng, n, a, cfg)
+        draws.append(([a, *more], inputs))
+    return draws, (filled, [t if t in drawn else None for t in trials])
 
 
 def falsify(
@@ -634,7 +740,8 @@ def falsify(
     Each trial's random stream is derived from (seed, trial index) alone,
     so results are reproducible and independent of evaluation order and of
     the searches run before; a search that follows another on its seed
-    restores each trial's seeded stream (see ``_trial_streams``).  Trials
+    takes what it can of each trial's draw from the memo of the seed (see
+    ``_trial_draws``).  Trials
     are drawn in the chunks of ``_chunks`` and judged as stacks (see
     ``_flag_trials``), which flag exactly the trials whose check would fail
     or raise; a matrix size that starts after a flagged trial is not
@@ -660,9 +767,9 @@ def falsify(
     per_trial = _SPECS[axiom].per_trial
     with np.errstate(all="ignore"):
         for trials in _chunks(cfg.trials, max(1, _CHUNK_MATRICES // per_trial)):
-            draws = [_draw(axiom, cfg, rng) for rng in _trial_streams(cfg.seed, trials)]
+            draws, fills = _trial_draws(axiom, cfg, trials)
             rows: dict = {}
-            for flagged, start in _judged_groups(method, axiom, draws, tie_tol, em):
+            for flagged, start in _judged_groups(method, axiom, draws, tie_tol, em, fills):
                 rows.update(flagged)
                 if rows and start > min(rows):  # the sizes left hold later trials
                     break
@@ -720,17 +827,17 @@ def _flag_trials(
     ``_stack_verdicts``: its relation arrays, broken pairs and ranked mask
     (see ``_judge``).
 
-    Trials are drawn in order from their own streams, restored where a
-    search on the same seed has seeded them (``_trial_streams``), grouped
-    by matrix size and judged a group at a time (``_judged_groups``), so
-    each needs no PCM, Ranking or check call; an aggregation-invariance
-    group ranks the trials of every pool size in one stack.  Rejected
+    Trials are drawn in order from their own streams, through the memo of
+    the seed (``_trial_draws``), grouped by matrix size and judged a group
+    at a time (``_judged_groups``), so each needs no PCM, Ranking or check
+    call; an aggregation-invariance group ranks the trials of every pool
+    size in one stack.  Rejected
     inputs warn unless floating-point errors are ignored, as ``falsify``
     does.
     """
-    draws = [_draw(axiom, cfg, rng) for rng in _trial_streams(cfg.seed, trials)]
+    draws, fills = _trial_draws(axiom, cfg, trials)
     rows: dict = {}
-    for flagged, _ in _judged_groups(method, axiom, draws, tie_tol, em):
+    for flagged, _ in _judged_groups(method, axiom, draws, tie_tol, em, fills):
         rows.update(flagged)
     flags = np.zeros(len(draws), dtype=bool)
     flags[list(rows)] = True
@@ -738,13 +845,14 @@ def _flag_trials(
 
 
 def _judged_groups(
-    method: MethodId, axiom: AxiomId, draws: list, tie_tol: float, em: EmOptions
+    method: MethodId, axiom: AxiomId, draws: list, tie_tol: float, em: EmOptions, fills: tuple
 ) -> Iterator[tuple[dict, int]]:
     """Judge a chunk's ``draws`` a matrix size at a time, in the order of
-    each size's first trial, by ``_stack_verdicts``.  Yields per size, by
-    index in ``draws``, each flagged trial's row of verdicts, and the first
-    trial of the next size (``len(draws)`` after the last), which is judged
-    only when the caller asks: it and every later size hold only later
+    each size's first trial, by ``_stack_verdicts``, on the matrices
+    ``_filled_stack`` builds from ``fills``.  Yields per size, by index in
+    ``draws``, each flagged trial's row of verdicts, and the first trial
+    of the next size (``len(draws)`` after the last), which is judged only
+    when the caller asks: it and every later size hold only later
     trials."""
     by_size: dict[int, dict[int, list[int]]] = {}
     for idx, (grids, _) in enumerate(draws):
@@ -753,7 +861,7 @@ def _judged_groups(
     # the first pool size drawn holds a size's first trial
     starts = [groups[0][0] for groups in sizes[1:]] + [len(draws)]
     for groups, start in zip(sizes, starts):
-        stacks = [reciprocal_fill(np.array([draws[t][0] for t in idx])) for idx in groups]
+        stacks = [_filled_stack(draws, idx, fills) for idx in groups]
         xs = [_input_arrays([draws[t][1] for t in idx]) for idx in groups]
         rows = {}
         for idx, (rel, broken, ok) in zip(
@@ -763,6 +871,29 @@ def _judged_groups(
             for row in flagged.nonzero()[0]:
                 rows[idx[row]] = rel[row], broken[row], ok[row]
         yield rows, start
+
+
+def _filled_stack(draws: list, idx: list, fills: tuple) -> np.ndarray:
+    """The matrices of the trials ``idx`` of ``draws`` filled by
+    ``reciprocal_fill``, (trials, matrices, n, n).  ``fills`` holds the
+    memo's filled first matrices by trial and, per draw, its trial where
+    the memo keeps its prefix (see ``_trial_draws``).  A group of one
+    matrix per trial whose every prefix is kept is built from the filled
+    matrices kept where the memo holds them all, and keeps its own where
+    the memo holds none of them."""
+    filled, kept = fills
+    trials = [kept[i] for i in idx]
+    rows = []
+    if len(draws[idx[0]][0]) == 1 and None not in trials:
+        rows = [filled.get(t) for t in trials]
+        if all(row is not None for row in rows):
+            return np.array(rows)[:, None]
+    stack = reciprocal_fill(np.array([draws[i][0] for i in idx]))
+    if rows and all(row is None for row in rows):  # a kept row holds its whole stack
+        stack.flags.writeable = False
+        for t, row in zip(trials, stack[:, 0]):
+            filled.setdefault(t, row)
+    return stack
 
 
 def _stack_verdicts(

@@ -117,7 +117,22 @@ def as_ints(name: str, values: np.ndarray) -> np.ndarray:
     unless numpy already holds them as integers."""
     if values.dtype.kind in "biu":
         return values.astype(int)
-    return np.array([as_int(name, v) for v in values.tolist()], dtype=int)
+    ints = [as_int(name, v) for v in values.tolist()]
+    try:
+        return np.array(ints, dtype=int)
+    except OverflowError:
+        info = np.iinfo(int)
+        big = next(v for v in ints if not info.min <= v <= info.max)
+        raise InvalidParameter(f"{name} {big} does not fit in a {info.bits}-bit integer") from None
+
+
+def _sized(make, shape, n: int) -> np.ndarray:
+    """``make(shape)``, or InvalidParameter where numpy cannot index an
+    array of that shape."""
+    try:
+        return make(shape)
+    except ValueError:  # numpy's "Maximum allowed size exceeded" and its kin
+        raise InvalidParameter(f"n = {n} is too large for an array") from None
 
 
 def as_pair(name: str, value, convert=None) -> tuple:
@@ -239,7 +254,7 @@ class PCM:
         n = as_int("n", n)
         if n < 2:
             raise TooSmall("need at least two alternatives")
-        return cls(np.ones((n, n)))
+        return cls(_sized(np.ones, (n, n), n))
 
     def with_entry(self, i: int, j: int, value: float) -> "PCM":
         """Copy with (i, j) set to ``value`` and (j, i) to its reciprocal."""
@@ -531,14 +546,15 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(as_int("n", n)))
+        n = as_int("n", n)
+        return cls(_sized(np.arange, n, n))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         i, j, n = as_int("index", i), as_int("index", j), as_int("n", n)
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"transposition ({i}, {j}) invalid for n={n}")
-        m = np.arange(n)
+        m = _sized(np.arange, n, n)
         m[i], m[j] = m[j], m[i]
         return cls(m)
 

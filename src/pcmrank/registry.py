@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .axioms import AxiomId, _run_check
-from .core import DEFAULT_TIE_TOL, PCM, RationalExponent, UnknownCase
+from .core import DEFAULT_TIE_TOL, PCM, RationalExponent, UnknownCase, _shown
 from .transforms import aggregate, power
 from .weighting import MethodId, em_weights, method_scores
 
@@ -129,8 +129,8 @@ CASE_IDS = tuple(_CASES)
 def run_case(case_id: str) -> dict:
     """Re-run one registry case through its check; ``ok`` is True when the
     observed verdict matches the recorded one."""
-    if case_id not in CASE_IDS:
-        raise UnknownCase(f"no registry case {case_id!r}; known: {', '.join(CASE_IDS)}")
+    if not isinstance(case_id, str) or case_id not in CASE_IDS:  # an array compares elementwise
+        raise UnknownCase(f"no registry case {_shown(case_id)}; known: {', '.join(CASE_IDS)}")
     method, axiom, matrices, aux, expected, details = _CASES[case_id]
     verdict = _run_check(method, axiom, matrices, {**aux, "tie_tol": DEFAULT_TIE_TOL})
     observed = "hold" if verdict.holds else "fail"

@@ -309,6 +309,9 @@ class TestErrorContract:
         ["check", "--method", "em", "--axiom", "RSI", "--input", "{kendall}", "--kappa", "abc"],
         ["check", "--method", "rgm", "--axiom", "ANO", "--input", "{consistent}",
          "--perm", "1,1,2"],
+        # an index beyond numpy's integer range once ended in an OverflowError traceback
+        ["check", "--method", "rgm", "--axiom", "ANO", "--input", "{consistent}",
+         "--perm", "1,2,99999999999999999999"],
         ["check", "--method", "rgm", "--axiom", "IIC", "--input", "{iic4}", "--cell", "3,4",
          "--value", "1", "--pair", "1,2"],
         ["rank", "--method", "rgm", "--input", "{consistent}", "--reciprocity-tol", "0"],
@@ -346,7 +349,8 @@ class TestErrorContract:
         ["proof-chain", "--input", "{consistent}", "--equalize", "--em-max-iterations", "50"],
         ["proof-chain", "--input", "{consistent}", "--equalize", "--em-tol", "1e-12"],
     ], ids=["trials-0", "n-max-100", "tie-tol-negative", "tie-tol-nan", "em-iterations-0",
-            "kappa-abc", "perm-repeats", "iic-unchanged-value", "reciprocity-tol-0",
+            "kappa-abc", "perm-repeats", "perm-beyond-int64", "iic-unchanged-value",
+            "reciprocity-tol-0",
             "400-digit-rational", "rank-flat-tie-tol-negative", "rank-index-tie-tol-nan",
             "check-flat-tie-tol-negative", "check-index-tie-tol-nan",
             "falsify-index-tie-tol-negative", "falsify-flat-tie-tol-nan",

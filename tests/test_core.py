@@ -743,6 +743,14 @@ class TestWrongKindsAreInvalid:
         (lambda: method_rank(MethodId.RGM, None, -1.0),
          "tie_tol must be a non-negative number, got -1.0"),
         (lambda: pair_relation(None, "x", 1), "index must be an integer, got 'x'"),
+        # numpy's OverflowError and "Maximum allowed size exceeded" came out bare
+        (lambda: Permutation([0, 1, 2**70]),
+         "permutation 1180591620717411303424 does not fit in a 64-bit integer"),
+        (lambda: Ranking([0, 2**70]), "rank 1180591620717411303424 does not fit in a 64-bit integer"),
+        (lambda: Permutation.identity(2**70), "n = 1180591620717411303424 is too large for an array"),
+        (lambda: Permutation.transposition(2**70, 0, 1),
+         "n = 1180591620717411303424 is too large for an array"),
+        (lambda: PCM.ones(2**70), "n = 1180591620717411303424 is too large for an array"),
     ])
     def test_entry_points_raise_one_line(self, call, text):
         # each raised a bare AttributeError or TypeError from its first use

@@ -610,14 +610,15 @@ def test_search_config_stores_its_ranges_as_tuples_of_python_numbers():
 
 @pytest.fixture
 def cleared(monkeypatch):
-    """An empty memo of seeded streams, put back as it was after the test."""
-    monkeypatch.setattr(axioms, "_kept", (-1, {}))
+    """An empty memo of seeded streams and prefixes, put back as it was
+    after the test."""
+    monkeypatch.setattr(axioms, "_kept", axioms._Memo(-1))
 
 
 def alone(method, axiom, cfg):
     """``falsify``'s outcome on an empty memo, which it leaves as it was."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(axioms, "_kept", (-1, {}))
+        patch.setattr(axioms, "_kept", axioms._Memo(-1))
         return outcome(falsify, method, axiom, cfg, 1e-9)
 
 
@@ -651,7 +652,7 @@ def test_draws_through_the_memo_keep_the_seeded_bits(axiom, cleared):
                     assert searched_bits(axiom, cfg, trials) == expected[:len(trials)], (
                         seed, n_range, log_range, len(trials)
                     )
-        assert axioms._kept[0] == seed % 2**64 and sorted(axioms._kept[1]) == list(range(24))
+        assert axioms._kept.seed == seed % 2**64 and sorted(axioms._kept.seeded) == list(range(24))
 
 
 @pytest.mark.parametrize("method", [MethodId.RGM, MethodId.EM], ids=lambda m: m.value)
@@ -678,7 +679,7 @@ def test_a_budget_past_the_cap_ends_as_on_an_empty_memo(cleared, monkeypatch):
     expected = [alone(method, axiom, cfg) for method, axiom in runs]
     for _ in range(2):
         assert [outcome(falsify, method, axiom, cfg, 1e-9) for method, axiom in runs] == expected
-    assert sorted(axioms._kept[1]) == list(range(5))
+    assert sorted(axioms._kept.seeded) == list(range(5))
     reference = [bits(_draw(AxiomId.AI, cfg, _trial_rng(cfg.seed, t))) for t in range(12)]
     assert searched_bits(AxiomId.AI, cfg, range(12)) == reference
 
@@ -691,8 +692,77 @@ def test_a_search_keeps_the_memo_it_read_when_another_seed_replaces_it(cleared):
         drawn.append(bits(_draw(AxiomId.RES, cfg, rng)))
         if t == 11:  # seed 2 replaces the memo, midway through the search on seed 1
             falsify(MethodId.RGM, AxiomId.RES, dataclasses.replace(cfg, seed=2))
-            assert axioms._kept[0] == 2
+            assert axioms._kept.seed == 2
     assert drawn == expected
+
+
+def flagged(axiom, cfg):
+    """The flags of ``_flag_trials`` over a search's budget, under a
+    method that flags trials of every axiom, and the bits of its draws."""
+    with np.errstate(all="ignore"):
+        flags, draws, _ = _flag_trials(
+            MethodId.ROW_ARITHMETIC_MEAN, axiom, cfg, range(cfg.trials), 1e-9
+        )
+    return flags.tolist(), [bits(draw) for draw in draws]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # grids overflow at e**800
+@pytest.mark.parametrize("log_range", [(-LOG9, LOG9), (-800.0, 800.0)], ids=["9", "e800"])
+def test_searches_that_share_prefixes_draw_and_end_as_on_fresh_streams(log_range):
+    # each order starts on an empty memo and runs on both n ranges in turn;
+    # a search after the first on a prefix key takes its trials' prefixes,
+    # and where it can their filled matrices, from the memo, and its budget
+    # runs past what earlier ones kept; 2**64 - 1 and -1 name one stream,
+    # so the searches on -1 find every prefix that those on 2**64 - 1 kept
+    axes = list(AxiomId)
+    orders = {"in order": axes, "reversed": axes[::-1], "IIC on 4 to 6": axes}
+    budgets = (12, 40, 5, 60, 24, 80)
+    method = MethodId.ROW_ARITHMETIC_MEAN
+    for name, order in orders.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(axioms, "_kept", axioms._Memo(-1))
+            for seed in (0, 42, -5, 2**64 - 1, -1):
+                for n_range in ((2, 6), (2, 64)):
+                    for axiom, trials in zip(order, budgets):
+                        cfg = SearchConfig(seed, trials, n_range, log_range)
+                        if name == "IIC on 4 to 6" and axiom is AxiomId.IIC:
+                            cfg = dataclasses.replace(cfg, n_range=(4, 6))
+                        draws = [bits(_draw(axiom, cfg, _trial_rng(seed, t)))
+                                 for t in range(trials)]
+                        with pytest.MonkeyPatch.context() as empty:
+                            empty.setattr(axioms, "_kept", axioms._Memo(-1))
+                            flags = flagged(axiom, cfg)[0]
+                        where = name, seed, n_range, axiom, trials
+                        assert flagged(axiom, cfg) == (flags, draws), where
+                        assert outcome(falsify, method, axiom, cfg, 1e-9) == alone(
+                            method, axiom, cfg
+                        ), where
+
+
+def test_the_memo_keeps_no_more_than_its_caps(cleared, monkeypatch):
+    # trials from 30 on keep nothing, and prefixes of up to 64
+    # alternatives stop being kept once 20 000 entries are charged
+    monkeypatch.setattr(axioms, "_KEPT_TRIALS", 30)
+    monkeypatch.setattr(axioms, "_KEPT_ENTRIES", 20_000)
+    cfg = SearchConfig(seed=42, trials=60, n_range=(2, 64))
+    runs = [(method, axiom) for method in (MethodId.RGM, MethodId.ROW_ARITHMETIC_MEAN)
+            for axiom in AxiomId]
+    expected = [alone(method, axiom, cfg) for method, axiom in runs]
+    for _ in range(2):
+        assert [outcome(falsify, method, axiom, cfg, 1e-9) for method, axiom in runs] == expected
+    for axiom in AxiomId:
+        assert flagged(axiom, cfg)[1] == [
+            bits(_draw(axiom, cfg, _trial_rng(cfg.seed, t))) for t in range(cfg.trials)
+        ]
+    memo = axioms._kept
+    charged = kept = 0
+    for drawn, filled in memo.prefixes.values():
+        assert set(filled) <= set(drawn) and max(drawn, default=0) < 30
+        for t, (n, grid, _) in drawn.items():
+            charged += 2 * n * n + 128
+            kept += grid.size + (filled[t].size if t in filled else 0)
+    assert memo.room == 20_000 - charged >= 0 and kept <= charged
+    assert 0 < len(memo.prefixes[(2, 64, cfg.entry_log_range)][0]) < 30
 
 
 @pytest.mark.parametrize("seeds", [(1, 2, 1, 2), (3, 3, 3)], ids=["two seeds", "one seed"])

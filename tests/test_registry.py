@@ -59,3 +59,14 @@ def test_independence_witnesses():
 def test_unknown_case():
     with pytest.raises(UnknownCase):
         run_case("nope")
+
+
+@pytest.mark.parametrize("case_id, shown", [
+    (None, "None"), (b"x", "b'x'"), (np.ones(3), "array([1., 1., 1.])"),
+    (np.ones((2, 2)), "ndarray"), (3, "3"),
+])
+def test_a_case_id_that_is_not_a_str_is_unknown(case_id, shown):
+    # an array raised a bare ValueError from the membership test
+    with pytest.raises(UnknownCase) as exc:
+        run_case(case_id)
+    assert exc.value.args == (f"no registry case {shown}; known: {', '.join(CASE_IDS)}",)
