@@ -31,6 +31,7 @@ from .core import (
     OverlappingIndices,
     Permutation,
     RationalExponent,
+    _converted,
     as_float,
     as_int,
     as_pair,
@@ -77,7 +78,7 @@ class AxiomVerdict:
     witness: Optional[Witness] = None
 
     def __post_init__(self):
-        if self.holds == (self.witness is not None):
+        if _converted("holds", bool, self.holds, "a truth value") == (self.witness is not None):
             raise ValueError("witness must be present exactly when the axiom fails")
 
 
@@ -622,6 +623,20 @@ class _Memo:
                 self.room -= charge
                 drawn[t] = prefix
 
+    def stream(self, t: int) -> np.random.Generator:
+        """Trial ``t``'s stream, bit for bit as ``_trial_rng`` seeds it; draw
+        from it before taking the next.  A trial below ``_KEPT_TRIALS`` keeps
+        its seeded state here, and a later search restores it, not seeding
+        again."""
+        kept = self.seeded.get(t)
+        if kept is not None:
+            return _restored(*kept)
+        rng = _trial_rng(self.seed, t)
+        if t < _KEPT_TRIALS:
+            state = rng.bit_generator.state["state"]
+            self.seeded[t] = state["state"], state["inc"]
+        return rng
+
 
 _kept = _Memo(-1)  # the last seed searched, mod 2**64
 _spare = threading.local()  # .rng: the thread's Generator a kept state is restored into
@@ -647,24 +662,6 @@ def _restored(state: int, inc: int, has_uint32: int = 0, uinteger: int = 0) -> n
         "has_uint32": has_uint32, "uinteger": uinteger,
     }
     return rng
-
-
-def _trial_streams(seed: int, trials: Sequence[int]) -> Iterator[np.random.Generator]:
-    """Each trial's stream, bit for bit as ``_trial_rng`` seeds it; draw
-    from one before taking the next.  A trial below ``_KEPT_TRIALS`` keeps
-    its seeded state in the memo of its seed, and a later search restores
-    it, not seeding again."""
-    memo = _memo(seed)
-    for t in trials:
-        kept = memo.seeded.get(t)
-        if kept is None:
-            rng = _trial_rng(seed, t)
-            if t < _KEPT_TRIALS:
-                state = rng.bit_generator.state["state"]
-                memo.seeded[t] = state["state"], state["inc"]
-        else:
-            rng = _restored(*kept)
-        yield rng
 
 
 def _prefix_key(spec: _Spec, cfg: SearchConfig) -> tuple:
@@ -705,17 +702,16 @@ def _trial_draws(axiom: AxiomId, cfg: SearchConfig, trials: range) -> tuple[list
     prefix key takes n and its grid from there, and draws its tail from
     its stream restored as it stood after them, where the spec has one.
     Any other trial draws its prefix from its seeded stream
-    (``_trial_streams``), and the memo keeps it where there is room."""
+    (``_Memo.stream``), and the memo keeps it where there is room."""
     spec = _SPECS[axiom]
     key = _prefix_key(spec, cfg)
     memo = _memo(cfg.seed)
     drawn, filled = memo.prefixes.setdefault(key, ({}, {}))
-    found = [drawn.get(t) for t in trials]
-    streams = _trial_streams(cfg.seed, [t for t, prefix in zip(trials, found) if prefix is None])
     draws = []
-    for t, prefix in zip(trials, found):
+    for t in trials:
+        prefix = drawn.get(t)
         if prefix is None:
-            rng = next(streams)
+            rng = memo.stream(t)
             n, a = _draw_prefix(rng, key)
             memo.keep(drawn, t, n, a, rng)
         else:
@@ -741,11 +737,10 @@ def falsify(
     so results are reproducible and independent of evaluation order and of
     the searches run before; a search that follows another on its seed
     takes what it can of each trial's draw from the memo of the seed (see
-    ``_trial_draws``).  Trials
-    are drawn in the chunks of ``_chunks`` and judged as stacks (see
-    ``_flag_trials``), which flag exactly the trials whose check would fail
-    or raise; a matrix size that starts after a flagged trial is not
-    judged (see ``_judged_groups``).  The first flagged trial ends the
+    ``_trial_draws``).  Trials are drawn in the chunks of ``_chunks`` and
+    judged as stacks by ``_flag_trials``, which flags exactly the trials
+    whose check would fail or raise, and here judges no matrix size that
+    starts after a flagged trial.  The first flagged trial ends the
     search: ``_judge`` settles it from its own stack row, as its check
     would, with its witness or its check's error.  A method, axiom,
     config or EM budget of the wrong type raises InvalidParameter, after
@@ -767,12 +762,7 @@ def falsify(
     per_trial = _SPECS[axiom].per_trial
     with np.errstate(all="ignore"):
         for trials in _chunks(cfg.trials, max(1, _CHUNK_MATRICES // per_trial)):
-            draws, fills = _trial_draws(axiom, cfg, trials)
-            rows: dict = {}
-            for flagged, start in _judged_groups(method, axiom, draws, tie_tol, em, fills):
-                rows.update(flagged)
-                if rows and start > min(rows):  # the sizes left hold later trials
-                    break
+            _, draws, rows = _flag_trials(method, axiom, cfg, trials, tie_tol, em, stop=True)
             if rows:
                 trial = min(rows)
                 grids, inputs = draws[trial]
@@ -818,6 +808,7 @@ def _flag_trials(
     trials: range,
     tie_tol: float,
     em: EmOptions = EmOptions(),
+    stop: bool = False,
 ) -> tuple[np.ndarray, list, dict]:
     """Flag each trial whose check would report a violation or reject an
     input (a non-finite or non-positive entry, score or weight, a bad tie
@@ -828,49 +819,35 @@ def _flag_trials(
     (see ``_judge``).
 
     Trials are drawn in order from their own streams, through the memo of
-    the seed (``_trial_draws``), grouped by matrix size and judged a group
-    at a time (``_judged_groups``), so each needs no PCM, Ranking or check
-    call; an aggregation-invariance group ranks the trials of every pool
-    size in one stack.  Rejected
-    inputs warn unless floating-point errors are ignored, as ``falsify``
-    does.
+    the seed (``_trial_draws``), grouped by matrix size and judged a size
+    at a time, in the order of each size's first trial, on the matrices
+    ``_filled_stack`` builds, so each needs no PCM, Ranking or check call;
+    an aggregation-invariance size ranks the trials of every pool size in
+    one stack.  With ``stop``, as ``falsify`` runs it, a size whose first
+    trial comes after a flagged trial is not judged, nor is any later
+    size: they hold only later trials.  Rejected inputs warn unless
+    floating-point errors are ignored, as ``falsify`` does.
     """
     draws, fills = _trial_draws(axiom, cfg, trials)
-    rows: dict = {}
-    for flagged, _ in _judged_groups(method, axiom, draws, tie_tol, em, fills):
-        rows.update(flagged)
-    flags = np.zeros(len(draws), dtype=bool)
-    flags[list(rows)] = True
-    return flags, draws, rows
-
-
-def _judged_groups(
-    method: MethodId, axiom: AxiomId, draws: list, tie_tol: float, em: EmOptions, fills: tuple
-) -> Iterator[tuple[dict, int]]:
-    """Judge a chunk's ``draws`` a matrix size at a time, in the order of
-    each size's first trial, by ``_stack_verdicts``, on the matrices
-    ``_filled_stack`` builds from ``fills``.  Yields per size, by index in
-    ``draws``, each flagged trial's row of verdicts, and the first trial
-    of the next size (``len(draws)`` after the last), which is judged only
-    when the caller asks: it and every later size hold only later
-    trials."""
     by_size: dict[int, dict[int, list[int]]] = {}
     for idx, (grids, _) in enumerate(draws):
         by_size.setdefault(grids[0].shape[0], {}).setdefault(len(grids), []).append(idx)
-    sizes = [list(by_count.values()) for by_count in by_size.values()]
-    # the first pool size drawn holds a size's first trial
-    starts = [groups[0][0] for groups in sizes[1:]] + [len(draws)]
-    for groups, start in zip(sizes, starts):
+    rows: dict = {}
+    for by_count in by_size.values():
+        groups = list(by_count.values())
+        if stop and rows and groups[0][0] > min(rows):  # its first pool size holds its first trial
+            break
         stacks = [_filled_stack(draws, idx, fills) for idx in groups]
         xs = [_input_arrays([draws[t][1] for t in idx]) for idx in groups]
-        rows = {}
         for idx, (rel, broken, ok) in zip(
             groups, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em)
         ):
             flagged = broken.any(axis=(1, 2)) | ~ok.all(axis=1)
             for row in flagged.nonzero()[0]:
                 rows[idx[row]] = rel[row], broken[row], ok[row]
-        yield rows, start
+    flags = np.zeros(len(draws), dtype=bool)
+    flags[list(rows)] = True
+    return flags, draws, rows
 
 
 def _filled_stack(draws: list, idx: list, fills: tuple) -> np.ndarray:

@@ -113,9 +113,10 @@ def as_float(name: str, value) -> float:
 
 
 def as_ints(name: str, values: np.ndarray) -> np.ndarray:
-    """``values`` as a new int array, each element through ``as_int``
-    unless numpy already holds them as integers."""
-    if values.dtype.kind in "biu":
+    """``values``, a non-empty vector, as a new int array, each element
+    through ``as_int`` unless numpy already holds them as integers."""
+    kind = values.dtype.kind
+    if kind in "bi" or (kind == "u" and int(values.max()) <= np.iinfo(int).max):
         return values.astype(int)
     ints = [as_int(name, v) for v in values.tolist()]
     try:
@@ -124,6 +125,17 @@ def as_ints(name: str, values: np.ndarray) -> np.ndarray:
         info = np.iinfo(int)
         big = next(v for v in ints if not info.min <= v <= info.max)
         raise InvalidParameter(f"{name} {big} does not fit in a {info.bits}-bit integer") from None
+
+
+def _converted(name: str, convert, value, what: str = "an array of floats", **kw):
+    """``convert(value, **kw)``, or InvalidParameter where it raises numpy's
+    (or Python's) error for a value of the wrong kind: text where a number
+    belongs, a ragged nesting, a number past the float range, an array
+    where one truth value belongs."""
+    try:
+        return convert(value, **kw)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter(f"{name} must be {what}, got {_shown(value)}") from None
 
 
 def _sized(make, shape, n: int) -> np.ndarray:
@@ -211,7 +223,7 @@ class PCM:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float, order="C")
+        a = _converted("entries", np.array, self.entries, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NonSquare(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
@@ -242,7 +254,7 @@ class PCM:
         diagonal is forced to 1, so whatever ``grid`` carried there is
         ignored.  The filled matrix is validated once, as any ``PCM``.
         """
-        g = np.asarray(grid, dtype=float)
+        g = _converted("grid", np.asarray, grid, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise NonSquare(f"expected a square matrix, got shape {g.shape}")
         with np.errstate(divide="ignore", over="ignore"):  # a bad reciprocal is rejected
@@ -372,7 +384,7 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=float)
+        w = _converted("w", np.array, self.w, dtype=float)
         if w.ndim != 1 or len(w) < 1:
             raise NonSquare("weights must form a non-empty vector")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -390,7 +402,7 @@ class WeightVector:
     @np.errstate(all="ignore")  # a sum that overflows is rejected
     def from_scores(cls, scores) -> "WeightVector":
         """Normalize positive scores to sum one."""
-        s = np.asarray(scores, dtype=float)
+        s = _converted("scores", np.asarray, scores, dtype=float)
         if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
             raise NonPositive("scores must be finite and strictly positive")
         return cls(s / s.sum())
@@ -404,7 +416,7 @@ class Ranking:
     rank: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rank)
+        r = _converted("rank", np.asarray, self.rank, "an array of integers")
         if r.ndim != 1 or len(r) < 1:
             raise NonSquare("ranks must form a non-empty vector")
         r = as_ints("rank", r)
@@ -531,7 +543,7 @@ class Permutation:
     map: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.map)
+        m = _converted("permutation", np.asarray, self.map, "an array of integers")
         if m.ndim != 1 or len(m) < 1:
             raise NonSquare("permutation must be a non-empty vector")
         m = as_ints("permutation", m)

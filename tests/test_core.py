@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from pcmrank import (
     weights_json_dict,
     witness_json_dict,
 )
+from pcmrank.axioms import AxiomVerdict
 from pcmrank.core import reciprocal_fill, tie_group_max, triu_indices
 
 
@@ -751,9 +753,27 @@ class TestWrongKindsAreInvalid:
         (lambda: Permutation.transposition(2**70, 0, 1),
          "n = 1180591620717411303424 is too large for an array"),
         (lambda: PCM.ones(2**70), "n = 1180591620717411303424 is too large for an array"),
+        # a uint64 past 2**63 - 1 wrapped to a negative label
+        (lambda: Permutation(np.array([2**64 - 1, 0], dtype=np.uint64)),
+         "permutation 18446744073709551615 does not fit in a 64-bit integer"),
+        (lambda: Ranking(np.array([0, 2**64 - 1], dtype=np.uint64)),
+         "rank 18446744073709551615 does not fit in a 64-bit integer"),
+        # numpy's ValueError, TypeError or OverflowError came out bare
+        *[(lambda make=make, value=value: make(value),
+           f"{name} must be an array of floats, got {value!r}")
+          for make, name in ((PCM, "entries"), (PCM.from_upper, "grid"), (WeightVector, "w"),
+                             (WeightVector.from_scores, "scores"))
+          for value in ("x", b"x", [[1, 2], [1]], [2**1024])],
+        (lambda: PCM({}), "entries must be an array of floats, got {}"),
+        (lambda: Permutation([[1, 0], [0]]),
+         "permutation must be an array of integers, got [[1, 0], [0]]"),
+        (lambda: Ranking([[0], 1]), "rank must be an array of integers, got [[0], 1]"),
+        (lambda: AxiomVerdict(holds=np.array([True, False])),
+         "holds must be a truth value, got array([ True, False])"),
     ])
     def test_entry_points_raise_one_line(self, call, text):
-        # each raised a bare AttributeError or TypeError from its first use
-        with pytest.raises(InvalidParameter) as exc:
+        # each raised a bare exception from numpy or from its first use, and none warns
+        with warnings.catch_warnings(), pytest.raises(InvalidParameter) as exc:
+            warnings.simplefilter("error")
             call()
         assert str(exc.value) == text

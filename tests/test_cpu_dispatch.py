@@ -24,7 +24,7 @@ AVX512 = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)
 @pytest.mark.skipif(not AVX512, reason="numpy dispatches to no AVX-512 target on this host")
 @pytest.mark.xfail(strict=False, reason=(
     "numpy's exp, log and add.reduce differ in their last bit between dispatch "
-    "targets, so without AVX-512 three golden transcripts and all six draw digests "
+    "targets, so without AVX-512 six golden transcripts and all six draw digests "
     "change (ROADMAP item 8)"))
 def test_goldens_and_draws_keep_their_bits_without_avx512():
     run = subprocess.run(
