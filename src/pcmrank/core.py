@@ -131,8 +131,11 @@ def _converted(name: str, convert, value, what: str = "an array of floats", **kw
     """``convert(value, **kw)``, or InvalidParameter where it raises numpy's
     (or Python's) error for a value of the wrong kind: text where a number
     belongs, a ragged nesting, a number past the float range, an array
-    where one truth value belongs."""
+    where one truth value belongs, a complex number where a float belongs
+    (whose imaginary part numpy's cast drops with only a ComplexWarning)."""
     try:
+        if kw.get("dtype") is float and np.asarray(value).dtype.kind == "c":
+            raise TypeError
         return convert(value, **kw)
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameter(f"{name} must be {what}, got {_shown(value)}") from None

@@ -764,6 +764,15 @@ class TestWrongKindsAreInvalid:
           for make, name in ((PCM, "entries"), (PCM.from_upper, "grid"), (WeightVector, "w"),
                              (WeightVector.from_scores, "scores"))
           for value in ("x", b"x", [[1, 2], [1]], [2**1024])],
+        # a complex array kept its real part, with only a ComplexWarning
+        (lambda: PCM(np.array([[1, 2 + 1j], [0.5, 1]])),
+         "entries must be an array of floats, got ndarray"),
+        (lambda: PCM.from_upper(np.array([[1, 2 + 1j], [0.5, 1]])),
+         "grid must be an array of floats, got ndarray"),
+        (lambda: WeightVector(np.array([0.5 + 0j, 0.5])),
+         "w must be an array of floats, got array([0.5+0.j, 0.5+0.j])"),
+        (lambda: WeightVector.from_scores(np.array([1, 2 + 1j])),
+         "scores must be an array of floats, got array([1.+0.j, 2.+1.j])"),
         (lambda: PCM({}), "entries must be an array of floats, got {}"),
         (lambda: Permutation([[1, 0], [0]]),
          "permutation must be an array of integers, got [[1, 0], [0]]"),

@@ -266,31 +266,38 @@ DOUBLING = [1, 2, 4, 8, 16, 32, 64, 128]
 
 
 @pytest.mark.parametrize("trials, cap, sizes", [
-    (1, 256, [1]), (2, 256, [1, 1]), (3, 256, [1, 2]), (7, 256, [1, 6]),
-    (12, 256, [1, 11]), (13, 256, [1, 12]), (24, 256, [1, 2, 21]),
+    (1, 256, [1]), (2, 256, [2]), (3, 256, [3]), (7, 256, [7]),
+    (12, 256, [12]), (13, 256, [13]), (16, 256, [16]), (17, 256, [1, 2, 14]),
+    (20, 256, [1, 2, 17]), (24, 256, [1, 2, 21]),
     (60, 256, [1, 2, 4, 53]), (200, 256, DOUBLING[:5] + [169]),
     (255, 256, DOUBLING[:6] + [192]), (256, 256, DOUBLING[:6] + [193]),
     (257, 256, DOUBLING[:6] + [194]), (2000, 256, DOUBLING + [256] * 6 + [209]),
     (10_000, 256, DOUBLING + [256] * 38 + [17]),
-    (1, 64, [1]), (2, 64, [1, 1]), (3, 64, [1, 2]), (7, 64, [1, 6]),
-    (12, 64, [1, 11]), (13, 64, [1, 12]), (24, 64, [1, 2, 21]),
+    (1, 64, [1]), (2, 64, [2]), (3, 64, [3]), (7, 64, [7]),
+    (12, 64, [12]), (13, 64, [13]), (16, 64, [16]), (17, 64, [1, 2, 14]),
+    (20, 64, [1, 2, 17]), (24, 64, [1, 2, 21]),
     (60, 64, [1, 2, 4, 53]), (255, 64, DOUBLING[:-1] + [64] * 2),
     (256, 64, DOUBLING[:-1] + [64] * 2 + [1]), (257, 64, DOUBLING[:-1] + [64] * 2 + [2]),
     (2000, 64, DOUBLING[:-1] + [64] * 29 + [17]), (10_000, 64, DOUBLING[:-1] + [64] * 154 + [17]),
+    # below the one-chunk bound, a budget beyond the cap still splits
+    (9, 8, [1, 8]), (12, 8, [1, 2, 4, 5]), (3, 2, [1, 2]),
 ])
 def test_chunks_double_and_the_last_takes_the_rest_within_the_cap(trials, cap, sizes):
     chunks = list(_chunks(trials, cap))
     assert [len(c) for c in chunks] == sizes
     assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
     assert chunks[-1].stop == trials
-    assert chunks[0] == range(1)
+    assert chunks[0] == range(trials if trials <= min(16, cap) else 1)
     assert max(sizes) <= cap
 
 
 def test_every_budget_is_covered_by_chunks_within_the_cap():
-    for cap in (1, 2, 64, 256):
+    for cap in (1, 2, 8, 16, 17, 64, 256):
         for trials in range(1, 1100):
             chunks = list(_chunks(trials, cap))
+            if trials <= min(16, cap):
+                assert chunks == [range(trials)], (trials, cap)
+                continue
             assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
             assert chunks[-1].stop == trials and len(chunks[0]) == 1
             assert max(map(len, chunks)) <= cap, (trials, cap)
@@ -303,8 +310,9 @@ def test_every_budget_is_covered_by_chunks_within_the_cap():
 @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
 def test_falsify_equals_the_reference_loop_where_the_last_chunk_takes_the_rest(method):
     # em's IIC witnesses at seeds 42 and 0 are trials 8 and 9, inside the
-    # last chunk of 9 trials ([1, 8]) and of 12 ([1, 11]); AI's come
-    # from trials 2 to 51, inside merged chunks at cap 256 and at AI's 64
+    # one chunk of 9 trials and of 12, and the last chunk of 21 ([1, 2, 18])
+    # and of 45 ([1, 2, 4, 38]); AI's come from trials 2 to 51, inside
+    # merged chunks at cap 256 and at AI's 64
     for trials in (9, 12, 21, 45):
         for seed in (0, 42):
             cfg = SearchConfig(seed=seed, trials=trials)
@@ -323,11 +331,12 @@ def test_falsify_equals_the_reference_loop_where_the_last_chunk_takes_the_rest(m
 @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
 def test_chunking_never_changes_a_result(method, axiom, monkeypatch):
     # falsify ends with the same witness or error as when every chunk holds
-    # one trial, at budgets whose last chunk takes the rest (1 + 11 and
-    # 1, 2, 4 + 38), and for em also within a starved budget
+    # one trial, at budgets of one chunk (1, 12 and 16 trials) and budgets
+    # whose last chunk takes the rest (1, 2 + 14 and 1, 2, 4 + 38), and for
+    # em also within a starved budget
     ems = [EmOptions()] + ([EmOptions(max_iterations=5)] if method is MethodId.EM else [])
     cases = [(SearchConfig(seed=seed, trials=trials), em)
-             for em in ems for trials in (12, 45) for seed in range(3)]
+             for em in ems for trials in (1, 12, 16, 17, 45) for seed in range(3)]
     chunked = [outcome(falsify, method, axiom, cfg, 1e-9, em) for cfg, em in cases]
     monkeypatch.setattr(axioms, "_chunks", lambda n, cap: (range(t, t + 1) for t in range(n)))
     assert [outcome(falsify, method, axiom, cfg, 1e-9, em) for cfg, em in cases] == chunked

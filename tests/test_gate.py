@@ -27,15 +27,26 @@ def test_the_gate_passes_every_pair_just_above_the_short_em_pass(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 42 pairs mismatched"
 
 
-def test_the_gate_passes_every_pair_at_the_audit_budget(capsys, monkeypatch):
-    # audit_rgm's budget, at which every pair's search runs as 1 + 11 trials
+def _gate_schedules(capsys, monkeypatch, trials):
+    """Run the gate at ``trials`` trials, check that every pair passes, and
+    return the chunk sizes of each search that it runs."""
     chunks, schedules = axioms._chunks, []
 
-    def recorded(trials, cap):
-        schedules.append([len(c) for c in chunks(trials, cap)])
-        return chunks(trials, cap)
+    def recorded(n, cap):
+        schedules.append([len(c) for c in chunks(n, cap)])
+        return chunks(n, cap)
 
     monkeypatch.setattr(axioms, "_chunks", recorded)
-    assert gate.main(["--trials", "12"]) == 0
+    assert gate.main(["--trials", str(trials)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 42 pairs mismatched"
-    assert schedules == [[1, 11]] * 42
+    return schedules
+
+
+def test_the_gate_passes_every_pair_at_the_audit_budget(capsys, monkeypatch):
+    # audit_rgm's budget, at which every pair's search runs as one chunk
+    assert _gate_schedules(capsys, monkeypatch, 12) == [[12]] * 42
+
+
+def test_the_gate_passes_every_pair_just_above_the_one_chunk_bound(capsys, monkeypatch):
+    # the smallest budget that still splits off a one-trial first chunk
+    assert _gate_schedules(capsys, monkeypatch, 17) == [[1, 2, 14]] * 42

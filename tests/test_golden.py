@@ -4,7 +4,8 @@ Each transcript in ``tests/golden`` pins the exit code and stdout of
 ``pcmrank`` for a fixed argv on the matrix files in
 ``tests/golden/inputs``: ``check`` for every method and axiom in text and
 JSON, ``falsify`` for every method and axiom, ``lemmas`` for every
-method, ``repro --all``, ``rank`` on a 64-alternative near-tie file, and
+method at 500 trials and at the acceptance budget of 10 000 trials,
+``repro --all``, ``rank`` on a 64-alternative near-tie file, and
 ``weights --format json``, ``aggregate`` and ``proof-chain`` on a 6- and
 a 64-alternative file, the latter mixing rationals and 17-digit decimals
 as hand-written CSV files do, the same three on a 64-alternative file of
@@ -117,7 +118,8 @@ TRANSCRIPTS = {
     "check": _check_argvs,
     "falsify": _falsify_argvs,
     "lemmas": lambda: (
-        ["lemmas", "--method", m, "--trials", "500", "--seed", "42"] for m in ALL_METHOD_TOKENS
+        ["lemmas", "--method", m, "--trials", trials, "--seed", "42"]
+        for trials in ("500", "10000") for m in ALL_METHOD_TOKENS
     ),
     "repro": lambda: [["repro", "--all", "--format", "json"]],
     "rank": _rank_argvs,
