@@ -62,7 +62,8 @@ class Witness:
     ``matrices`` and ``auxiliary`` contain everything needed to re-run the
     check; ``auxiliary`` uses 0-based indices and always records the
     tie tolerance, while ``narrative`` spells the broken biconditional out
-    with 1-based alternative numbers.
+    with 1-based alternative numbers.  A field of the wrong kind raises
+    InvalidParameter.
     """
 
     axiom: AxiomId
@@ -70,6 +71,15 @@ class Witness:
     matrices: tuple[PCM, ...]
     auxiliary: dict
     narrative: str
+
+    def __post_init__(self):
+        for name, kind in (
+            ("axiom", AxiomId), ("method", MethodId), ("matrices", Sequence),
+            ("auxiliary", Mapping), ("narrative", str),
+        ):
+            check_kind(name, getattr(self, name), kind)
+        for m in self.matrices:
+            check_kind("matrix", m, PCM)
 
 
 @dataclass(frozen=True)
@@ -466,7 +476,7 @@ _SPECS = {
         lambda e, x: rewrite_entry(e[:, 0], *x["cell"].T, x["value"]),
         lambda before, after, x: (after != before[:, 0]) & _one_pair(after, x["pair"]),
         _iic_narrative,
-        lambda m, x: (m[0], tuple(x["cell"]), x["value"], tuple(x["pair"])),
+        lambda m, x: (m[0], as_pair("cell", x["cell"]), x["value"], as_pair("pair", x["pair"])),
         _iic_tail,
         min_n=4,
         valid=lambda e, x: x["value"] != e[:, 0][_one_pair(e[:, 0], x["cell"])],
@@ -477,7 +487,7 @@ _SPECS = {
         lambda e, x: rewrite_entry(e[:, 0], *x["pair"].T, x["increase"]),
         lambda before, after, x: (before[:, 0] >= 0) & (after <= 0) & _one_pair(after, x["pair"]),
         _res_narrative,
-        lambda m, x: (m[0], tuple(x["pair"]), x["increase"]),
+        lambda m, x: (m[0], as_pair("pair", x["pair"]), x["increase"]),
         _res_tail,
         vacuous=lambda before, x: before[:, 0][_one_pair(before[:, 0], x["pair"])] < 0,
         valid=lambda e, x: x["increase"] > e[:, 0][_one_pair(e[:, 0], x["pair"])],
@@ -563,6 +573,8 @@ def _run_check(
         args, tie_tol = _SPECS[axiom].args(matrices, aux), aux["tie_tol"]
     except KeyError as missing:
         raise InvalidParameter(f"witness auxiliary has no {missing}") from None
+    except IndexError:  # a spec's args take the first matrix
+        raise InvalidParameter("witness has no matrix") from None
     return check(method, *args, tie_tol, em)
 
 
@@ -571,9 +583,6 @@ def replay(witness: Witness, em: EmOptions = EmOptions()) -> AxiomVerdict:
     back with holds == False."""
     check_kind("witness", witness, Witness)
     check_kind("em", em, EmOptions)
-    check_kind("axiom", witness.axiom, AxiomId)
-    check_kind("matrices", witness.matrices, Sequence)
-    check_kind("auxiliary", witness.auxiliary, Mapping)
     return _run_check(witness.method, witness.axiom, witness.matrices, witness.auxiliary, em)
 
 
@@ -594,13 +603,12 @@ class _Memo:
     """What searches on one seed share, so that a search that follows
     another on its seed draws less (see ``_trial_draws``): each kept
     trial's seeded PCG64 (state, inc), and per prefix key (``_prefix_key``)
-    two dicts by trial, each kept trial's prefix and its first matrix
-    filled by ``reciprocal_fill``, once a search has built it.  A prefix
-    is n, the first grid and the stream's state right after them, as
-    (state, inc, has_uint32, uinteger): the buffered 32-bit half of the
-    draw of n is part of the stream.  Grids and filled matrices are
-    read-only, entries never change once made, and a search keeps the memo
-    it read, so threads race only for work."""
+    a dict of each kept trial's prefix by trial.  A prefix is n, the first
+    grid and the stream's state right after them, as (state, inc,
+    has_uint32, uinteger): the buffered 32-bit half of the draw of n is
+    part of the stream.  Grids are read-only, entries never change once
+    made, and a search keeps the memo it read, so threads race only for
+    work."""
 
     def __init__(self, seed: int):
         self.seed, self.seeded, self.prefixes = seed, {}, {}
@@ -610,9 +618,9 @@ class _Memo:
     def keep(self, drawn: dict, t: int, n: int, a: np.ndarray, rng: np.random.Generator):
         """Keep trial ``t``'s prefix, n and grid ``a`` just drawn from
         ``rng``, in ``drawn`` where no prefix of ``t`` is and its charge fits
-        in ``room``: 2 n**2 entries for its grid and filled matrix, and 128
-        (1 KiB) for the rest of what keeping it takes."""
-        charge = 2 * n * n + 128
+        in ``room``: n**2 entries for its grid, and 128 (1 KiB) for the rest
+        of what keeping it takes."""
+        charge = n * n + 128
         if t >= _KEPT_TRIALS or self.room < charge:
             return
         s = rng.bit_generator.state
@@ -692,11 +700,9 @@ def _draw(axiom: AxiomId, cfg: SearchConfig, rng: np.random.Generator) -> tuple[
     return [a, *more], inputs
 
 
-def _trial_draws(axiom: AxiomId, cfg: SearchConfig, trials: range) -> tuple[list, tuple]:
+def _trial_draws(axiom: AxiomId, cfg: SearchConfig, trials: range) -> list:
     """Each trial's draw, as ``_draw`` makes it from ``_trial_rng(cfg.seed,
-    t)``, and the memo's filled first matrices of the draws' prefix key
-    with, per draw, its trial where the memo keeps its prefix, else None
-    (see ``_filled_stack``).
+    t)``.
 
     A trial whose prefix the memo of the seed keeps under the search's
     prefix key takes n and its grid from there, and draws its tail from
@@ -706,7 +712,7 @@ def _trial_draws(axiom: AxiomId, cfg: SearchConfig, trials: range) -> tuple[list
     spec = _SPECS[axiom]
     key = _prefix_key(spec, cfg)
     memo = _memo(cfg.seed)
-    drawn, filled = memo.prefixes.setdefault(key, ({}, {}))
+    drawn = memo.prefixes.setdefault(key, {})
     draws = []
     for t in trials:
         prefix = drawn.get(t)
@@ -719,7 +725,7 @@ def _trial_draws(axiom: AxiomId, cfg: SearchConfig, trials: range) -> tuple[list
             rng = _restored(*state) if spec.tail is not _no_tail else None
         more, inputs = spec.tail(rng, n, a, cfg)
         draws.append(([a, *more], inputs))
-    return draws, (filled, [t if t in drawn else None for t in trials])
+    return draws
 
 
 def falsify(
@@ -835,15 +841,15 @@ def _flag_trials(
 
     Trials are drawn in order from their own streams, through the memo of
     the seed (``_trial_draws``), grouped by matrix size and judged a size
-    at a time, in the order of each size's first trial, on the matrices
-    ``_filled_stack`` builds, so each needs no PCM, Ranking or check call;
-    an aggregation-invariance size ranks the trials of every pool size in
-    one stack.  With ``stop``, as ``falsify`` runs it, a size whose first
-    trial comes after a flagged trial is not judged, nor is any later
-    size: they hold only later trials.  Rejected inputs warn unless
-    floating-point errors are ignored, as ``falsify`` does.
+    at a time, in the order of each size's first trial, on their matrices
+    filled by ``reciprocal_fill``, so each needs no PCM, Ranking or check
+    call; an aggregation-invariance size ranks the trials of every pool
+    size in one stack.  With ``stop``, as ``falsify`` runs it, a size
+    whose first trial comes after a flagged trial is not judged, nor is
+    any later size: they hold only later trials.  Rejected inputs warn
+    unless floating-point errors are ignored, as ``falsify`` does.
     """
-    draws, fills = _trial_draws(axiom, cfg, trials)
+    draws = _trial_draws(axiom, cfg, trials)
     by_size: dict[int, dict[int, list[int]]] = {}
     for idx, (grids, _) in enumerate(draws):
         by_size.setdefault(grids[0].shape[0], {}).setdefault(len(grids), []).append(idx)
@@ -852,7 +858,7 @@ def _flag_trials(
         groups = list(by_count.values())
         if stop and rows and groups[0][0] > min(rows):  # its first pool size holds its first trial
             break
-        stacks = [_filled_stack(draws, idx, fills) for idx in groups]
+        stacks = [reciprocal_fill(np.array([draws[t][0] for t in idx])) for idx in groups]
         xs = [_input_arrays([draws[t][1] for t in idx]) for idx in groups]
         for idx, (rel, broken, ok) in zip(
             groups, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em)
@@ -863,29 +869,6 @@ def _flag_trials(
     flags = np.zeros(len(draws), dtype=bool)
     flags[list(rows)] = True
     return flags, draws, rows
-
-
-def _filled_stack(draws: list, idx: list, fills: tuple) -> np.ndarray:
-    """The matrices of the trials ``idx`` of ``draws`` filled by
-    ``reciprocal_fill``, (trials, matrices, n, n).  ``fills`` holds the
-    memo's filled first matrices by trial and, per draw, its trial where
-    the memo keeps its prefix (see ``_trial_draws``).  A group of one
-    matrix per trial whose every prefix is kept is built from the filled
-    matrices kept where the memo holds them all, and keeps its own where
-    the memo holds none of them."""
-    filled, kept = fills
-    trials = [kept[i] for i in idx]
-    rows = []
-    if len(draws[idx[0]][0]) == 1 and None not in trials:
-        rows = [filled.get(t) for t in trials]
-        if all(row is not None for row in rows):
-            return np.array(rows)[:, None]
-    stack = reciprocal_fill(np.array([draws[i][0] for i in idx]))
-    if rows and all(row is None for row in rows):  # a kept row holds its whole stack
-        stack.flags.writeable = False
-        for t, row in zip(trials, stack[:, 0]):
-            filled.setdefault(t, row)
-    return stack
 
 
 def _stack_verdicts(

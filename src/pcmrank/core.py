@@ -277,6 +277,7 @@ class PCM:
         i, j = as_int("index", i), as_int("index", j)
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise IndexOutOfRange(f"cell ({i}, {j}) invalid for n={n}")
+        value = as_float("value", value)
         if not np.isfinite(value) or value <= 0.0:
             raise NonPositive("replacement entry must be finite and positive")
         return PCM(rewrite_entry(self.entries, i, j, value))

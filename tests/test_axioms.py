@@ -378,7 +378,27 @@ class TestSearchArgumentTypes:
         ({"auxiliary": {"kappa": "5/1", "pair": [1, 2]}}, "^witness auxiliary has no 'tie_tol'$"),
         ({"auxiliary": {"pair": [1, 2], "tie_tol": 1e-9}}, "^witness auxiliary has no 'kappa'$"),
         ({"auxiliary": {"kappa": 3, "pair": [1, 2], "tie_tol": 1e-9}}, "^bad exponent 3$"),
-    ], ids=["axiom", "matrices", "auxiliary", "tie_tol", "kappa", "kappa-int"])
+        # the witness itself now rejects these, so witness_json_dict never
+        # meets them: it raised a bare AttributeError or TypeError
+        ({"method": "rgm"}, "^method must be a MethodId, got 'rgm'$"),
+        ({"matrices": ("x",)}, "^matrix must be a PCM, got 'x'$"),
+        ({"narrative": None}, "^narrative must be a str, got None$"),
+        # a spec's arguments raised a bare IndexError or TypeError
+        *[({"axiom": axiom, "matrices": ()}, "^witness has no matrix$")
+          for axiom in (AxiomId.RSI, AxiomId.INV, AxiomId.ANO)],
+        ({"axiom": AxiomId.AI, "matrices": ()},
+         "^aggregation invariance needs at least two matrices$"),
+        *[({"axiom": AxiomId.IIC, "auxiliary": {"cell": [2, 3], "value": 2.0, "pair": [0, 1],
+                                                "tie_tol": 1e-9, name: value}},
+           f"^{name} must be a pair of numbers, got {value}$")
+          for name in ("cell", "pair") for value in (None, 3)],
+        *[({"axiom": AxiomId.RES, "auxiliary": {"pair": value, "increase": 2.0, "tie_tol": 1e-9}},
+           f"^pair must be a pair of numbers, got {value}$") for value in (None, 2)],
+    ], ids=["axiom", "matrices", "auxiliary", "tie_tol", "kappa", "kappa-int", "method",
+            "matrix", "narrative", "RSI-empty", "INV-empty", "ANO-empty", "AI-empty",
+            "IIC-cell-None", "IIC-cell-int", "IIC-pair-None", "IIC-pair-int",
+            "RES-pair-None", "RES-pair-int"])
+    @pytest.mark.filterwarnings("error")
     def test_replay_checks_its_witness_fields(self, change, message):
         # these raised a bare AttributeError, TypeError or KeyError
         witness = falsify(MethodId.ROW_ARITHMETIC_MEAN, AxiomId.RSI, SearchConfig(seed=0, trials=200))

@@ -45,7 +45,7 @@ from pcmrank import (
     weights_json_dict,
     witness_json_dict,
 )
-from pcmrank.axioms import AxiomVerdict
+from pcmrank.axioms import AxiomId, AxiomVerdict, Witness
 from pcmrank.core import reciprocal_fill, tie_group_max, triu_indices
 
 
@@ -779,6 +779,19 @@ class TestWrongKindsAreInvalid:
         (lambda: Ranking([[0], 1]), "rank must be an array of integers, got [[0], 1]"),
         (lambda: AxiomVerdict(holds=np.array([True, False])),
          "holds must be a truth value, got array([ True, False])"),
+        # numpy's TypeError ("ufunc 'isfinite' not supported") or ValueError
+        # (an array's ambiguous truth value) came out bare
+        (lambda: PCM.ones(3).with_entry(0, 1, "x"), "value must be a real number, got 'x'"),
+        (lambda: PCM.ones(3).with_entry(0, 1, None), "value must be a real number, got None"),
+        (lambda: PCM.ones(3).with_entry(0, 1, np.array([2.0, 3.0])),
+         "value must be a real number, got array([2., 3.])"),
+        # witness_json_dict raised a bare TypeError or AttributeError on these
+        (lambda: witness_json_dict(Witness(AxiomId.INV, MethodId.RGM, (PCM.ones(3),), None, "")),
+         "auxiliary must be a Mapping, got None"),
+        (lambda: witness_json_dict(Witness("INV", MethodId.RGM, (PCM.ones(3),), {}, "")),
+         "axiom must be an AxiomId, got 'INV'"),
+        (lambda: witness_json_dict(Witness(AxiomId.INV, MethodId.RGM, ("x",), {}, "")),
+         "matrix must be a PCM, got 'x'"),
     ])
     def test_entry_points_raise_one_line(self, call, text):
         # each raised a bare exception from numpy or from its first use, and none warns

@@ -705,6 +705,36 @@ def test_a_search_keeps_the_memo_it_read_when_another_seed_replaces_it(cleared):
     assert drawn == expected
 
 
+def test_later_searches_on_a_seed_seed_and_draw_only_what_the_memo_lacks(cleared, monkeypatch):
+    # the bits of a draw are the same read from the memo or drawn afresh,
+    # so only counting the calls shows that searches share it
+    cfg = SearchConfig(seed=42, trials=12)
+    runs = [AxiomId.INV, AxiomId.RSI, AxiomId.IIC]
+    expected = [alone(MethodId.RGM, axiom, cfg) for axiom in runs]
+    calls = {"_trial_rng": 0, "_draw_prefix": 0}
+
+    def counted(name):
+        real = getattr(axioms, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(axioms, name, counted(name))
+    found = []
+    for axiom in runs:  # IIC's n starts at 4: its own prefixes from the same streams
+        before = dict(calls)
+        found.append(outcome(falsify, MethodId.RGM, axiom, cfg, 1e-9))
+        found.append({name: calls[name] - before[name] for name in calls})
+    assert found == [
+        expected[0], {"_trial_rng": 12, "_draw_prefix": 12},
+        expected[1], {"_trial_rng": 0, "_draw_prefix": 0},
+        expected[2], {"_trial_rng": 0, "_draw_prefix": 12},
+    ]
+
+
 def flagged(axiom, cfg):
     """The flags of ``_flag_trials`` over a search's budget, under a
     method that flags trials of every axiom, and the bits of its draws."""
@@ -764,14 +794,14 @@ def test_the_memo_keeps_no_more_than_its_caps(cleared, monkeypatch):
             bits(_draw(axiom, cfg, _trial_rng(cfg.seed, t))) for t in range(cfg.trials)
         ]
     memo = axioms._kept
-    charged = kept = 0
-    for drawn, filled in memo.prefixes.values():
-        assert set(filled) <= set(drawn) and max(drawn, default=0) < 30
-        for t, (n, grid, _) in drawn.items():
-            charged += 2 * n * n + 128
-            kept += grid.size + (filled[t].size if t in filled else 0)
-    assert memo.room == 20_000 - charged >= 0 and kept <= charged
-    assert 0 < len(memo.prefixes[(2, 64, cfg.entry_log_range)][0]) < 30
+    charged = 0
+    for drawn in memo.prefixes.values():
+        assert max(drawn, default=0) < 30
+        for n, grid, _ in drawn.values():
+            assert grid.shape == (n, n)
+            charged += n * n + 128
+    assert memo.room == 20_000 - charged >= 0
+    assert 0 < len(memo.prefixes[(2, 64, cfg.entry_log_range)]) < 30
 
 
 @pytest.mark.parametrize("seeds", [(1, 2, 1, 2), (3, 3, 3)], ids=["two seeds", "one seed"])
