@@ -43,7 +43,7 @@ from .core import (
     triu_indices,
 )
 from .transforms import aggregate_entries, opposite_entries, permute_entries, power_entries
-from .weighting import EmOptions, MethodId, rank_error, rank_keys
+from .weighting import _PADDED_N, EmOptions, MethodId, rank_error, rank_keys
 
 
 class AxiomId(Enum):
@@ -790,10 +790,10 @@ _CHUNK_MATRICES = 256
 
 #: a budget of at most this many trials that fits a chunk runs as one (see
 #: ``_chunks``): a search that passes then pays one round of drawing,
-#: grouping and stacking, not two or three (RGM ANO at 12 trials took 611
-#: against 704 µs of CPU, at 16 trials 720 against 928), while one that
+#: grouping and stacking, not two or three (RGM ANO at 12 trials took 500
+#: against 610 µs of CPU, at 16 trials 600 against 845), while one that
 #: fails at its first trial draws and judges the whole budget (index INV
-#: at 12 trials took 726 against 490 µs), all on a seed not searched before
+#: at 12 trials took 900 against 570 µs), all on a seed not searched before
 _ONE_CHUNK_TRIALS = 16
 
 
@@ -836,43 +836,69 @@ def _flag_trials(
     tolerance, or an EM iteration that does not converge within
     ``em.max_iterations``), and no other.  Returns the flags, the trials'
     draws, and for each flagged trial, by index in ``trials``, its row of
-    ``_stack_verdicts``: its relation arrays, broken pairs and ranked mask
-    (see ``_judge``).
+    ``_stack_verdicts`` on its n alternatives: its relation arrays, broken
+    pairs and ranked mask (see ``_judge``).
 
     Trials are drawn in order from their own streams, through the memo of
-    the seed (``_trial_draws``), grouped by matrix size and judged a size
-    at a time, in the order of each size's first trial, on their matrices
+    the seed (``_trial_draws``), grouped by matrix size and judged a group
+    at a time, in the order of each group's first trial, on their matrices
     filled by ``reciprocal_fill``, so each needs no PCM, Ranking or check
-    call; an aggregation-invariance size ranks the trials of every pool
-    size in one stack.  With ``stop``, as ``falsify`` runs it, a size
-    whose first trial comes after a flagged trial is not judged, nor is
-    any later size: they hold only later trials.  Rejected inputs warn
-    unless floating-point errors are ignored, as ``falsify`` does.
+    call; an aggregation-invariance group ranks the trials of every pool
+    size in one stack.  For any method but EM, sizes up to ``_PADDED_N``
+    form one group, padded with ones to its largest, as row sums of fewer
+    than 8 values keep their bits (``rank_keys``).  With ``stop``, as
+    ``falsify`` runs it, a group whose first trial comes after a flagged
+    trial is not judged, nor is any later group: they hold only later
+    trials.  Rejected inputs warn unless floating-point errors are ignored.
     """
     draws = _trial_draws(axiom, cfg, trials)
-    by_size: dict[int, dict[int, list[int]]] = {}
+    padded = _PADDED_N if method is not MethodId.EM else 0  # every size up to it shares a group
+    groups: dict[int, dict[int, list[int]]] = {}
     for idx, (grids, _) in enumerate(draws):
-        by_size.setdefault(grids[0].shape[0], {}).setdefault(len(grids), []).append(idx)
+        groups.setdefault(max(len(grids[0]), padded), {}).setdefault(len(grids), []).append(idx)
     rows: dict = {}
-    for by_count in by_size.values():
-        groups = list(by_count.values())
-        if stop and rows and groups[0][0] > min(rows):  # its first pool size holds its first trial
+    for size, by_count in groups.items():
+        pools = list(by_count.values())
+        if stop and rows and pools[0][0] > min(rows):  # its first pool size holds its first trial
             break
-        stacks = [reciprocal_fill(np.array([draws[t][0] for t in idx])) for idx in groups]
-        xs = [_input_arrays([draws[t][1] for t in idx]) for idx in groups]
+        ns = size <= padded and [[len(draws[t][0][0]) for t in idx] for idx in pools]
+        if not ns or min(map(min, ns)) == max(map(max, ns)):  # one size
+            ns = None
+            stacks = [reciprocal_fill(np.array([draws[t][0] for t in idx])) for idx in pools]
+            xs = [_input_arrays([draws[t][1] for t in idx]) for idx in pools]
+        else:
+            stacks, xs = _padded_stacks(draws, pools, ns)
         for idx, (rel, broken, ok) in zip(
-            groups, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em)
+            pools, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em, ns)
         ):
             flagged = broken.any(axis=(1, 2)) | ~ok.all(axis=1)
             for row in flagged.nonzero()[0]:
-                rows[idx[row]] = rel[row], broken[row], ok[row]
+                n = len(draws[idx[row]][0][0])
+                rows[idx[row]] = rel[row, :, :n, :n], broken[row, :n, :n], ok[row]
     flags = np.zeros(len(draws), dtype=bool)
     flags[list(rows)] = True
     return flags, draws, rows
 
 
+def _padded_stacks(draws: list, pools: list, ns: list) -> tuple[list, list]:
+    """Each pool's filled matrices padded with ones to the largest of ``ns``, and its inputs."""
+    size, stacks, xs = max(map(max, ns)), [], []
+    for idx, k in zip(pools, ns):
+        g = np.ones((len(idx), len(draws[idx[0]][0]), size, size))
+        for row, (t, n) in enumerate(zip(idx, k)):
+            g[row, :, :n, :n] = draws[t][0]
+        stacks.append(reciprocal_fill(g))
+        inputs = [draws[t][1] for t in idx]
+        if "permutation" in inputs[0]:  # each padded label maps to itself
+            inputs = [{**x, "permutation": [*x["permutation"], *range(n, size)]}
+                      for x, n in zip(inputs, k)]
+        xs.append(_input_arrays(inputs))
+    return stacks, xs
+
+
 def _stack_verdicts(
-    method: MethodId, axiom: AxiomId, stacks: list, xs: list, tie_tol: float, em: EmOptions
+    method: MethodId, axiom: AxiomId, stacks: list, xs: list, tie_tol: float, em: EmOptions,
+    ns: list | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Judge stacks of trials with matrices of one size at once: each
     stack holds trials with the same number of matrices (trials, matrices,
@@ -888,15 +914,18 @@ def _stack_verdicts(
     check under ``em`` fails exactly where a pair breaks and the whole row
     is accepted, and reports the first broken pair in row-major order; an
     EM matrix unconverged within the budget is one the check cannot rank.
-    Every check is a stack of one trial here (see ``_judge``)."""
+    Every check is a stack of one trial here (see ``_judge``).  ``ns`` holds
+    the sizes of trials padded with ones to at most 7, where each real block
+    keeps its bits (``rank_keys``); only its pairs can break the axiom."""
     spec = _SPECS[axiom]
     full = [np.concatenate([s, spec.image(s, x)[:, None]], axis=1) for s, x in zip(stacks, xs)]
     if len(full) == 1:  # most calls: ranked as it is, with nothing to split
-        parts = [rank_keys(method, full[0], tie_tol, em)]
+        parts = [rank_keys(method, full[0], tie_tol, em, ns and np.array(ns[0])[:, None])]
     else:
         n = full[0].shape[-1]
         e = np.concatenate([f.reshape(-1, n, n) for f in full])
-        keys, ok = rank_keys(method, e, tie_tol, em)
+        sizes = ns and np.concatenate([np.repeat(k, f.shape[1]) for k, f in zip(ns, full)])
+        keys, ok = rank_keys(method, e, tie_tol, em, sizes)
         parts, start = [], 0
         for f in full:
             end = start + f.shape[0] * f.shape[1]
@@ -904,13 +933,16 @@ def _stack_verdicts(
             parts.append((keys[rows].reshape(f.shape[:-1]), ok[rows].reshape(f.shape[:2])))
             start = end
     out = []
-    for s, x, (keys, ok) in zip(stacks, xs, parts):
+    for s, x, (keys, ok), n in zip(stacks, xs, parts, ns or [None] * len(stacks)):
         rel = relation(keys)
         if spec.vacuous is not None:
             ok[:, -1] |= spec.vacuous(rel[:, :-1], x)
         if spec.valid is not None:
             ok[:, -1] &= spec.valid(s, x)
-        out.append((rel, spec.broken(rel[:, :-1], rel[:, -1], x), ok))
+        broken = spec.broken(rel[:, :-1], rel[:, -1], x)
+        if n is not None:  # the pairs of real alternatives only
+            broken &= np.maximum.outer(*[np.arange(s.shape[-1])] * 2) < np.array(n)[:, None, None]
+        out.append((rel, broken, ok))
     return out
 
 

@@ -110,6 +110,8 @@ def em_weights(a: PCM, opts: EmOptions = EmOptions()) -> tuple[WeightVector, flo
     return weights, float(lambda_max)
 
 
+_PADDED_N = 7  # the most alternatives of a matrix padded with ones (``closed_form_scores``)
+
 #: a stack of matrices tests its convergence once per block of this many
 #: steps, and a single matrix after blocks of 8, 16, 32 and then
 #: ``_EM_MAX_BLOCK`` steps.  Stacked blocks do not grow: their history holds
@@ -209,7 +211,7 @@ def method_scores(m: MethodId, a: PCM, em: EmOptions = EmOptions()) -> np.ndarra
     return closed_form_scores(m, a.entries)
 
 
-def closed_form_scores(m: MethodId, e: np.ndarray) -> np.ndarray:
+def closed_form_scores(m: MethodId, e: np.ndarray, n: np.ndarray | None = None) -> np.ndarray:
     """Scores of a closed-form method on the entries ``e`` of one matrix
     (n, n) or of a stack of matrices (..., n, n), one row of n scores per
     matrix.  Each matrix's scores carry the same bits either way.
@@ -218,10 +220,17 @@ def closed_form_scores(m: MethodId, e: np.ndarray) -> np.ndarray:
     FIRST_COLUMN: the first column.  FAVOURABLE_PRODUCT: the product of the
     row entries >= 1 (the diagonal 1 always qualifies, so the score is well
     defined).
+    ``n`` holds the sizes of matrices padded with ones up to ``_PADDED_N``:
+    RGM divides by n, ROW_ARITHMETIC_MEAN sums only real columns, and real
+    rows keep their bits, as numpy adds fewer than 8 values in sequence, so
+    trailing zeros change no sum (8 or more it adds in pairwise blocks).
     """
     if m is MethodId.RGM:
-        return np.exp(np.add.reduce(np.log(e), axis=-1) / e.shape[-1])
+        count = e.shape[-1] if n is None else n[..., None]
+        return np.exp(np.add.reduce(np.log(e), axis=-1) / count)
     if m is MethodId.ROW_ARITHMETIC_MEAN:
+        if n is not None:
+            e = np.where(np.arange(e.shape[-1]) < n[..., None, None], e, 0.0)
         return e.sum(axis=-1)
     if m is MethodId.FIRST_COLUMN:
         return e[..., :, 0].copy()
@@ -273,7 +282,8 @@ def rank_error(m: MethodId, keys: np.ndarray, em: EmOptions) -> PcmError:
 
 
 def rank_keys(
-    m: MethodId, e: np.ndarray, tie_tol: float, em: EmOptions = EmOptions()
+    m: MethodId, e: np.ndarray, tie_tol: float, em: EmOptions = EmOptions(),
+    n: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank keys of method ``m`` for every matrix in the stack ``e``
     (..., n, n), smaller first and equal within a tie group (see
@@ -283,7 +293,10 @@ def rank_keys(
     weights otherwise.  For EM the mask also clears where the iteration
     has not converged within ``em.max_iterations``; such a matrix, and one
     with an entry that is not finite and positive, has NaN keys.  Every
-    matrix's keys carry the same bits in any stack.
+    matrix's keys carry the same bits in any stack, but for a NaN's sign.
+    ``n``, for any method but EM, pads to at most 7 alternatives, whose row
+    sums keep their bits (``closed_form_scores``); padded alternatives score
+    0, are not tested and weigh distinct negatives, which change no real key.
     """
     ok = ((e > 0.0) & (e < np.inf)).all(axis=(-2, -1)) & (tie_tol >= 0.0)
     if m is MethodId.FLAT:
@@ -294,11 +307,16 @@ def rank_keys(
         s = np.full(e.shape[:-1], np.nan)
         s[ok] = em_weight_stack(e[ok], em)  # a bad entry would iterate NaN to the end
     else:
-        s = closed_form_scores(m, e)
+        s = closed_form_scores(m, e, n)
+    if n is not None:
+        pad = np.arange(e.shape[-1]) >= n[..., None]
+        s = np.where(pad, 0.0, s)
     w = s / s.sum(axis=-1, keepdims=True)
     # w > 0 throughout only if every score and their sum are finite and
     # positive; the weights then sum to 1 within n ulps, far inside SUM_TOL
-    ok &= (w > 0.0).all(axis=-1)
+    ok &= (w > 0.0).all(axis=-1) if n is None else ((w > 0.0) | pad).all(axis=-1)
+    if n is not None:
+        w = np.where(pad, -np.arange(e.shape[-1]), w)  # -n and below, as n >= 2
     return -tie_group_max(w, tie_tol), ok
 
 

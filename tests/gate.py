@@ -2,7 +2,7 @@
 of ``oracle``, over all 42 method/axiom pairs:
 
     PYTHONPATH=src python tests/gate.py --trials 2000 [--seed 42] [--tie-tol 1e-9]
-        [--em-max-iterations 10000]
+        [--em-max-iterations 10000] [--n-min 2] [--n-max 6]
 
 For each pair it checks, trial by trial, that the stacked flags of
 ``_flag_trials`` equal the verdicts of the pair loops, that the
@@ -11,8 +11,9 @@ witness shrinks as ``oracle.shrink`` shrinks the pair loop's.  It also
 checks that ``falsify`` ends as the pair loops do: with the error of the
 first trial whose reference check does not hold, or with its witness
 shrunk by ``oracle.shrink``, or with None when every trial holds.  EM
-iterates within ``--em-max-iterations`` steps on both sides.  It prints
-one line per pair and exits with status 1 on any mismatch.
+iterates within ``--em-max-iterations`` steps on both sides, and trials
+draw from ``--n-min`` to ``--n-max`` alternatives, named as in the CLI.
+It prints one line per pair and exits with status 1 on any mismatch.
 pytest does not collect this file; ``test_gate.py`` runs it, and the
 tests run the same comparisons at smaller budgets, through the same
 reference runs of ``harness``.
@@ -65,8 +66,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--tie-tol", type=float, default=1e-9)
     parser.add_argument("--em-max-iterations", type=int, default=EmOptions.max_iterations)
+    parser.add_argument("--n-min", type=int, default=2)
+    parser.add_argument("--n-max", type=int, default=6)
     args = parser.parse_args(argv)
-    cfg = SearchConfig(seed=args.seed, trials=args.trials)
+    cfg = SearchConfig(seed=args.seed, trials=args.trials, n_range=(args.n_min, args.n_max))
     em = EmOptions(max_iterations=args.em_max_iterations)
     failed = 0
     with np.errstate(all="ignore"):  # as falsify runs

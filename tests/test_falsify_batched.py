@@ -749,10 +749,10 @@ def flagged(axiom, cfg):
 @pytest.mark.parametrize("log_range", [(-LOG9, LOG9), (-800.0, 800.0)], ids=["9", "e800"])
 def test_searches_that_share_prefixes_draw_and_end_as_on_fresh_streams(log_range):
     # each order starts on an empty memo and runs on both n ranges in turn;
-    # a search after the first on a prefix key takes its trials' prefixes,
-    # and where it can their filled matrices, from the memo, and its budget
-    # runs past what earlier ones kept; 2**64 - 1 and -1 name one stream,
-    # so the searches on -1 find every prefix that those on 2**64 - 1 kept
+    # a search after the first on a prefix key takes its trials' prefixes
+    # from the memo, and its budget runs past what earlier ones kept;
+    # 2**64 - 1 and -1 name one stream, so the searches on -1 find every
+    # prefix that those on 2**64 - 1 kept
     axes = list(AxiomId)
     orders = {"in order": axes, "reversed": axes[::-1], "IIC on 4 to 6": axes}
     budgets = (12, 40, 5, 60, 24, 80)
@@ -854,43 +854,53 @@ EARLY_STOP = {
 
 @pytest.mark.parametrize("axiom", list(AxiomId), ids=lambda a: a.value)
 def test_a_search_judges_no_size_group_that_starts_after_its_first_flag(axiom, monkeypatch):
-    # one chunk of 40 trials: _flag_trials judges every size group, one
-    # _stack_verdicts call each in the order of their first trials, and
-    # falsify stops before the first group that starts after the first
-    # flagged trial, which may come after a group that flags a later one;
-    # an aggregation-invariance group stacks several pool sizes, the first
-    # of which holds its first trial
-    sizes, pools = [], []
+    # one chunk of 40 trials on 5 to 10 alternatives: _flag_trials judges
+    # every size group, one _stack_verdicts call each in the order of their
+    # first trials, and falsify stops before the first group that starts
+    # after the first flagged trial, which may come after a group that flags
+    # a later one; for any method but EM the sizes up to 7 form one group,
+    # padded to its largest size, and each larger size is a group of its
+    # own, as every EM size is; an aggregation-invariance group stacks
+    # several pool sizes, the first of which holds its first trial
+    groups, pools = [], []  # per call: its padded size and its trials' sizes
     stack_verdicts = axioms._stack_verdicts
 
-    def counted(method, axiom, stacks, *rest):
-        sizes.append(stacks[0].shape[-1])
+    def counted(method, axiom, stacks, xs, tie_tol, em, ns=None):
+        size = stacks[0].shape[-1]
+        assert all(s.shape[-1] == size for s in stacks)
+        groups.append((size, [size] if ns is None else sorted(set(np.concatenate(ns).tolist()))))
         pools.append(len(stacks))
-        return stack_verdicts(method, axiom, stacks, *rest)
+        return stack_verdicts(method, axiom, stacks, xs, tie_tol, em, ns)
 
     monkeypatch.setattr(axioms, "_stack_verdicts", counted)
     monkeypatch.setattr(axioms, "_chunks", lambda trials, cap: iter([range(trials)]))
     method, tie_tol = EARLY_STOP[axiom]
-    skipped = past_a_flagging_group = 0
+    skipped = past_a_flagging_group = padded = 0
     for seed in range(30):
-        cfg = SearchConfig(seed=seed, trials=40)
+        cfg = SearchConfig(seed=seed, trials=40, n_range=(5, 10))
         with np.errstate(all="ignore"):
             flags, draws, _ = _flag_trials(method, axiom, cfg, range(cfg.trials), tie_tol)
-        first = {}  # each size's first trial, in trial order
+        first = {}  # each group's first trial and its sizes, in trial order
+        group_of = []  # each trial's group
         for trial, (grids, _) in enumerate(draws):
-            first.setdefault(grids[0].shape[0], trial)
-        assert sizes == list(first)
+            n = grids[0].shape[0]
+            group_of.append(0 if n <= 7 and method is not MethodId.EM else n)
+            first.setdefault(group_of[-1], (trial, set()))[1].add(n)
+        expected_groups = [(max(ns), sorted(ns)) for _, ns in first.values()]
+        assert groups == expected_groups
+        padded += any(len(ns) > 1 for _, ns in expected_groups)
         t = int(flags.argmax()) if flags.any() else cfg.trials
         expected = None
         if flags.any():
             expected = outcome(_run_check, method, axiom, *trial_inputs(axiom, cfg, t, tie_tol))
-        sizes.clear()
+        groups.clear()
         assert outcome(falsify_unshrunk, method, axiom, cfg, tie_tol) == expected
-        assert sizes == [n for n in first if first[n] <= t]
-        skipped += len(first) - len(sizes)
-        flagging = [n for n in sizes if any(flags[i] for i, (g, _) in enumerate(draws)
-                                            if g[0].shape[0] == n)]
-        past_a_flagging_group += bool(flagging) and sizes[-1] != flagging[0]
-        sizes.clear()
+        judged = [g for g, (trial, _) in first.items() if trial <= t]
+        assert groups == [expected_groups[list(first).index(g)] for g in judged]
+        skipped += len(first) - len(groups)
+        flagging = [g for g in judged if any(flags[i] for i in range(cfg.trials) if group_of[i] == g)]
+        past_a_flagging_group += bool(flagging) and judged[-1] != flagging[0]
+        groups.clear()
     assert skipped and past_a_flagging_group
+    assert bool(padded) == (method is not MethodId.EM)
     assert (max(pools) > 1) == (axiom is AxiomId.AI)

@@ -50,3 +50,9 @@ def test_the_gate_passes_every_pair_at_the_audit_budget(capsys, monkeypatch):
 def test_the_gate_passes_every_pair_just_above_the_one_chunk_bound(capsys, monkeypatch):
     # the smallest budget that still splits off a one-trial first chunk
     assert _gate_schedules(capsys, monkeypatch, 17) == [[1, 2, 14]] * 42
+
+
+def test_the_gate_passes_every_pair_across_the_padding_bound(capsys):
+    # sizes 5 to 7 share one padded stack, and 8 to 10 keep one stack each
+    assert gate.main(["--trials", "20", "--n-min", "5", "--n-max", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 of 42 pairs mismatched"

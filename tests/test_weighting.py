@@ -26,10 +26,12 @@ from pcmrank import (
     rgm_weights,
     weights_json_dict,
 )
-from pcmrank.core import reciprocal_fill
+from pcmrank.core import reciprocal_fill, relation
 from pcmrank.registry import ARITH_AI_A1, FAVPROD_AI_A1, IIC4, KENDALL6
 from pcmrank.transforms import aggregate_entries
-from pcmrank.weighting import _power_iteration, closed_form_scores, em_weight_stack
+from pcmrank.weighting import (
+    _PADDED_N, _power_iteration, closed_form_scores, em_weight_stack, rank_keys,
+)
 
 import oracle
 from harness import LOG9, random_pcm
@@ -344,3 +346,72 @@ def test_rgm_scores_and_aggregates_carry_the_bits_of_numpy_mean(n):
         want = reciprocal_fill(np.exp(np.mean(np.log(e), axis=-3)))
         assert np.array_equal(aggregate_entries(e), want)
         assert np.array_equal(aggregate_entries(e[0]), want[0])
+
+
+def bits(a) -> bytes:
+    """The bits of ``a`` as floats, with one NaN for every NaN: without
+    AVX-512, numpy's maximum reduction in ``tie_group_max`` gives a NaN key
+    the sign bit its row length selects, and only whether a key is NaN is
+    ever read (``rank_error``)."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@pytest.mark.parametrize("size", range(1, _PADDED_N + 1))
+def test_row_sums_of_at_most_7_values_ignore_trailing_zeros(size):
+    # the premise of padded ranking: numpy adds a row of fewer than 8 values
+    # in sequence, so zeros after its last value leave the sum's bits as
+    # they are; from 8 values on it sums in pairwise blocks, and padding
+    # rows of 4 to 7 values to 8 changes many sums
+    rng = np.random.default_rng(size)
+    for n in range(1, size + 1):
+        for shape in ((4000, n), (500, 3, n), (100, 4, 5, n)):
+            x = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape[:-1] + (1,)))
+            padded = np.zeros(shape[:-1] + (size,))
+            padded[..., :n] = x
+            for sums in (lambda a: np.add.reduce(a, axis=-1), lambda a: a.sum(axis=-1, keepdims=True)):
+                assert bits(sums(padded)) == bits(sums(x)), (n, shape)
+
+
+def padded_cases(rng, n):
+    """Filled matrices of n alternatives: random entries whose logs span up
+    to +-710, so that some overflow to inf and some underflow to 0;
+    consistent matrices whose weights form chains of near-ties at the
+    tolerances of the test; and matrices with one entry of 0, inf or NaN."""
+    spans = np.repeat([LOG9, 40.0, 360.0, 710.0], 40)
+    drawn = np.exp(rng.uniform(-1.0, 1.0, (len(spans), n, n)) * spans[:, None, None])
+    steps = rng.choice([0.0, 1e-12, 1e-9, 1.5e-9, 0.2, 0.3, 0.45, 1.0, 3.0], (160, n))
+    v = np.cumprod(1.0 + steps, axis=-1)[:, rng.permutation(n)]
+    tied = v[:, :, None] / v[:, None, :]
+    bad = np.exp(rng.uniform(-LOG9, LOG9, (30, n, n)))
+    bad[np.arange(30), 0, rng.integers(1, n, 30)] = np.resize([0.0, np.inf, np.nan], 30)
+    return reciprocal_fill(np.concatenate([drawn, tied, bad]))
+
+
+@pytest.mark.parametrize("method", [m for m in MethodId if m is not MethodId.EM],
+                         ids=lambda m: m.value)
+def test_padded_matrices_rank_with_the_bits_of_their_own_size(method):
+    # every size up to 7 in one stack padded with ones to each larger size,
+    # as a search stacks them: the keys, relations and ranked mask of each
+    # matrix's real alternatives equal those of its own size's stack
+    rng = np.random.default_rng(7)
+    with np.errstate(all="ignore"):  # entries beyond the float range warn
+        cases = {n: padded_cases(rng, n) for n in range(2, _PADDED_N + 1)}
+    for tie_tol in (0.0, 1e-9, 0.3, 2.0, math.inf):
+        with np.errstate(all="ignore"):  # and so do their scores, on both sides
+            alone = {n: rank_keys(method, e, tie_tol) for n, e in cases.items()}
+            for size in range(2, _PADDED_N + 1):
+                sizes = [n for n in cases if n <= size]
+                stack = np.ones((sum(len(cases[n]) for n in sizes), size, size))
+                ns = np.repeat(sizes, [len(cases[n]) for n in sizes])
+                for n in sizes:
+                    stack[ns == n, :n, :n] = cases[n]
+                keys, ok = rank_keys(method, stack, tie_tol, n=ns)
+                rel = relation(keys)
+                for n in sizes:
+                    want_keys, want_ok = alone[n]
+                    where = method, tie_tol, n, size
+                    assert bits(keys[ns == n, :n]) == bits(want_keys), where
+                    assert bits(rel[ns == n, :n, :n]) == bits(relation(want_keys)), where
+                    assert np.array_equal(ok[ns == n], want_ok), where
+                    assert want_ok.any() and not want_ok.all(), where
