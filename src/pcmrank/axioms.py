@@ -452,7 +452,7 @@ _SPECS = {
         (("sigma", Permutation),),
     ),
     AxiomId.AI: _Spec(
-        _ai_rules, lambda e, x: aggregate_entries(e), _ai_broken, _ai_narrative,
+        _ai_rules, lambda e, x: aggregate_entries(e, x.get("pool")), _ai_broken, _ai_narrative,
         lambda m, x: (m,), _ai_tail, per_trial=4,
     ),
     AxiomId.INV: _Spec(
@@ -543,8 +543,7 @@ def _judge(
     check_kind("em", em, EmOptions)
     x, e = _input_arrays([inputs]), np.array([m.entries for m in matrices])[None]
     if row is None:
-        [(rel, broken, ok)] = _stack_verdicts(method, axiom, [e], [x], tie_tol, em)
-        row = rel[0], broken[0], ok[0]
+        row = [v[0] for v in _stack_verdicts(method, axiom, e, x, tie_tol, em)]
     rel, broken, ok = row
     if not ok.all():
         first = int(ok.argmin())
@@ -836,114 +835,102 @@ def _flag_trials(
     tolerance, or an EM iteration that does not converge within
     ``em.max_iterations``), and no other.  Returns the flags, the trials'
     draws, and for each flagged trial, by index in ``trials``, its row of
-    ``_stack_verdicts`` on its n alternatives: its relation arrays, broken
-    pairs and ranked mask (see ``_judge``).
+    ``_stack_verdicts`` on its n alternatives and own matrices: its
+    relation arrays, broken pairs and ranked mask (see ``_judge``).
 
     Trials are drawn in order from their own streams, through the memo of
     the seed (``_trial_draws``), grouped by matrix size and judged a group
-    at a time, in the order of each group's first trial, on their matrices
-    filled by ``reciprocal_fill``, so each needs no PCM, Ranking or check
-    call; an aggregation-invariance group ranks the trials of every pool
-    size in one stack.  For any method but EM, sizes up to ``_PADDED_N``
-    form one group, padded with ones to its largest, as row sums of fewer
-    than 8 values keep their bits (``rank_keys``).  With ``stop``, as
+    at a time, in the order of each group's first trial, as one stack of
+    matrices filled by ``reciprocal_fill`` (``_group_stack``), so each
+    needs no PCM, Ranking or check call.  For any method but EM, sizes up
+    to ``_PADDED_N`` form one group, padded with ones to its largest, as
+    row sums of fewer than 8 values keep their bits (``rank_keys``), and
+    EM's matrix-vector products do not.  With ``stop``, as
     ``falsify`` runs it, a group whose first trial comes after a flagged
     trial is not judged, nor is any later group: they hold only later
     trials.  Rejected inputs warn unless floating-point errors are ignored.
     """
     draws = _trial_draws(axiom, cfg, trials)
     padded = _PADDED_N if method is not MethodId.EM else 0  # every size up to it shares a group
-    groups: dict[int, dict[int, list[int]]] = {}
+    groups: dict[int, list[int]] = {}
     for idx, (grids, _) in enumerate(draws):
-        groups.setdefault(max(len(grids[0]), padded), {}).setdefault(len(grids), []).append(idx)
+        groups.setdefault(max(len(grids[0]), padded), []).append(idx)
     rows: dict = {}
-    for size, by_count in groups.items():
-        pools = list(by_count.values())
-        if stop and rows and pools[0][0] > min(rows):  # its first pool size holds its first trial
+    for idx in groups.values():
+        if stop and rows and idx[0] > min(rows):
             break
-        ns = size <= padded and [[len(draws[t][0][0]) for t in idx] for idx in pools]
-        if not ns or min(map(min, ns)) == max(map(max, ns)):  # one size
-            ns = None
-            stacks = [reciprocal_fill(np.array([draws[t][0] for t in idx])) for idx in pools]
-            xs = [_input_arrays([draws[t][1] for t in idx]) for idx in pools]
-        else:
-            stacks, xs = _padded_stacks(draws, pools, ns)
-        for idx, (rel, broken, ok) in zip(
-            pools, _stack_verdicts(method, axiom, stacks, xs, tie_tol, em, ns)
-        ):
-            flagged = broken.any(axis=(1, 2)) | ~ok.all(axis=1)
-            for row in flagged.nonzero()[0]:
-                n = len(draws[idx[row]][0][0])
-                rows[idx[row]] = rel[row, :, :n, :n], broken[row, :n, :n], ok[row]
+        stack, x, ns = _group_stack(draws, idx)
+        rel, broken, ok = _stack_verdicts(method, axiom, stack, x, tie_tol, em, ns)
+        flagged = broken.any(axis=(1, 2)) | ~ok.all(axis=1)
+        for row in flagged.nonzero()[0]:
+            grids = draws[idx[row]][0]
+            n, real = len(grids[0]), [*range(len(grids)), -1]  # its own matrices and image
+            rows[idx[row]] = rel[row, real, :n, :n], broken[row, :n, :n], ok[row, real]
     flags = np.zeros(len(draws), dtype=bool)
     flags[list(rows)] = True
     return flags, draws, rows
 
 
-def _padded_stacks(draws: list, pools: list, ns: list) -> tuple[list, list]:
-    """Each pool's filled matrices padded with ones to the largest of ``ns``, and its inputs."""
-    size, stacks, xs = max(map(max, ns)), [], []
-    for idx, k in zip(pools, ns):
-        g = np.ones((len(idx), len(draws[idx[0]][0]), size, size))
-        for row, (t, n) in enumerate(zip(idx, k)):
-            g[row, :, :n, :n] = draws[t][0]
-        stacks.append(reciprocal_fill(g))
-        inputs = [draws[t][1] for t in idx]
-        if "permutation" in inputs[0]:  # each padded label maps to itself
-            inputs = [{**x, "permutation": [*x["permutation"], *range(n, size)]}
-                      for x, n in zip(inputs, k)]
-        xs.append(_input_arrays(inputs))
-    return stacks, xs
+def _group_stack(draws: list, idx: list) -> tuple[np.ndarray, dict, Optional[list]]:
+    """The trials ``idx`` of ``draws`` as one stack of filled matrices, its
+    inputs and each trial's n, or None where all share one: padded with
+    ones to the largest n, and with all-ones matrices to the most matrices
+    (an AI group's pools of 2 to 4), where ``x["pool"]`` holds each count."""
+    grids, inputs = zip(*(draws[t] for t in idx))
+    ns, ks = [len(g[0]) for g in grids], [len(g) for g in grids]
+    size, most = max(ns), max(ks)
+    if min(ns) == size and min(ks) == most:  # one shape
+        e = np.array(grids)
+    else:
+        e = np.ones((len(idx), most, size, size))
+        for row, (g, n) in enumerate(zip(grids, ns)):
+            e[row, :len(g), :n, :n] = g
+    if min(ns) < size and "permutation" in inputs[0]:  # each padded label maps to itself
+        inputs = [{**x, "permutation": [*x["permutation"], *range(n, size)]}
+                  for x, n in zip(inputs, ns)]
+    x = _input_arrays(inputs) | ({"pool": np.array(ks)} if min(ks) < most else {})
+    return reciprocal_fill(e), x, ns if min(ns) < size else None
 
 
 def _stack_verdicts(
-    method: MethodId, axiom: AxiomId, stacks: list, xs: list, tie_tol: float, em: EmOptions,
-    ns: list | None = None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Judge stacks of trials with matrices of one size at once: each
-    stack holds trials with the same number of matrices (trials, matrices,
-    n, n) and ``xs`` their inputs (see ``_input_arrays``).  Each trial's
-    image is built by the axiom's spec, and every matrix and image of
-    every stack is ranked in one stack, EM within ``em``'s budget; the
-    axiom's rule then judges their relation arrays.  Returns, per stack,
+    method: MethodId, axiom: AxiomId, stack: np.ndarray, x: dict, tie_tol: float,
+    em: EmOptions, ns: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Judge a stack of trials (trials, matrices, n, n) with their inputs
+    ``x`` (see ``_input_arrays``) at once: each trial's image is built by
+    the axiom's spec, every matrix and image is ranked in one stack by
+    ``rank_keys``, as ``method_rank`` ranks one, EM within ``em``'s
+    budget, and the axiom's rule judges their relation arrays.  Returns
     the relation arrays (trials, matrices + 1, n, n), the pairs that break
     the axiom (trials, n, n) and whether its check ranks each matrix and
     the image (trials, matrices + 1): the image's column holds where the
-    spec's ``vacuous`` rule does, and requires its ``valid`` rule.  Every
-    matrix is ranked by ``rank_keys``, as ``method_rank`` ranks one.  A
+    spec's ``vacuous`` rule does, and requires its ``valid`` rule.  A
     check under ``em`` fails exactly where a pair breaks and the whole row
     is accepted, and reports the first broken pair in row-major order; an
     EM matrix unconverged within the budget is one the check cannot rank.
-    Every check is a stack of one trial here (see ``_judge``).  ``ns`` holds
-    the sizes of trials padded with ones to at most 7, where each real block
-    keeps its bits (``rank_keys``); only its pairs can break the axiom."""
+    A check is a stack of one trial (``_judge``), a search's group one
+    (``_group_stack``): ``ns`` holds the sizes of trials padded with ones
+    to at most 7, and only their real pairs can break the axiom;
+    ``x["pool"]`` each AI trial's count of matrices, and the all-ones
+    matrices padding the rest are not ranked: they tie every pair."""
     spec = _SPECS[axiom]
-    full = [np.concatenate([s, spec.image(s, x)[:, None]], axis=1) for s, x in zip(stacks, xs)]
-    if len(full) == 1:  # most calls: ranked as it is, with nothing to split
-        parts = [rank_keys(method, full[0], tie_tol, em, ns and np.array(ns[0])[:, None])]
+    full = np.concatenate([stack, spec.image(stack, x)[:, None]], axis=1)
+    if "pool" in x:  # only each trial's own matrices and image are ranked
+        real = np.arange(full.shape[1]) < x["pool"][:, None]
+        real[:, -1] = True
+        keys, ok = np.zeros(full.shape[:-1]), np.ones(real.shape, dtype=bool)
+        keys[real], ok[real] = rank_keys(method, full[real], tie_tol, em, ns and np.repeat(ns, x["pool"] + 1))
     else:
-        n = full[0].shape[-1]
-        e = np.concatenate([f.reshape(-1, n, n) for f in full])
-        sizes = ns and np.concatenate([np.repeat(k, f.shape[1]) for k, f in zip(ns, full)])
-        keys, ok = rank_keys(method, e, tie_tol, em, sizes)
-        parts, start = [], 0
-        for f in full:
-            end = start + f.shape[0] * f.shape[1]
-            rows = slice(start, end)
-            parts.append((keys[rows].reshape(f.shape[:-1]), ok[rows].reshape(f.shape[:2])))
-            start = end
-    out = []
-    for s, x, (keys, ok), n in zip(stacks, xs, parts, ns or [None] * len(stacks)):
-        rel = relation(keys)
-        if spec.vacuous is not None:
-            ok[:, -1] |= spec.vacuous(rel[:, :-1], x)
-        if spec.valid is not None:
-            ok[:, -1] &= spec.valid(s, x)
-        broken = spec.broken(rel[:, :-1], rel[:, -1], x)
-        if n is not None:  # the pairs of real alternatives only
-            broken &= np.maximum.outer(*[np.arange(s.shape[-1])] * 2) < np.array(n)[:, None, None]
-        out.append((rel, broken, ok))
-    return out
+        keys, ok = rank_keys(method, full, tie_tol, em, ns and np.array(ns)[:, None])
+    rel = relation(keys)
+    if spec.vacuous is not None:
+        ok[:, -1] |= spec.vacuous(rel[:, :-1], x)
+    if spec.valid is not None:
+        ok[:, -1] &= spec.valid(stack, x)
+    broken = spec.broken(rel[:, :-1], rel[:, -1], x)
+    if ns is not None:  # the pairs of real alternatives only
+        broken &= np.maximum.outer(*[np.arange(stack.shape[-1])] * 2) < np.array(ns)[:, None, None]
+    return rel, broken, ok
 
 
 # --- greedy witness shrinking ----------------------------------------------
@@ -991,7 +978,7 @@ def _falsifying(
     short = em
     if method is MethodId.EM and em.max_iterations > _SHORT_EM_STEPS:
         short = EmOptions(_SHORT_EM_STEPS, em.convergence_tol)
-    [(rel, broken, ok)] = _stack_verdicts(method, axiom, [stack], [x], tie_tol, short)
+    rel, broken, ok = _stack_verdicts(method, axiom, stack, x, tie_tol, short)
     ranked = ok.all(axis=1)
     falsified = broken.any(axis=(1, 2)) & ranked
     if short is not em:
@@ -999,7 +986,7 @@ def _falsifying(
         redo = np.flatnonzero(~ranked[:stop])
         if len(redo):
             xr = {k: v[redo] for k, v in x.items()}
-            [(r, b, o)] = _stack_verdicts(method, axiom, [stack[redo]], [xr], tie_tol, em)
+            r, b, o = _stack_verdicts(method, axiom, stack[redo], xr, tie_tol, em)
             rel[redo], broken[redo], falsified[redo] = r, b, b.any(axis=(1, 2)) & o.all(axis=1)
     return rel, broken, falsified
 

@@ -20,15 +20,18 @@ from .core import (
 )
 
 
-def aggregate_entries(e: np.ndarray) -> np.ndarray:
-    """Entrywise geometric mean over the matrix axis of ``e`` (..., k, n, n);
-    a single matrix (k = 1) is returned unchanged, bit for bit."""
+def aggregate_entries(e: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise geometric mean over the matrix axis of ``e`` (..., m, n, n);
+    a single matrix (m = 1) is returned unchanged, bit for bit.  ``k`` holds
+    each row's count of matrices where the rest are all ones, whose logs add
+    +0 in matrix order, so each mean keeps the bits of its k matrices'."""
     if e.shape[-3] == 1:
         return e[..., 0, :, :]
-    return _exp_mean(np.add.reduce(np.log(e), axis=-3), e.shape[-3])
+    count = e.shape[-3] if k is None else k[..., None, None]
+    return _exp_mean(np.add.reduce(np.log(e), axis=-3), count)
 
 
-def _exp_mean(total: np.ndarray, k: int) -> np.ndarray:
+def _exp_mean(total: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     """The geometric mean of k matrices from ``total``, the sum of their logs."""
     return reciprocal_fill(np.exp(total / k))
 

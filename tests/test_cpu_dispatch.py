@@ -45,9 +45,11 @@ def test_goldens_and_draws_keep_their_bits_without_avx512():
 @pytest.mark.skipif(not AVX512, reason="numpy dispatches to no AVX-512 target on this host")
 def test_padded_ranking_keeps_its_bits_without_avx512():
     # the bits of a padded matrix's ranking rest on how numpy sums a row,
+    # and those of a padded pool's aggregate on how it sums over matrices,
     # which each dispatch target may do its own way
     run = without_avx512(
         f"{TESTS / 'test_weighting.py'}::test_row_sums_of_at_most_7_values_ignore_trailing_zeros",
         f"{TESTS / 'test_weighting.py'}::test_padded_matrices_rank_with_the_bits_of_their_own_size",
+        f"{TESTS / 'test_falsify_batched.py'}::test_padded_pools_judge_with_the_bits_of_their_own_stacks",
     )
     assert run.returncode == 0, run.stdout[-3000:]

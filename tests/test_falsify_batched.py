@@ -40,9 +40,14 @@ from pcmrank import (
     pair_relation,
 )
 from pcmrank import axioms
-from pcmrank.axioms import _chunks, _draw, _flag_trials, _run_check, _trial_rng
-from pcmrank.core import relation
-from pcmrank.weighting import EmOptions, closed_form_scores, em_weight_stack, em_weights, rank_keys
+from pcmrank.axioms import (
+    _chunks, _draw, _flag_trials, _group_stack, _run_check, _stack_verdicts, _trial_rng,
+)
+from pcmrank.core import reciprocal_fill, relation
+from pcmrank.transforms import aggregate_entries
+from pcmrank.weighting import (
+    _PADDED_N, EmOptions, closed_form_scores, em_weight_stack, em_weights, rank_keys,
+)
 
 import oracle
 from harness import (
@@ -860,17 +865,18 @@ def test_a_search_judges_no_size_group_that_starts_after_its_first_flag(axiom, m
     # after the first flagged trial, which may come after a group that flags
     # a later one; for any method but EM the sizes up to 7 form one group,
     # padded to its largest size, and each larger size is a group of its
-    # own, as every EM size is; an aggregation-invariance group stacks
-    # several pool sizes, the first of which holds its first trial
-    groups, pools = [], []  # per call: its padded size and its trials' sizes
+    # own, as every EM size is; an aggregation-invariance group pads its
+    # pools with all-ones matrices, and x["pool"] holds each trial's count
+    # where the counts differ
+    groups, pools = [], []  # per call: its padded size and its trials' sizes; its pool counts
     stack_verdicts = axioms._stack_verdicts
 
-    def counted(method, axiom, stacks, xs, tie_tol, em, ns=None):
-        size = stacks[0].shape[-1]
-        assert all(s.shape[-1] == size for s in stacks)
-        groups.append((size, [size] if ns is None else sorted(set(np.concatenate(ns).tolist()))))
-        pools.append(len(stacks))
-        return stack_verdicts(method, axiom, stacks, xs, tie_tol, em, ns)
+    def counted(method, axiom, stack, x, tie_tol, em, ns=None):
+        size = stack.shape[-1]
+        groups.append((size, [size] if ns is None else sorted(set(ns))))
+        pools.append(len(set(x["pool"].tolist())) if "pool" in x else 1)
+        assert pools[-1] > 1 or "pool" not in x
+        return stack_verdicts(method, axiom, stack, x, tie_tol, em, ns)
 
     monkeypatch.setattr(axioms, "_stack_verdicts", counted)
     monkeypatch.setattr(axioms, "_chunks", lambda trials, cap: iter([range(trials)]))
@@ -904,3 +910,97 @@ def test_a_search_judges_no_size_group_that_starts_after_its_first_flag(axiom, m
     assert skipped and past_a_flagging_group
     assert bool(padded) == (method is not MethodId.EM)
     assert (max(pools) > 1) == (axiom is AxiomId.AI)
+
+
+def pooled_draws(rng, trials):
+    """AI draws of 2 to 10 alternatives that pool 2 to 4 grids, as a search
+    draws them: logs within +-ln 9 in even trials and +-710 in odd ones,
+    where some scores overflow, and in one trial of eight an entry of 0 or
+    inf."""
+    draws = []
+    for t in range(trials):
+        n, k = int(rng.integers(2, 11)), int(rng.integers(2, 5))
+        span = (LOG9, 710.0)[t % 2]
+        grids = np.exp(rng.uniform(-span, span, (k, n, n)))
+        if t % 8 == 3:
+            grids[rng.integers(k), 0, n - 1] = (0.0, math.inf)[t % 16 == 3]
+        draws.append((list(grids), {}))
+    return draws
+
+
+def split_ties_of_ones(method, e, tie_tol, em=EmOptions(), n=None):
+    """``rank_keys``, but every all-ones matrix ranks its alternatives in
+    reverse, as a tie that EM splits by an ulp may: -1 above the diagonal."""
+    keys, ok = rank_keys(method, e, tie_tol, em, n)
+    keys = np.array(keys)  # INDEX_ORDER's keys are a read-only view
+    keys[(e == 1.0).all(axis=(-2, -1))] = -np.arange(e.shape[-1])
+    return keys, ok
+
+
+def test_padded_pools_judge_with_the_bits_of_their_own_stacks(monkeypatch):
+    # a search's AI group stacks the trials that pool 2, 3 and 4 matrices,
+    # padded with all-ones matrices, and for any method but EM the sizes up
+    # to 7, padded with ones: each trial's relations, broken pairs and
+    # ranked mask of its own matrices and image, and its aggregate, carry
+    # the bits of its own pool's stack, and its padded matrices count as
+    # ranked; they reach no verdict even where their ranking would split a
+    # tie (``split_ties_of_ones``), as no drawn matrix is all ones
+    monkeypatch.setattr(axioms, "rank_keys", split_ties_of_ones)
+    with np.errstate(all="ignore"):  # entries beyond the float range warn
+        draws = pooled_draws(np.random.default_rng(35), 150)
+    em, ai = EmOptions(max_iterations=500), AxiomId.AI  # at +-710 EM is slow to converge
+    pools = {}  # per (n, k): its trials
+    for t, (grids, _) in enumerate(draws):
+        pools.setdefault((len(grids[0]), len(grids)), []).append(t)
+    for method in MethodId:
+        padded = _PADDED_N if method is not MethodId.EM else 0
+        groups = {}
+        for t, (grids, _) in enumerate(draws):
+            groups.setdefault(max(len(grids[0]), padded), []).append(t)
+        for tie_tol in (0.0, 1e-9, 0.3, 2.0, math.inf):
+            own = {}  # per trial: its row of its pool's stack, and its aggregate
+            with np.errstate(all="ignore"):
+                for idx in pools.values():
+                    stack = reciprocal_fill(np.array([draws[t][0] for t in idx]))
+                    found = *_stack_verdicts(method, ai, stack, {}, tie_tol, em), aggregate_entries(stack)
+                    for row, t in enumerate(idx):
+                        own[t] = [v[row] for v in found]
+                for idx in groups.values():
+                    stack, x, ns = _group_stack(draws, idx)
+                    assert len(set(x["pool"].tolist())) == 3
+                    assert (ns is not None) == (len({len(draws[t][0][0]) for t in idx}) > 1)
+                    rel, broken, ok = _stack_verdicts(method, ai, stack, x, tie_tol, em, ns)
+                    mean = aggregate_entries(stack, x["pool"])
+                    for row, t in enumerate(idx):
+                        n, k = len(draws[t][0][0]), len(draws[t][0])
+                        real, where = [*range(k), -1], (method, tie_tol, t)
+                        want_rel, want_broken, want_ok, want_mean = own[t]
+                        assert np.array_equal(rel[row, real, :n, :n], want_rel, equal_nan=True), where
+                        assert np.array_equal(broken[row, :n, :n], want_broken), where
+                        assert np.array_equal(ok[row, real], want_ok), where
+                        assert ok[row, k:-1].all() and not rel[row, k:-1].any(), where
+                        assert mean[row, :n, :n].tobytes() == want_mean.tobytes(), where
+            rejected = [not v[2].all() for v in own.values()]
+            violated = [v[1].any() and v[2].all() for v in own.values()]
+            assert any(rejected) and not all(rejected), (method, tie_tol)
+            if tie_tol == 1e-9 and method in (MethodId.ROW_ARITHMETIC_MEAN, MethodId.EM):
+                assert any(violated), method
+
+
+def test_an_unconverged_all_ones_matrix_padding_a_pool_counts_as_ranked():
+    # on 14 alternatives at a tolerance of 1e-17, EM's iterate of an
+    # all-ones matrix never settles, while that of some drawn matrices
+    # does, one in four: a pool of two padded with one is judged on its own
+    # matrices, as its check judges it, and is not flagged, while a pool
+    # whose third matrix is all ones cannot be ranked
+    em, n = EmOptions(max_iterations=300, convergence_tol=1e-17), 14
+    assert np.isnan(em_weight_stack(np.ones((1, n, n)), em)).all()
+    grids = np.exp(np.random.default_rng(14).uniform(-0.5, 0.5, (100, 2, n, n)))
+    own = _stack_verdicts(MethodId.EM, AxiomId.AI, reciprocal_fill(grids), {}, 1e-9, em)
+    t = int(own[2].all(axis=1).argmax())
+    assert own[2][t].all()
+    draws = [(list(grids[t]), {}), ([*grids[t], np.ones((n, n))], {})]
+    stack, x, _ = _group_stack(draws, [0, 1])
+    rel, broken, ok = _stack_verdicts(MethodId.EM, AxiomId.AI, stack, x, 1e-9, em)
+    assert ok[0].all() and not ok[1, 2]
+    assert np.array_equal(rel[0, [0, 1, 3]], own[0][t]) and np.array_equal(broken[0], own[1][t])

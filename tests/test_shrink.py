@@ -111,8 +111,8 @@ def test_the_stacked_judge_rejects_what_the_check_rejects(method, axiom, upper, 
     a, aux = PCM.from_upper(grid), {**aux, "tie_tol": 0.43}
     with pytest.raises(error):
         _run_check(method, axiom, [a], aux)
-    [(_, _, ok)] = _stack_verdicts(
-        method, axiom, [a.entries[None, None]], [_input_arrays([aux])], aux["tie_tol"], EmOptions()
+    _, _, ok = _stack_verdicts(
+        method, axiom, a.entries[None, None], _input_arrays([aux]), aux["tie_tol"], EmOptions()
     )
     assert ok.all(axis=1).tolist() == [False]
 
